@@ -37,8 +37,8 @@ from .experiments import (
     run_bias_grid,
     simulate_predictions,
 )
-from .forest import ForestConfig, predict_batch, train
-from .jackknife import interval, variance_estimates
+from .forest import ForestConfig, train
+from .jackknife import interval, predict_with_variance, v_ij
 from .model_io import load_model, save_model
 from .oracle import (
     FiniteSupportDistribution,
@@ -50,7 +50,6 @@ from .oracle import (
     exact_vij,
     hajek_projection_stats,
 )
-from .jackknife import v_ij
 from .tree import TreeConfig
 
 TOOL = f"subforest {__version__}"
@@ -223,8 +222,7 @@ def _cmd_predict(args) -> int:
     if fm.b < 2:
         raise ValueError("variance estimation requires a model with B >= 2 trees")
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
-    yhat = predict_batch(fm, xs)
-    ests = variance_estimates(fm, xs)
+    yhat, ests = predict_with_variance(fm, xs)
     level = cfg["level"]
     with open(cfg["out"], "w", newline="") as fh:
         for line in _preamble("predict", {**cfg, "model_tool": meta["tool"], "b": fm.b, "s": fm.s}):

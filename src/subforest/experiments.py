@@ -21,15 +21,14 @@ the test-set average of sigma2; both are reported.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .dataset import SyntheticSpec, TrainingSet, sample_synthetic, true_mean_batch
-from .forest import ForestConfig, ForestModel, predict_batch, train
-from .jackknife import variance_estimates
+from .forest import ForestConfig, ForestModel, fan_out, predict_batch, train
+from .jackknife import predict_with_variance
 from .normal import ks_normal_pvalue, norm_ppf
 from .tree import CART, HONEST, TreeConfig
 
@@ -146,9 +145,7 @@ def _replicate(args) -> tuple:
     source, n, fcfg, seed, r, test_x = args
     ts = source.sample_training(rng.stream(seed, rng.DATASET, r), n)
     fcfg_r = replace(fcfg, seed=int(rng.derive_key(seed, rng.REPLICATE, r)[0]))
-    fm = train(ts, fcfg_r)
-    yhat = predict_batch(fm, test_x)
-    ests = variance_estimates(fm, test_x)
+    yhat, ests = predict_with_variance(train(ts, fcfg_r), test_x)
     return (
         yhat,
         np.array([e.corrected for e in ests]),
@@ -161,11 +158,7 @@ def simulate_predictions(spec: ExperimentSpec) -> SimulationResult:
     """Predictions and variance estimates for K test points x R replicates."""
     test_x = spec.source.sample_test_points(rng.stream(spec.seed, rng.TEST_POINTS), spec.k_test)
     jobs = [(spec.source, spec.n, spec.forest, spec.seed, r, test_x) for r in range(spec.r_replicates)]
-    if spec.n_jobs <= 1:
-        outs = [_replicate(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=spec.n_jobs) as pool:
-            outs = list(pool.map(_replicate, jobs))
+    outs = fan_out(_replicate, jobs, spec.n_jobs)
     pred = np.column_stack([o[0] for o in outs])
     corrected = np.column_stack([o[1] for o in outs])
     truncated = np.column_stack([o[2] for o in outs])
@@ -365,10 +358,6 @@ def run_bias_grid(
     centers = np.column_stack([cx.ravel(), cy.ravel()])
     fcfg = ForestConfig(s=s, b=b, tree=TreeConfig(mode=mode), seed=0)
     jobs = [(p, n, fcfg, seed, r, centers) for r in range(r_replicates)]
-    if n_jobs <= 1:
-        outs = [_bias_grid_replicate(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outs = list(pool.map(_bias_grid_replicate, jobs))
+    outs = fan_out(_bias_grid_replicate, jobs, n_jobs)
     means = np.mean(np.stack(outs, axis=0), axis=0).reshape(g, g)
     return BiasGrid(resolution=g, cell_means=means, mode=mode, n=n, s=s, r_replicates=r_replicates)

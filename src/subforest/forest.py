@@ -6,10 +6,19 @@ resolved config alone -- training with 1 or many workers yields identical
 trees. Forest predictions are means over per-tree outputs taken in tree
 order with numpy's pairwise summation, which keeps the reduction
 deterministic as well.
+
+The packed arrays are the forest: ``train`` concatenates the fitted trees'
+node arrays once, and traversal, the variance estimate and the model file
+all read those arrays. Tree b owns the nodes ``roots[b]`` up to the next
+root; child ids are global, every internal node's children lie after it
+inside its own tree, and a leaf's children are the leaf itself, so a walk
+from any root ends at a leaf and then stays there. ``ForestModel.trees``
+rebuilds per-tree ``TreeModel`` views on demand for audits and tests.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -17,8 +26,18 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import default_subsample_size, draw_subsample, honesty_partition
+from .sampling import (
+    HonestyPartition,
+    SubsampleDraw,
+    default_subsample_size,
+    draw_subsample,
+    honesty_partition,
+)
 from .tree import HONEST, TreeConfig, TreeModel
+
+# (tree, point) pairs walked together: bounds the traversal's working set
+# independently of B and K
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -41,25 +60,176 @@ class ForestConfig:
         return s, b
 
 
-@dataclass(frozen=True)
+def _sorted_rows(rows: np.ndarray, n: int) -> bool:
+    """Every row strictly increasing with entries in [0, n)."""
+    return bool(rows.min() >= 0 and rows.max() < n and np.all(rows[:, 1:] > rows[:, :-1]))
+
+
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[TreeModel, ...]
+    """B trees as flat node arrays; node ids are global across the forest.
+
+    Construction checks the invariants traversal relies on, so a forest from
+    an untrusted file can neither loop nor index out of bounds.
+    """
+
+    feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
+    threshold: np.ndarray  # (N,) float64
+    child: np.ndarray  # (N, 2) intp global [left, right] ids; a leaf's are its own id
+    value: np.ndarray  # (N,) float64 leaf predictions
+    pred_index: np.ndarray  # (N,) int32 training index behind a leaf, -1 for CART
+    from_random: np.ndarray  # (N,) bool, split axis came from the uniform branch
+    roots: np.ndarray  # (B,) intp root id of each tree, increasing from 0
     subsample_indices: np.ndarray  # (B, s) int64, row b = sorted subsample of tree b
+    prediction_indices: np.ndarray | None  # (B, ceil(s/2)) int64 honest prediction sets; None for CART
     n: int
+    d: int
     s: int
     b: int
     config: ForestConfig
-    _packed: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        dtypes = {
+            "feature": np.int32, "threshold": np.float64, "child": np.intp,
+            "value": np.float64, "pred_index": np.int32, "from_random": bool,
+            "roots": np.intp, "subsample_indices": np.int64, "prediction_indices": np.int64,
+        }
+        for name, dtype in dtypes.items():
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            arr = np.ascontiguousarray(arr, dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.d < 1 or not 2 <= self.s <= self.n:
+            raise ValueError(f"need d >= 1 and 2 <= s <= n, got d={self.d}, s={self.s}, n={self.n}")
+        n_nodes = self.feature.size
+        for name in ("threshold", "value", "pred_index", "from_random"):
+            if getattr(self, name).shape != (n_nodes,):
+                raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n_nodes} nodes")
+        if self.feature.ndim != 1 or self.child.shape != (n_nodes, 2):
+            raise ValueError(f"child shape {self.child.shape} does not match {n_nodes} nodes")
+        if self.b < 1 or self.roots.shape != (self.b,) or self.roots[0] != 0:
+            raise ValueError(f"need {self.b} >= 1 tree roots starting at node 0")
+        ends = np.append(self.roots[1:], n_nodes)
+        if np.any(ends <= self.roots):
+            raise ValueError("tree roots must increase and every tree needs a node")
+        if self.feature.min() < -1 or self.feature.max() >= self.d:
+            raise ValueError(f"split features must lie in [-1, {self.d})")
+        end = np.repeat(ends, ends - self.roots)[:, None]
+        ids = np.arange(n_nodes)[:, None]
+        inner = (self.feature >= 0)[:, None]
+        ok = np.where(inner, (self.child > ids) & (self.child < end), self.child == ids)
+        if not ok.all():
+            raise ValueError("children must lie after their parent inside its tree; leaves point at themselves")
+        if self.pred_index.min() < -1 or self.pred_index.max() >= self.n:
+            raise ValueError(f"leaf training indices must lie in [-1, {self.n})")
+        if self.subsample_indices.shape != (self.b, self.s) or not _sorted_rows(self.subsample_indices, self.n):
+            raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")
+        pred = self.prediction_indices
+        if (pred is None) != (self.config.tree.mode != HONEST):
+            raise ValueError("honest forests, and only they, carry prediction indices")
+        if pred is not None:
+            if pred.shape != (self.b, -(-self.s // 2)) or not _sorted_rows(pred, self.n):
+                raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
+            # each row must lie inside its tree's subsample: search row-offset keys
+            offset = np.arange(self.b)[:, None] * self.n
+            sub_keys = (self.subsample_indices + offset).ravel()
+            pred_keys = (pred + offset).ravel()
+            at = np.minimum(np.searchsorted(sub_keys, pred_keys), sub_keys.size - 1)
+            if not np.array_equal(sub_keys[at], pred_keys):
+                raise ValueError("prediction indices must lie inside their tree's subsample")
 
     @property
-    def d(self) -> int:
-        return self.trees[0].n_features
+    def trees(self) -> tuple[TreeModel, ...]:
+        """Per-tree views of the packed arrays, rebuilt on every access."""
+        ends = np.append(self.roots[1:], self.feature.size)
+        out = []
+        for b, (lo, hi) in enumerate(zip(self.roots.tolist(), ends.tolist())):
+            leaf = self.feature[lo:hi] < 0
+            local = np.where(leaf[:, None], -1, self.child[lo:hi] - lo).astype(np.int32)
+            sub = self.subsample_indices[b]
+            partition = None
+            if self.prediction_indices is not None:
+                pred = self.prediction_indices[b]
+                partition = HonestyPartition(np.setdiff1d(sub, pred, assume_unique=True), pred)
+            out.append(TreeModel(
+                feature=self.feature[lo:hi],
+                threshold=self.threshold[lo:hi],
+                left=local[:, 0],
+                right=local[:, 1],
+                value=self.value[lo:hi],
+                pred_index=self.pred_index[lo:hi],
+                from_random=self.from_random[lo:hi],
+                n_features=self.d,
+                config=self.config.tree,
+                subsample=SubsampleDraw(sub, self.n),
+                partition=partition,
+            ))
+        return tuple(out)
 
     def counts_matrix(self) -> np.ndarray:
         """(B, n) 0/1 inclusion counts N*_bi of every tree's subsample."""
         counts = np.zeros((self.b, self.n), dtype=np.uint8)
         np.put_along_axis(counts, self.subsample_indices, 1, axis=1)
         return counts
+
+
+def _pack(trees: list[TreeModel], n: int, s: int, cfg: ForestConfig) -> ForestModel:
+    """Concatenate fitted trees into one forest, child ids made global."""
+    sizes = [t.n_nodes for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([t.feature for t in trees])
+    ids = np.arange(feature.size)
+    child = np.column_stack([
+        np.concatenate([t.left for t in trees]),
+        np.concatenate([t.right for t in trees]),
+    ]).astype(np.intp) + np.repeat(roots, sizes)[:, None]
+    leaf = feature < 0
+    child[leaf] = ids[leaf, None]
+    honest = cfg.tree.mode == HONEST
+    return ForestModel(
+        feature=feature,
+        threshold=np.concatenate([t.threshold for t in trees]),
+        child=child,
+        value=np.concatenate([t.value for t in trees]),
+        pred_index=np.concatenate([t.pred_index for t in trees]),
+        from_random=np.concatenate([t.from_random for t in trees]),
+        roots=roots,
+        subsample_indices=np.vstack([t.subsample.indices for t in trees]),
+        prediction_indices=np.vstack([t.partition.prediction for t in trees]) if honest else None,
+        n=n,
+        d=trees[0].n_features,
+        s=s,
+        b=len(trees),
+        config=cfg,
+    )
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(requested: int, tasks: int, cores: int) -> int:
+    """Worker processes for a fan-out: min(requested, tasks, cores), at least 1."""
+    return max(1, min(requested, tasks, cores))
+
+
+def fan_out(fn, jobs: list, n_jobs: int) -> list:
+    """``[fn(job) for job in jobs]``, over a process pool when more than one worker is usable.
+
+    The pool is clamped to the tasks and the usable cores: a pool forks all
+    its workers up front, so an unclamped large request would fork that many.
+    """
+    workers = worker_count(n_jobs, len(jobs), usable_cores())
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _fit_one(ts: TrainingSet, cfg: ForestConfig, s: int, b_index: int) -> TreeModel:
@@ -80,60 +250,45 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
     """Train B trees on independent subsample draws; deterministic in (cfg, ts)."""
     s, b_total = cfg.resolve(ts.n)
     cfg = replace(cfg, s=s, b=b_total)
-    if n_jobs <= 1 or b_total < 4:
-        trees = [_fit_one(ts, cfg, s, b) for b in range(b_total)]
-    else:
-        chunk = max(1, -(-b_total // (4 * n_jobs)))
-        ranges = [(ts, cfg, s, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            trees = [t for block in pool.map(_fit_range, ranges) for t in block]
-    indices = np.vstack([t.subsample.indices for t in trees])
-    return ForestModel(trees=tuple(trees), subsample_indices=indices, n=ts.n, s=s, b=b_total, config=cfg)
-
-
-def _pack(forest: ForestModel) -> dict:
-    """Concatenate all tree node arrays for joint vectorized descent."""
-    cache = forest._packed
-    if "feature" not in cache:
-        offsets = np.cumsum([0] + [t.n_nodes for t in forest.trees[:-1]])
-        cache["roots"] = offsets.astype(np.int64)
-        cache["feature"] = np.concatenate([t.feature for t in forest.trees]).astype(np.int64)
-        cache["threshold"] = np.concatenate([t.threshold for t in forest.trees])
-        cache["left"] = np.concatenate(
-            [t.left + off for t, off in zip(forest.trees, offsets)]
-        ).astype(np.int64)
-        cache["right"] = np.concatenate(
-            [t.right + off for t, off in zip(forest.trees, offsets)]
-        ).astype(np.int64)
-        cache["value"] = np.concatenate([t.value for t in forest.trees])
-    return cache
+    workers = worker_count(n_jobs, b_total, usable_cores())
+    chunk = -(-b_total // (4 * workers))
+    ranges = [(ts, cfg, s, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
+    trees = [t for block in fan_out(_fit_range, ranges, workers) for t in block]
+    return _pack(trees, ts.n, s, cfg)
 
 
 def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:
     """Per-tree predictions; (B,) for a single point, (B, K) for a matrix."""
     xq = np.asarray(xq, dtype=np.float64)
     single = xq.ndim == 1
-    xs = np.atleast_2d(xq)
+    xs = np.ascontiguousarray(np.atleast_2d(xq))
     if xs.shape[1] != forest.d:
         raise ValueError(f"expected {forest.d} features, got {xs.shape[1]}")
-    p = _pack(forest)
-    feature, threshold, left, right = p["feature"], p["threshold"], p["left"], p["right"]
     k = xs.shape[0]
-    # flat (tree, point) state, b-major; finished pairs drop out of `act`
-    cur = np.repeat(p["roots"], k)
-    point_of = np.tile(np.arange(k), forest.b)
-    act = np.arange(cur.size)
-    while act.size:
-        nodes = cur[act]
-        feat = feature[nodes]
-        live = feat >= 0
-        act = act[live]
-        if not act.size:
-            break
-        nodes = nodes[live]
-        go_left = xs[point_of[act], feat[live]] <= threshold[nodes]
-        cur[act] = np.where(go_left, left[nodes], right[nodes])
-    values = p["value"][cur].reshape(forest.b, k)
+    x_flat = xs.reshape(-1)
+    child = forest.child.reshape(-1)
+    feature, threshold = forest.feature, forest.threshold
+    total = forest.b * k
+    out = np.empty(total)
+    # pairs are b-major, so `out` reshapes to (B, K); each block walks its
+    # pairs level by level and drops finished ones once they are the majority
+    for lo in range(0, total, _PAIR_BLOCK):
+        pair = np.arange(lo, min(lo + _PAIR_BLOCK, total))
+        node = forest.roots[pair // k]
+        base = pair % k * forest.d
+        while True:
+            feat = feature[node]
+            live = feat >= 0
+            n_live = np.count_nonzero(live)
+            if 2 * n_live < node.size:
+                out[pair] = forest.value[node]
+                if not n_live:
+                    break
+                node, base, pair, feat = node[live], base[live], pair[live], feat[live]
+            # ties go left and NaN goes right; a pair at a leaf reads some
+            # coordinate (feature -1) and stays put
+            node = child[2 * node + ~(x_flat[base + feat] <= threshold[node])]
+    values = out.reshape(forest.b, k)
     return values[:, 0] if single else values
 
 

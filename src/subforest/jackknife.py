@@ -78,44 +78,11 @@ def _finite_sample_scale(n: int, s: int) -> float:
     return (n - 1) / n * (n / (n - s)) ** 2 if s < n else 0.0
 
 
-def c_weights(outputs, counts, s: int, n: int) -> np.ndarray:
-    """Per-example weights C_i from tree outputs and inclusion counts."""
-    outputs, counts = _check(outputs, counts, s, n)
-    b = outputs.size
-    centered = outputs - outputs.mean()
-    return (counts - s / n).T.astype(np.float64) @ centered / b
-
-
-def v_ij(outputs, counts, s: int, n: int) -> VarianceEstimate:
-    """Plug-in and bias-corrected infinitesimal-jackknife variance estimate."""
-    outputs, counts = _check(outputs, counts, s, n)
-    b = outputs.size
-    centered = outputs - outputs.mean()
-    c = (counts - s / n).T.astype(np.float64) @ centered / b
-    plugin = float(c @ c)
-    v_hat = float(centered @ centered) / b
-    correction = s * (n - s) / n * v_hat / b
-    corrected = plugin - correction
-    return VarianceEstimate(
-        plugin=plugin,
-        correction=correction,
-        corrected=corrected,
-        truncated=_finite_sample_scale(n, s) * max(corrected, 0.0) + v_hat / (b - 1),
-        v_hat=v_hat,
-        c=c,
-    )
-
-
-def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:
-    """Batch v_ij for each row of ``xs`` against one fitted forest."""
-    if forest.b < 2:
-        raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {forest.b}")
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    outputs = predict_per_tree(forest, xs)  # (B, K)
-    counts = forest.counts_matrix()
+def _estimates(outputs: np.ndarray, counts: np.ndarray, s: int, n: int) -> list[VarianceEstimate]:
+    """The IJ kernel: one estimate per column of a (B, K) matrix of tree outputs."""
+    b = outputs.shape[0]
     centered = outputs - outputs.mean(axis=0, keepdims=True)
-    b, n, s = forest.b, forest.n, forest.s
-    c_all = (counts - s / n).T.astype(np.float64) @ centered / b  # (n, K)
+    c_all = (counts - s / n).T.astype(np.float64, copy=False) @ centered / b  # (n, K)
     plugin = np.einsum("ik,ik->k", c_all, c_all)
     v_hat = np.einsum("bk,bk->k", centered, centered) / b
     correction = s * (n - s) / n * v_hat / b
@@ -130,8 +97,37 @@ def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:
             v_hat=float(v_hat[k]),
             c=c_all[:, k],
         )
-        for k in range(xs.shape[0])
+        for k in range(outputs.shape[1])
     ]
+
+
+def v_ij(outputs, counts, s: int, n: int) -> VarianceEstimate:
+    """Plug-in and bias-corrected infinitesimal-jackknife variance estimate."""
+    outputs, counts = _check(outputs, counts, s, n)
+    return _estimates(outputs[:, None], counts, s, n)[0]
+
+
+def c_weights(outputs, counts, s: int, n: int) -> np.ndarray:
+    """Per-example weights C_i from tree outputs and inclusion counts."""
+    return v_ij(outputs, counts, s, n).c
+
+
+def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[VarianceEstimate]]:
+    """Forest predictions for each row of ``xs`` and their estimates, from one traversal.
+
+    The predictions are the column means of the per-tree matrix, the same
+    reduction ``forest.predict_batch`` takes, so they agree bit-for-bit.
+    """
+    if forest.b < 2:
+        raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {forest.b}")
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    outputs = predict_per_tree(forest, xs)  # (B, K)
+    return outputs.mean(axis=0), _estimates(outputs, forest.counts_matrix(), forest.s, forest.n)
+
+
+def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:
+    """Batch v_ij for each row of ``xs`` against one fitted forest."""
+    return predict_with_variance(forest, xs)[1]
 
 
 def interval(y_hat: float, estimate: VarianceEstimate, level: float) -> PredictionInterval:

@@ -1,9 +1,20 @@
-"""Versioned JSON persistence for fitted forests.
+"""Versioned model files: a JSON header line followed by the forest's raw arrays.
 
-The writer emits deterministic bytes (sorted keys, fixed separators, no
-timestamps); floats serialize via Python's shortest round-trip repr, so a
-reloaded model reproduces predictions bit-exactly. Loading refuses files
-whose format version does not match.
+Layout: one line of JSON with sorted keys (format version, tool, config,
+n/d/s/b, dataset fingerprint, feature names, and for every array its name,
+little-endian dtype, shape and byte offset), then the arrays' bytes back to
+back in the order the header lists them. Ids and indices are stored as
+int32, floats as their exact float64 bits, so a reloaded model reproduces
+predictions bit-exactly. There are no timestamps and no container, so the
+bytes are a function of the forest alone and identical at any worker count.
+
+Loading reads no pickle and trusts nothing: the header must list exactly the
+expected arrays with the expected dtypes and shapes, laid out back to back
+up to the end of the file, and the forest built from them re-checks its
+structure (feature range, children after their parent inside its own tree,
+index ranges). A file that fails any check, including a version-1 JSON model
+whose single line parses as a header of the wrong version, is refused with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,10 +27,22 @@ import numpy as np
 from . import __version__
 from .dataset import TrainingSet
 from .forest import ForestConfig, ForestModel
-from .sampling import HonestyPartition, SubsampleDraw
-from .tree import TreeConfig, TreeModel
+from .tree import HONEST, TreeConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# array name -> on-disk dtype, in file order
+_DISK_DTYPES = {
+    "feature": "<i4",
+    "threshold": "<f8",
+    "child": "<i4",
+    "value": "<f8",
+    "pred_index": "<i4",
+    "from_random": "|u1",
+    "roots": "<i4",
+    "subsample_indices": "<i4",
+    "prediction_indices": "<i4",
+}
 
 
 def dataset_fingerprint(ts: TrainingSet) -> str:
@@ -29,23 +52,6 @@ def dataset_fingerprint(ts: TrainingSet) -> str:
     h.update(np.ascontiguousarray(ts.x).tobytes())
     h.update(np.ascontiguousarray(ts.y).tobytes())
     return h.hexdigest()
-
-
-def _tree_record(t: TreeModel) -> dict:
-    rec = {
-        "feature": t.feature.tolist(),
-        "threshold": t.threshold.tolist(),
-        "left": t.left.tolist(),
-        "right": t.right.tolist(),
-        "value": t.value.tolist(),
-        "pred_index": t.pred_index.tolist(),
-        "from_random": [int(v) for v in t.from_random],
-        "subsample": t.subsample.indices.tolist(),
-    }
-    if t.partition is not None:
-        rec["structure"] = t.partition.structure.tolist()
-        rec["prediction"] = t.partition.prediction.tolist()
-    return rec
 
 
 def _config_record(cfg: ForestConfig) -> dict:
@@ -63,62 +69,8 @@ def _config_record(cfg: ForestConfig) -> dict:
     }
 
 
-def model_to_json(forest: ForestModel, fingerprint: str, feature_names=None) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "tool": f"subforest {__version__}",
-        "config": _config_record(forest.config),
-        "n": forest.n,
-        "d": forest.d,
-        "s": forest.s,
-        "b": forest.b,
-        "mode": forest.config.tree.mode,
-        "dataset_sha256": fingerprint,
-        "feature_names": list(feature_names) if feature_names else None,
-        "trees": [_tree_record(t) for t in forest.trees],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
-    with open(path, "w") as fh:
-        fh.write(model_to_json(forest, dataset_fingerprint(ts), ts.feature_names))
-
-
-def _tree_from_record(rec: dict, n: int, d: int, cfg: TreeConfig) -> TreeModel:
-    draw = SubsampleDraw(np.asarray(rec["subsample"], dtype=np.int64), n)
-    partition = None
-    if "structure" in rec:
-        partition = HonestyPartition(
-            structure=np.asarray(rec["structure"], dtype=np.int64),
-            prediction=np.asarray(rec["prediction"], dtype=np.int64),
-        )
-    return TreeModel(
-        feature=np.asarray(rec["feature"], dtype=np.int32),
-        threshold=np.asarray(rec["threshold"], dtype=np.float64),
-        left=np.asarray(rec["left"], dtype=np.int32),
-        right=np.asarray(rec["right"], dtype=np.int32),
-        value=np.asarray(rec["value"], dtype=np.float64),
-        pred_index=np.asarray(rec["pred_index"], dtype=np.int32),
-        from_random=np.asarray(rec["from_random"], dtype=bool),
-        n_features=d,
-        config=cfg,
-        subsample=draw,
-        partition=partition,
-    )
-
-
-def load_model(path) -> tuple[ForestModel, dict]:
-    """Load a model file; returns (forest, header metadata)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: model format version {version!r} does not match supported version {FORMAT_VERSION}"
-        )
-    c = doc["config"]
-    cfg = ForestConfig(
+def _config_from_record(c: dict) -> ForestConfig:
+    return ForestConfig(
         s=c["s"],
         b=c["b"],
         s_exponent=c["s_exponent"],
@@ -130,11 +82,126 @@ def load_model(path) -> tuple[ForestModel, dict]:
             max_leaf_size=c["tree"]["max_leaf_size"],
         ),
     )
-    n, d = doc["n"], doc["d"]
-    trees = tuple(_tree_from_record(rec, n, d, cfg.tree) for rec in doc["trees"])
-    indices = np.vstack([t.subsample.indices for t in trees])
-    forest = ForestModel(
-        trees=trees, subsample_indices=indices, n=n, s=doc["s"], b=doc["b"], config=cfg
-    )
-    meta = {k: doc[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
+
+
+def _to_disk(arr: np.ndarray, dtype: str) -> np.ndarray:
+    disk = np.dtype(dtype)
+    if disk.kind == "i":
+        info = np.iinfo(disk)
+        if arr.min() < info.min or arr.max() > info.max:
+            raise ValueError(f"values out of range for the on-disk {dtype} format")
+    return np.ascontiguousarray(arr, dtype=disk)
+
+
+def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
+    """Header entries of the arrays, in file order and back to back."""
+    shapes = {
+        "feature": [n_nodes], "threshold": [n_nodes], "child": [n_nodes, 2], "value": [n_nodes],
+        "pred_index": [n_nodes], "from_random": [n_nodes], "roots": [b],
+        "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)],
+    }
+    entries, offset = [], 0
+    for name, dtype in _DISK_DTYPES.items():
+        if name == "prediction_indices" and not honest:
+            continue
+        entries.append({"name": name, "dtype": dtype, "shape": shapes[name], "offset": offset})
+        offset += int(np.prod(shapes[name])) * np.dtype(dtype).itemsize
+    return entries
+
+
+def model_bytes(forest: ForestModel, fingerprint: str, feature_names=None) -> bytes:
+    """The model file's bytes: header line, then the raw arrays."""
+    entries = _layout(forest.feature.size, forest.b, forest.s, forest.prediction_indices is not None)
+    header = {
+        "format_version": FORMAT_VERSION,
+        "tool": f"subforest {__version__}",
+        "config": _config_record(forest.config),
+        "n": forest.n,
+        "d": forest.d,
+        "s": forest.s,
+        "b": forest.b,
+        "mode": forest.config.tree.mode,
+        "dataset_sha256": fingerprint,
+        "feature_names": list(feature_names) if feature_names else None,
+        "arrays": entries,
+    }
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    arrays = (_to_disk(getattr(forest, e["name"]), e["dtype"]).tobytes() for e in entries)
+    return line.encode() + b"".join(arrays)
+
+
+def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
+    with open(path, "wb") as fh:
+        fh.write(model_bytes(forest, dataset_fingerprint(ts), ts.feature_names))
+
+
+def _count(header: dict, key: str) -> int:
+    v = header[key]
+    if type(v) is not int or v < 1:
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return v
+
+
+def _read_arrays(header: dict, body: memoryview, honest: bool) -> dict:
+    """Arrays named in the header, which must list exactly the writer's layout."""
+    n_nodes = header["arrays"][0]["shape"][0]
+    if type(n_nodes) is not int or n_nodes < 1:
+        raise ValueError(f"node count must be a positive integer, got {n_nodes!r}")
+    layout = _layout(n_nodes, _count(header, "b"), _count(header, "s"), honest)
+    if header["arrays"] != layout:
+        raise ValueError("the array table does not match the format's layout")
+    last = layout[-1]
+    size = last["offset"] + int(np.prod(last["shape"])) * np.dtype(last["dtype"]).itemsize
+    if len(body) != size:
+        raise ValueError(f"file is truncated or has trailing bytes: {len(body)} array bytes, expected {size}")
+    # copies: the body starts wherever the header ends, so views would be unaligned
+    out = {
+        e["name"]: np.frombuffer(body, e["dtype"], int(np.prod(e["shape"])), e["offset"]).reshape(e["shape"]).copy()
+        for e in layout
+    }
+    if out["from_random"].max() > 1:
+        raise ValueError("from_random flags must be 0 or 1")
+    return out
+
+
+def load_model(path) -> tuple[ForestModel, dict]:
+    """Load a model file; returns (forest, header metadata)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    try:
+        header = json.loads(data[:end]) if end >= 0 else None
+    except ValueError:  # bad JSON or bad UTF-8
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: not a subforest model file (no JSON header line)")
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: model format version {version!r} does not match supported version {FORMAT_VERSION}"
+        )
+    try:
+        cfg = _config_from_record(header["config"])
+        honest = cfg.tree.mode == HONEST
+        arrays = _read_arrays(header, memoryview(data)[end + 1:], honest)
+        n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
+        if (cfg.s, cfg.b, cfg.tree.mode) != (s, b, header["mode"]):
+            raise ValueError("config does not match the header's s, b and mode")
+        forest = ForestModel(
+            feature=arrays["feature"],
+            threshold=arrays["threshold"],
+            child=arrays["child"],
+            value=arrays["value"],
+            pred_index=arrays["pred_index"],
+            from_random=arrays["from_random"].view(bool),
+            roots=arrays["roots"],
+            subsample_indices=arrays["subsample_indices"],
+            prediction_indices=arrays.get("prediction_indices"),
+            n=n, d=d, s=s, b=b, config=cfg,
+        )
+        meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
+    except (KeyError, TypeError, IndexError) as e:
+        raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: invalid model file: {e}") from None
     return forest, meta

@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from subforest import dataset
+from subforest import dataset, forest, tree
 from subforest.cli import main
-from subforest.model_io import load_model
+from subforest.forest import ForestConfig
+from subforest.model_io import load_model, save_model
+
+from conftest import trees_equal
 
 
 def _sha(path):
@@ -130,9 +133,10 @@ class TestPredict:
 
     def test_version_mismatch_refused(self, tmp_path):
         data, model = self._model(tmp_path)
-        doc = json.loads(model.read_text())
+        header, body = model.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
         doc["format_version"] = 99
-        model.write_text(json.dumps(doc))
+        model.write_bytes(json.dumps(doc).encode() + b"\n" + body)
         assert main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 1
 
@@ -142,6 +146,91 @@ class TestPredict:
         bad.write_text("a,b\n0.5,0.5\n")
         assert main(["predict", "--model", str(model), "--data", str(bad),
                      "--out", str(tmp_path / "p.csv")]) == 1
+
+
+_ARRAYS = ("feature", "threshold", "child", "value", "pred_index", "from_random", "roots",
+           "subsample_indices", "prediction_indices")
+
+
+class TestModelFile:
+    @pytest.fixture(params=["honest", "cart"])
+    def saved(self, request, tmp_path, cosine_1k):
+        fm = forest.train(cosine_1k, ForestConfig(b=30, seed=12, tree=tree.TreeConfig(mode=request.param)))
+        path = tmp_path / "m.bin"
+        save_model(path, fm, cosine_1k)
+        return fm, path
+
+    @staticmethod
+    def _rewrite(path, name, edit):
+        """Apply ``edit`` to one array of a saved model file in place."""
+        header, body = path.read_bytes().split(b"\n", 1)
+        entry = next(e for e in json.loads(header)["arrays"] if e["name"] == name)
+        count = int(np.prod(entry["shape"]))
+        arr = np.frombuffer(body, entry["dtype"], count, entry["offset"]).reshape(entry["shape"]).copy()
+        edit(arr)
+        body = body[:entry["offset"]] + arr.tobytes() + body[entry["offset"] + arr.nbytes:]
+        path.write_bytes(header + b"\n" + body)
+
+    def _refused(self, path, tmp_path, capsys, match):
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+        data = tmp_path / "q.csv"
+        data.write_text("x1,x2\n0.5,0.5\n")
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_round_trip_bit_exact(self, saved):
+        fm, path = saved
+        loaded, meta = load_model(path)
+        assert meta["mode"] == fm.config.tree.mode
+        assert (loaded.n, loaded.d, loaded.s, loaded.b, loaded.config) == (fm.n, fm.d, fm.s, fm.b, fm.config)
+        for name in _ARRAYS:
+            a, b = getattr(fm, name), getattr(loaded, name)
+            assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
+        xs = np.random.default_rng(3).random((40, 2))
+        assert np.array_equal(forest.predict_per_tree(loaded, xs), forest.predict_per_tree(fm, xs))
+        for a, b in zip(fm.trees, loaded.trees):
+            assert trees_equal(a, b)
+            assert np.array_equal(a.subsample.indices, b.subsample.indices)
+            if a.partition is not None:
+                assert np.array_equal(a.partition.structure, b.partition.structure)
+                assert np.array_equal(a.partition.prediction, b.partition.prediction)
+
+    def test_truncated_file_refused(self, saved, tmp_path, capsys):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:-9])
+        self._refused(path, tmp_path, capsys, "truncated")
+
+    def test_child_not_after_parent_refused(self, saved, tmp_path, capsys):
+        # the root pointing back at itself would otherwise walk forever
+        _, path = saved
+
+        def edit(child):
+            child[0, 0] = 0
+
+        self._rewrite(path, "child", edit)
+        self._refused(path, tmp_path, capsys, "after their parent")
+
+    def test_feature_out_of_range_refused(self, saved, tmp_path, capsys):
+        _, path = saved
+
+        def edit(feature):
+            feature[0] = 2
+
+        self._rewrite(path, "feature", edit)
+        self._refused(path, tmp_path, capsys, "split features")
+
+    def test_version_1_json_model_refused(self, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"format_version": 1, "n": 40, "d": 2, "trees": []},
+                                   sort_keys=True, separators=(",", ":")) + "\n")
+        self._refused(path, tmp_path, capsys, "format version 1 does not match")
+
+    def test_non_model_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"\xff\x00junk")
+        self._refused(path, tmp_path, capsys, "not a subforest model")
 
 
 class TestSimulate:

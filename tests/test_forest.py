@@ -94,10 +94,77 @@ class TestPredict:
         preds = forest.predict_batch(fm, gen.random((30, 2)))
         assert np.all(preds >= -2.0) and np.all(preds <= 2.0)
 
+    @pytest.mark.parametrize("block", [7, 64, forest._PAIR_BLOCK])
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_blocked_traversal_matches_tree_predict(self, cosine_1k, monkeypatch, block, mode):
+        # B*K = 11*9 pairs: blocks end mid-tree and mid-point for the small sizes
+        fm = forest.train(cosine_1k, ForestConfig(b=11, seed=13, tree=tree.TreeConfig(mode=mode)))
+        monkeypatch.setattr(forest, "_PAIR_BLOCK", block)
+        xs = np.random.default_rng(4).random((9, 2))
+        per = forest.predict_per_tree(fm, xs)
+        one = forest.predict_per_tree(fm, xs[:1])
+        single = forest.predict_per_tree(fm, xs[0])
+        assert per.shape == (11, 9) and one.shape == (11, 1) and single.shape == (11,)
+        for b, t in enumerate(fm.trees):
+            assert single[b] == one[b, 0] == tree.predict(t, xs[0])
+            for k in range(9):
+                assert per[b, k] == tree.predict(t, xs[k])
+
+    def test_ties_go_left_and_nan_goes_right(self):
+        # two stumps on x1 at 0.5 and 0.25: leaf values 1/2 and 3/4
+        fm = forest.ForestModel(
+            feature=[0, -1, -1, 0, -1, -1],
+            threshold=[0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
+            child=[[1, 2], [1, 1], [2, 2], [4, 5], [4, 4], [5, 5]],
+            value=[0.0, 1.0, 2.0, 0.0, 3.0, 4.0],
+            pred_index=[-1] * 6,
+            from_random=[False] * 6,
+            roots=[0, 3],
+            subsample_indices=[[0, 1], [1, 2]],
+            prediction_indices=None,
+            n=3, d=1, s=2, b=2,
+            config=ForestConfig(s=2, b=2, tree=tree.TreeConfig(mode="cart")),
+        )
+        per = forest.predict_per_tree(fm, np.array([[0.5], [0.25], [np.nan], [0.3]]))
+        assert np.array_equal(per, [[1.0, 1.0, 2.0, 1.0], [4.0, 3.0, 4.0, 4.0]])
+
     def test_dimension_mismatch(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=2, seed=10))
         with pytest.raises(ValueError, match="features"):
             forest.predict_batch(fm, np.ones((2, 3)))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "requested, tasks, cores, want",
+        [(1000, 8, 2, 2), (1000, 1, 64, 1), (3, 10, 8, 3), (0, 5, 4, 1), (-2, 5, 4, 1), (4, 0, 4, 1)],
+    )
+    def test_worker_count_clamp(self, requested, tasks, cores, want):
+        assert forest.worker_count(requested, tasks, cores) == want
+
+    def test_fan_out_pool_is_clamped(self, monkeypatch):
+        # a stand-in pool records its size and maps serially: no process starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(forest, "usable_cores", lambda: 2)
+        assert forest.fan_out(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+        assert forest.fan_out(abs, [-4], 1000) == [4]
+        assert forest.fan_out(abs, [-5, -6], 1) == [5, 6]
+        assert sizes == [2]
 
 
 class TestConsistencySanity:

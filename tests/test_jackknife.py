@@ -79,6 +79,16 @@ class TestVij:
             assert batch[k].corrected == pytest.approx(single.corrected, rel=1e-12)
             assert batch[k].truncated == pytest.approx(single.truncated, rel=1e-12)
 
+    def test_single_pass_matches_separate_calls(self, cosine_1k):
+        fm = forest.train(cosine_1k, forest.ForestConfig(b=40, seed=5))
+        xs = np.random.default_rng(2).random((7, 2))
+        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        assert np.array_equal(yhat, forest.predict_batch(fm, xs))
+        for got, want in zip(ests, jackknife.variance_estimates(fm, xs), strict=True):
+            for name in ("plugin", "correction", "corrected", "truncated", "v_hat"):
+                assert getattr(got, name) == getattr(want, name)
+            assert np.array_equal(got.c, want.c)
+
     def test_single_tree_forest_rejected(self, cosine_1k):
         fm = forest.train(cosine_1k, forest.ForestConfig(b=1, seed=2))
         with pytest.raises(ValueError, match="B >= 2"):
