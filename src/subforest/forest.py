@@ -7,13 +7,22 @@ trees. Forest predictions are means over per-tree outputs taken in tree
 order with numpy's pairwise summation, which keeps the reduction
 deterministic as well.
 
-The packed arrays are the forest: ``train`` concatenates the fitted trees'
+Training grows each worker's range of trees in blocks of at most
+``_TREE_BLOCK``: the block's subsamples and partitions are drawn together
+(``sampling.draw_block`` and ``partition_block``, one swap loop over all
+rows), each honest tree then
+draws its uniform table, and ``tree.grow_block`` grows the block level by
+level. A tree does not depend on its block, so blocks and worker ranges are a
+schedule, not part of the model.
+
+The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate and the model file
 all read those arrays. Tree b owns the nodes ``roots[b]`` up to the next
-root; child ids are global, every internal node's children lie after it
-inside its own tree, and a leaf's children are the leaf itself, so a walk
-from any root ends at a leaf and then stays there. ``ForestModel.trees``
-rebuilds per-tree ``TreeModel`` views on demand for audits and tests.
+root, numbered breadth-first; child ids are global, every internal node's
+children lie after it inside its own tree, and a leaf's children are the
+leaf itself, so a walk from any root ends at a leaf and then stays there.
+``ForestModel.trees`` rebuilds per-tree ``TreeModel`` views on demand for
+audits and tests.
 """
 
 from __future__ import annotations
@@ -26,18 +35,15 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import (
-    HonestyPartition,
-    SubsampleDraw,
-    default_subsample_size,
-    draw_subsample,
-    honesty_partition,
-)
+from .sampling import HonestyPartition, SubsampleDraw, default_subsample_size, draw_block, partition_block
 from .tree import HONEST, TreeConfig, TreeModel
 
 # (tree, point) pairs walked together: bounds the traversal's working set
 # independently of B and K
 _PAIR_BLOCK = 1 << 14
+
+# trees grown together: bounds the grower's working set independently of B
+_TREE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -146,26 +152,12 @@ class ForestModel:
         ends = np.append(self.roots[1:], self.feature.size)
         out = []
         for b, (lo, hi) in enumerate(zip(self.roots.tolist(), ends.tolist())):
-            leaf = self.feature[lo:hi] < 0
-            local = np.where(leaf[:, None], -1, self.child[lo:hi] - lo).astype(np.int32)
             sub = self.subsample_indices[b]
             partition = None
             if self.prediction_indices is not None:
                 pred = self.prediction_indices[b]
                 partition = HonestyPartition(np.setdiff1d(sub, pred, assume_unique=True), pred)
-            out.append(TreeModel(
-                feature=self.feature[lo:hi],
-                threshold=self.threshold[lo:hi],
-                left=local[:, 0],
-                right=local[:, 1],
-                value=self.value[lo:hi],
-                pred_index=self.pred_index[lo:hi],
-                from_random=self.from_random[lo:hi],
-                n_features=self.d,
-                config=self.config.tree,
-                subsample=SubsampleDraw(sub, self.n),
-                partition=partition,
-            ))
+            out.append(tree_mod.tree_view(self, lo, hi, self.d, self.config.tree, SubsampleDraw(sub, self.n), partition))
         return tuple(out)
 
     def counts_matrix(self) -> np.ndarray:
@@ -175,33 +167,28 @@ class ForestModel:
         return counts
 
 
-def _pack(trees: list[TreeModel], n: int, s: int, cfg: ForestConfig) -> ForestModel:
-    """Concatenate fitted trees into one forest, child ids made global."""
-    sizes = [t.n_nodes for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature = np.concatenate([t.feature for t in trees])
-    ids = np.arange(feature.size)
-    child = np.column_stack([
-        np.concatenate([t.left for t in trees]),
-        np.concatenate([t.right for t in trees]),
-    ]).astype(np.intp) + np.repeat(roots, sizes)[:, None]
-    leaf = feature < 0
-    child[leaf] = ids[leaf, None]
-    honest = cfg.tree.mode == HONEST
+def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestModel:
+    """One forest from grown blocks of (GrownBlock, subsample rows, prediction rows)."""
+    grown, subs, preds = zip(*blocks)
+    offsets = np.cumsum([0] + [g.feature.size for g in grown[:-1]])
+
+    def cat(name):
+        return np.concatenate([getattr(g, name) for g in grown])
+
     return ForestModel(
-        feature=feature,
-        threshold=np.concatenate([t.threshold for t in trees]),
-        child=child,
-        value=np.concatenate([t.value for t in trees]),
-        pred_index=np.concatenate([t.pred_index for t in trees]),
-        from_random=np.concatenate([t.from_random for t in trees]),
-        roots=roots,
-        subsample_indices=np.vstack([t.subsample.indices for t in trees]),
-        prediction_indices=np.vstack([t.partition.prediction for t in trees]) if honest else None,
+        feature=cat("feature"),
+        threshold=cat("threshold"),
+        child=np.concatenate([g.child + off for g, off in zip(grown, offsets)]),
+        value=cat("value"),
+        pred_index=cat("pred_index"),
+        from_random=cat("from_random"),
+        roots=np.concatenate([g.roots + off for g, off in zip(grown, offsets)]),
+        subsample_indices=np.vstack(subs),
+        prediction_indices=np.vstack(preds) if cfg.tree.mode == HONEST else None,
         n=n,
-        d=trees[0].n_features,
+        d=d,
         s=s,
-        b=len(trees),
+        b=sum(sub.shape[0] for sub in subs),
         config=cfg,
     )
 
@@ -232,18 +219,20 @@ def fan_out(fn, jobs: list, n_jobs: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _fit_one(ts: TrainingSet, cfg: ForestConfig, s: int, b_index: int) -> TreeModel:
-    gen = rng.stream(cfg.seed, rng.TREE, b_index)
-    draw = draw_subsample(ts.n, s, gen)
-    if cfg.tree.mode == HONEST:
-        part = honesty_partition(draw, gen)
-        return tree_mod.fit_honest(ts, draw, part, cfg.tree, gen)
-    return tree_mod.fit_greedy_cart(ts, draw, cfg.tree, gen)
+def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, s: int, b_lo: int, b_hi: int):
+    """Trees b_lo..b_hi-1 grown together, with their subsample and prediction rows."""
+    gens = [rng.stream(cfg.seed, rng.TREE, b) for b in range(b_lo, b_hi)]
+    sub = draw_block(ts.n, s, gens)
+    if cfg.tree.mode != HONEST:
+        return tree_mod.grow_block(ts, axes, cfg.tree, sub), sub, None
+    struct, pred = partition_block(sub, gens)
+    uniforms = np.stack([tree_mod.split_uniforms(g, pred.shape[1]) for g in gens])
+    return tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms), sub, pred
 
 
-def _fit_range(args) -> list[TreeModel]:
-    ts, cfg, s, b_lo, b_hi = args
-    return [_fit_one(ts, cfg, s, b) for b in range(b_lo, b_hi)]
+def _fit_range(args) -> list:
+    ts, axes, cfg, s, b_lo, b_hi = args
+    return [_fit_block(ts, axes, cfg, s, lo, min(lo + _TREE_BLOCK, b_hi)) for lo in range(b_lo, b_hi, _TREE_BLOCK)]
 
 
 def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
@@ -252,9 +241,10 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
     cfg = replace(cfg, s=s, b=b_total)
     workers = worker_count(n_jobs, b_total, usable_cores())
     chunk = -(-b_total // (4 * workers))
-    ranges = [(ts, cfg, s, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
-    trees = [t for block in fan_out(_fit_range, ranges, workers) for t in block]
-    return _pack(trees, ts.n, s, cfg)
+    axes = tree_mod.sorted_axes(ts)
+    ranges = [(ts, axes, cfg, s, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
+    blocks = [blk for part in fan_out(_fit_range, ranges, workers) for blk in part]
+    return _pack(blocks, ts.n, s, ts.d, cfg)
 
 
 def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:

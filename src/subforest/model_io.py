@@ -14,7 +14,9 @@ up to the end of the file, and the forest built from them re-checks its
 structure (feature range, children after their parent inside its own tree,
 index ranges). A file that fails any check, including a version-1 JSON model
 whose single line parses as a header of the wrong version, is refused with
-``ValueError``.
+``ValueError``. Version 3 has version 2's layout; it marks forests whose
+honest trees read their split draws per node (see ``tree``), which the same
+config grows differently from version 2, so a version-2 file is refused too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .dataset import TrainingSet
 from .forest import ForestConfig, ForestModel
 from .tree import HONEST, TreeConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # array name -> on-disk dtype, in file order
 _DISK_DTYPES = {

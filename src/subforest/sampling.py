@@ -4,6 +4,12 @@ Subsets are drawn by partial Fisher-Yates over an index array, which makes
 every size-s subset exactly equally likely. The inclusion counts N_i of a
 draw satisfy E[N_i] = s/n and Cov(N_i, N_j) = -s(n-s) / (n^2 (n-1)) for
 i != j.
+
+``draw_block`` and ``partition_block`` draw the subsamples and partitions of
+a block of trees, one generator per tree used exactly as ``draw_subsample``
+and ``honesty_partition`` (their one-row cases) use it, and run each swap
+loop once over all the block's rows. Their index rows are checked by the
+forest that stores them, once per forest rather than once per tree.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# entries of the (rows, n) index pool one ``draw_block`` chunk may hold
+_POOL_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,23 +68,58 @@ class HonestyPartition:
         pr.setflags(write=False)
 
 
-def _choose_without_replacement(pool: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform k-subset of ``pool`` by partial Fisher-Yates; returns sorted."""
-    arr = pool.copy()
-    n = arr.size
+def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Row-wise partial Fisher-Yates: row t swaps slot i with slot js[t, i], i = 0, 1, ...
+
+    The first js.shape[1] slots of each returned row hold a uniform subset of
+    that row of ``pool``.
+    """
+    arr = np.array(pool, dtype=np.int64, order="C")
+    flat = arr.reshape(-1)
+    base = np.arange(arr.shape[0]) * arr.shape[1]
+    # flat slot pairs, one row per step i
+    for a, b in zip(base + np.arange(js.shape[1])[:, None], base + js.T):
+        flat[a], flat[b] = flat[b], flat[a]
+    return arr
+
+
+def _swap_targets(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     # one vectorized draw of all swap targets keeps the stream usage fixed
-    js = rng.integers(np.arange(k), n)
-    for i in range(k):
-        j = js[i]
-        arr[i], arr[j] = arr[j], arr[i]
-    return np.sort(arr[:k])
+    return rng.integers(np.arange(k), n)
+
+
+def draw_block(n: int, s: int, gens: list) -> np.ndarray:
+    """Sorted (T, s) subsample rows; row t equals ``draw_subsample(n, s, gens[t])``.
+
+    The swap loop runs once over all rows, in chunks whose (rows, n) index
+    pool stays within ``_POOL_ENTRIES``.
+    """
+    chunk = max(1, _POOL_ENTRIES // n)
+    rows = []
+    for lo in range(0, len(gens), chunk):
+        js = np.stack([_swap_targets(g, s, n) for g in gens[lo:lo + chunk]])
+        pool = np.broadcast_to(np.arange(n, dtype=np.int64), (js.shape[0], n))
+        rows.append(np.sort(_fisher_yates(pool, js)[:, :s], axis=1))
+    return np.vstack(rows)
+
+
+def partition_block(subsamples: np.ndarray, gens: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (structure, prediction) rows of honesty partitions, one per subsample row.
+
+    Row t equals ``honesty_partition`` of subsample row t on ``gens[t]``:
+    ceil(s/2) prediction points, the rest structure.
+    """
+    s = subsamples.shape[1]
+    k = -(-s // 2)
+    split = _fisher_yates(subsamples, np.stack([_swap_targets(g, k, s) for g in gens]))
+    return np.sort(split[:, k:], axis=1), np.sort(split[:, :k], axis=1)
 
 
 def draw_subsample(n: int, s: int, rng: np.random.Generator) -> SubsampleDraw:
     """Uniform draw of s out of n indices without replacement."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return SubsampleDraw(_choose_without_replacement(np.arange(n, dtype=np.int64), s, rng), n)
+    return SubsampleDraw(draw_block(n, s, [rng])[0], n)
 
 
 def counts_vector(draw: SubsampleDraw) -> np.ndarray:
@@ -87,13 +131,10 @@ def counts_vector(draw: SubsampleDraw) -> np.ndarray:
 
 def honesty_partition(draw: SubsampleDraw, rng: np.random.Generator) -> HonestyPartition:
     """Uniform split of a draw into ceil(s/2) prediction + rest structure points."""
-    s = draw.s
-    if s < 2:
-        raise ValueError(f"cannot partition a subsample of size {s}")
-    n_pred = -(-s // 2)
-    pred = _choose_without_replacement(draw.indices, n_pred, rng)
-    struct = np.setdiff1d(draw.indices, pred, assume_unique=True)
-    return HonestyPartition(structure=struct, prediction=pred)
+    if draw.s < 2:
+        raise ValueError(f"cannot partition a subsample of size {draw.s}")
+    structure, prediction = partition_block(draw.indices[None], [rng])
+    return HonestyPartition(structure=structure[0], prediction=prediction[0])
 
 
 def default_subsample_size(n: int, exponent: float = 0.7) -> int:

@@ -1,7 +1,7 @@
 """Base learners: honest regular trees and a greedy CART-style baseline.
 
 The honest mode splits the subsample into structure points (drive the
-splits) and prediction points (fill the leaves), recursing until every leaf
+splits) and prediction points (fill the leaves), splitting until every leaf
 holds exactly one prediction point whose label becomes the leaf value. Split
 decisions may read structure features, structure labels, and prediction
 FEATURES (to keep at least one prediction point per side), but never
@@ -10,20 +10,49 @@ bit-identical.
 
 Split rule, honest mode:
   * with probability ``delta`` the split axis is uniformly random,
-    otherwise the axis with the best structure-label variance reduction;
+    otherwise the axis with the best structure-label variance reduction
+    (ties going to the lowest axis);
   * candidate thresholds are midpoints between consecutive distinct sorted
     structure coordinates on the axis;
   * a candidate is admissible iff each child keeps at least a ``gamma``
-    fraction of the node's subsample points and at least one prediction
-    point; the admissible candidate with the best variance reduction wins,
-    ties going to the lowest threshold;
+    fraction of the node's subsample points (child count / node count >=
+    gamma, for both children) and at least one prediction point; the
+    admissible candidate with the best variance reduction wins, ties going
+    to the lowest threshold;
   * when the drawn axis has no admissible candidate, the axis is redrawn
-    uniformly among axes that do; if no axis does but more than one
-    prediction point remains, the node is split at a random admissible
-    midpoint of the prediction coordinates.
+    uniformly among axes that do; if no axis does but the prediction points
+    differ, the node is split at a uniformly chosen admissible midpoint of
+    the prediction coordinates, on a uniformly chosen axis that has one;
+  * a node that no admissible midpoint splits is a leaf holding its lowest
+    prediction index: it has one prediction point, duplicate feature
+    vectors, or (rarely) prediction points whose every separating midpoint
+    breaks the gamma floor.
 
 The greedy CART mode uses all subsample labels for both splitting and leaf
 means, stopping at ``max_leaf_size``; it exists as the dishonest baseline.
+
+Node order and randomness: nodes are numbered breadth-first within their
+tree -- the root is 0, and each level's children follow all earlier nodes,
+left before right, in the order of their parents. An honest tree has at most
+2|P| - 1 nodes, since every leaf holds a prediction point, and its split
+randomness is one table ``split_uniforms(rng, |P|)`` of shape (2|P| - 1, 5),
+drawn from the tree's stream after its subsample and partition. Node ``i``
+reads row ``i``: column 0 picks the branch (uniform iff u < delta), column 1
+the uniform axis, 2 the redrawn axis, 3 the fallback axis and 4 the fallback
+threshold. A choice among m options, counted in increasing axis or threshold
+order, takes option min(floor(u * m), m - 1). The draws are addressed by
+node, not consumed in visiting order, so a tree is the same whether it is
+grown alone or in a block with others, at any block size or worker count.
+
+Growth: ``grow_block`` fits a block of trees level by level. Each level
+handles every frontier node of every tree at once: per axis, the points are
+sorted by the int64 key ``(node << shift) + rank`` (ranks computed once per
+training set by ``sorted_axes``), label prefix sums are taken within each
+node's run by doubling steps, the prediction points left of each midpoint
+come from one ``searchsorted``, and the split choice is made by masks over
+(node, axis). A node's decision reads only its own points, in an order the
+node fixes, so the block a tree is grown in never changes it. ``fit_honest``
+and ``fit_greedy_cart`` are one-tree blocks.
 
 Routing is axis-aligned with ties at the threshold going left
 (x[axis] <= threshold).
@@ -31,8 +60,8 @@ Routing is axis-aligned with ties at the threshold going left
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +71,8 @@ from .sampling import HonestyPartition, SubsampleDraw
 HONEST = "honest"
 CART = "cart"
 
-# nodes at or below this many points are grown by the plain-Python splitter,
-# which beats numpy's per-call overhead on tiny arrays
-_SMALL_NODE = 24
+# uniforms per node: branch, uniform axis, redrawn axis, fallback axis, fallback threshold
+_UNIFORMS = 5
 
 
 @dataclass(frozen=True)
@@ -90,277 +118,284 @@ class TreeModel:
         return int(np.count_nonzero(self.feature < 0))
 
 
-class _Builder:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "pred_index", "from_random")
+class GrownBlock(NamedTuple):
+    """Packed node arrays of a block of trees, each tree contiguous and breadth-first."""
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-        self.pred_index = []
-        self.from_random = []
-
-    def alloc(self) -> int:
-        # threshold/value stay 0.0 where not applicable (leaf/internal)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.pred_index.append(-1)
-        self.from_random.append(False)
-        return len(self.feature) - 1
-
-    def leaf(self, nid: int, value: float, pred_index: int = -1) -> None:
-        self.value[nid] = value
-        self.pred_index[nid] = pred_index
-
-    def split(self, nid: int, axis: int, thr: float, lid: int, rid: int, rand: bool) -> None:
-        self.feature[nid] = axis
-        self.threshold[nid] = thr
-        self.left[nid] = lid
-        self.right[nid] = rid
-        self.from_random[nid] = rand
-
-    def freeze(self, n_features, config, draw, partition) -> TreeModel:
-        return TreeModel(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
-            pred_index=np.asarray(self.pred_index, dtype=np.int32),
-            from_random=np.asarray(self.from_random, dtype=bool),
-            n_features=n_features,
-            config=config,
-            subsample=draw,
-            partition=partition,
-        )
+    feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
+    threshold: np.ndarray  # (N,) float64
+    child: np.ndarray  # (N, 2) intp block-global [left, right] ids; a leaf's are its own id
+    value: np.ndarray  # (N,) float64
+    pred_index: np.ndarray  # (N,) int32, -1 for CART
+    from_random: np.ndarray  # (N,) bool
+    roots: np.ndarray  # (T,) intp
 
 
-def _best_structure_candidate(x, y, S, P, axis, gamma):
-    """Best admissible midpoint on one axis, or None.
+def tree_view(grown, lo: int, hi: int, n_features: int, config: TreeConfig,
+              subsample: SubsampleDraw, partition: HonestyPartition | None) -> TreeModel:
+    """``TreeModel`` of the tree owning packed nodes [lo, hi) of ``grown``, with local child ids.
 
-    Returns (threshold, score) where score is the sum-of-squares gain proxy
-    sum_left^2/n_left + sum_right^2/n_right over structure labels (argmax of
-    the first maximum implements the lowest-threshold tie rule).
+    ``grown`` is anything with the packed node arrays: a ``GrownBlock`` or a forest.
     """
-    nS = S.size
-    if nS < 2:
-        return None
-    sx = x[S, axis]
-    order = np.argsort(sx)
-    sxo = sx[order]
-    neq = sxo[:-1] < sxo[1:]
-    if not neq.any():
-        return None
-    bounds = np.flatnonzero(neq)
-    t = 0.5 * (sxo[bounds] + sxo[bounds + 1])
-
-    nP = P.size
-    m = nS + nP
-    left_p = np.sort(x[P, axis]).searchsorted(t, side="right")
-    ok = (left_p >= 1) & (left_p <= nP - 1)
-    if 1.0 / m < gamma:  # otherwise one point per side already meets gamma
-        frac_l = (bounds + 1 + left_p) / m
-        ok &= (frac_l >= gamma) & ((1.0 - frac_l) >= gamma)
-    if not ok.any():
-        return None
-    bounds = bounds[ok]
-    t = t[ok]
-
-    csum = np.cumsum(y[S[order]])
-    n_left = bounds + 1.0
-    lsum = csum[bounds]
-    total = csum[-1]
-    score = lsum * lsum / n_left + (total - lsum) ** 2 / (nS - n_left)
-    k = int(np.argmax(score))
-    return float(t[k]), float(score[k])
+    leaf = grown.feature[lo:hi] < 0
+    local = np.where(leaf[:, None], -1, grown.child[lo:hi] - lo).astype(np.int32)
+    return TreeModel(
+        feature=grown.feature[lo:hi],
+        threshold=grown.threshold[lo:hi],
+        left=local[:, 0],
+        right=local[:, 1],
+        value=grown.value[lo:hi],
+        pred_index=grown.pred_index[lo:hi],
+        from_random=grown.from_random[lo:hi],
+        n_features=n_features,
+        config=config,
+        subsample=subsample,
+        partition=partition,
+    )
 
 
-def _prediction_fallback_split(x, S, P, gamma, rng):
-    """Random admissible midpoint over prediction coordinates, or None."""
-    m = S.size + P.size
-    d = x.shape[1]
-    unconstrained = 1.0 / m >= gamma
-    eligible = []
-    for axis in range(d):
-        px = np.sort(x[P, axis])
-        neq = px[:-1] < px[1:]
-        if not neq.any():
+@dataclass(frozen=True)
+class SortedAxes:
+    """Each axis of a training set in increasing order, ties by training index."""
+
+    x: np.ndarray  # (d, n) float64, row a = the sorted coordinates of axis a
+    y: np.ndarray  # (d, n) float64, labels in that order
+    rank: np.ndarray  # (d, n) int64, rank[a, i] = position of point i in row a
+
+
+def sorted_axes(ts: TrainingSet) -> SortedAxes:
+    order = np.argsort(ts.x, axis=0, kind="stable").T
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(ts.n), axis=1)
+    return SortedAxes(np.take_along_axis(ts.x.T, order, axis=1), ts.y[order], rank)
+
+
+def split_uniforms(rng: np.random.Generator, n_pred: int) -> np.ndarray:
+    """An honest tree's split randomness: one row per node id it can have."""
+    return rng.random((2 * n_pred - 1, _UNIFORMS))
+
+
+def _pick(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Option min(floor(u * m), m - 1) of m."""
+    return np.minimum((u * m).astype(np.intp), m - 1)
+
+
+def _nth(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column of the k-th (0-based) True entry of each row."""
+    return np.argmax(np.cumsum(mask, axis=1) > k[:, None], axis=1)
+
+
+def _balanced(left: np.ndarray, m: np.ndarray, gamma: float) -> np.ndarray:
+    """Both children keep at least a gamma fraction of the node's m points."""
+    return np.minimum(left, m - left) / m >= gamma
+
+
+def _prefix_sums(values: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """Inclusive prefix sums within each run, by doubling steps inside the run.
+
+    ``pos`` is each entry's position within its run and ``width`` bounds the
+    run lengths; an entry's sum reads its own run only, in an order fixed by
+    its position, so it never depends on the runs around it.
+    """
+    out = values.copy()
+    step = 1
+    while step < width:
+        out[step:] += np.where(pos[step:] >= step, out[:-step], 0.0)
+        step *= 2
+    return out
+
+
+def _axis_keys(node: np.ndarray, pt: np.ndarray, rank: np.ndarray, shift: int) -> np.ndarray:
+    """Sorted keys ``(node << shift) + rank`` of points on one axis (2**shift > n)."""
+    return np.sort((node << shift) + rank[pt])
+
+
+def _decode(keys: np.ndarray, shift: int, start: np.ndarray):
+    """Node, rank and position within the node of sorted keys; ``start`` is where each node's run begins."""
+    node = keys >> shift
+    return node, keys & ((1 << shift) - 1), np.arange(keys.size) - start[node]
+
+
+def _first_max(g: np.ndarray, score: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Index of each node's first maximum among candidates sorted by node, then threshold.
+
+    The first maximum is the node's lowest threshold among tied scores.
+    """
+    top = np.full(n_nodes, -np.inf)
+    np.maximum.at(top, g, score)
+    w = np.flatnonzero(score == top[g])
+    gw = g[w]
+    first = np.ones(w.size, dtype=bool)
+    first[1:] = gw[1:] != gw[:-1]
+    return w[first]
+
+
+def _level(ts, axes, cfg, n_nodes, points, u):
+    """Split decisions for one level's frontier of ``n_nodes`` nodes.
+
+    ``points`` holds (node, training index) arrays: structure points first,
+    then, for honest trees, prediction points. Returns per node whether it
+    splits, the axis, threshold and from_random of a split, and the value
+    and training index of a leaf.
+    """
+    n, d = ts.x.shape
+    shift = n.bit_length()
+    honest = u is not None
+    every = np.arange(n_nodes)
+    s_node, s_pt = points[0]
+    s_count = np.bincount(s_node, minlength=n_nodes)
+    s_start = np.cumsum(s_count) - s_count
+    width = max(int(s_count.max()), 1)
+    if honest:
+        p_node, p_pt = points[1]
+        p_count = np.bincount(p_node, minlength=n_nodes)
+        p_start = np.cumsum(p_count) - p_count
+        m = s_count + p_count
+        p_keys = [_axis_keys(p_node, p_pt, axes.rank[a], shift) for a in range(d)]
+    best = np.full((n_nodes, d), -np.inf)
+    best_thr = np.zeros((n_nodes, d))
+    s_keys = []
+    for a in range(d):
+        keys = _axis_keys(s_node, s_pt, axes.rank[a], shift)
+        s_keys.append(keys)
+        if not keys.size:
             continue
-        bounds = np.flatnonzero(neq)
-        t = 0.5 * (px[bounds] + px[bounds + 1])
-        if not unconstrained:
-            left_all = bounds + 1 + np.sort(x[S, axis]).searchsorted(t, side="right")
-            frac_l = left_all / m
-            ok = (frac_l >= gamma) & ((1.0 - frac_l) >= gamma)
-            if not ok.any():
-                continue
-            t = t[ok]
-        eligible.append((axis, t))
-    if not eligible:
-        return None
-    axis, ts = eligible[int(rng.integers(len(eligible)))]
-    return axis, float(ts[int(rng.integers(ts.size))])
+        node, r, pos = _decode(keys, shift, s_start)
+        xs = axes.x[a, r]
+        csum = _prefix_sums(axes.y[a, r], pos, width)
+        # an empty node reads some other entry, but it has no candidates
+        total = csum[np.maximum(s_start + s_count - 1, 0)]
+        c = np.flatnonzero((xs[:-1] < xs[1:]) & (node[:-1] == node[1:]))
+        g, n_left = node[c], pos[c] + 1
+        if honest:
+            # the points at or below t are exactly the ranks below rank_t
+            rank_t = np.searchsorted(axes.x[a], 0.5 * (xs[c] + xs[c + 1]), side="right")
+            left_p = np.searchsorted(p_keys[a], (g << shift) + rank_t) - p_start[g]
+            ok = (left_p >= 1) & (left_p < p_count[g]) & _balanced(n_left + left_p, m[g], cfg.gamma)
+            c, g, n_left = c[ok], g[ok], n_left[ok]
+        elif a == 0:
+            node_total = total
+        lsum = csum[c]
+        rsum = total[g] - lsum
+        score = lsum * lsum / n_left + rsum * rsum / (s_count[g] - n_left)
+        w = _first_max(g, score, n_nodes)
+        best[g[w], a] = score[w]
+        best_thr[g[w], a] = 0.5 * (xs[c[w]] + xs[c[w] + 1])
+    axis = best.argmax(axis=1)
 
+    if not honest:
+        labels = ts.y[s_pt]
+        lo = np.full(n_nodes, np.inf)
+        hi = np.full(n_nodes, -np.inf)
+        np.minimum.at(lo, s_node, labels)
+        np.maximum.at(hi, s_node, labels)
+        split = (s_count > cfg.max_leaf_size) & (lo < hi) & (best[every, axis] > node_total ** 2 / s_count)
+        no_pred = np.full(n_nodes, -1)
+        return split, axis, best_thr[every, axis], np.zeros(n_nodes, dtype=bool), node_total / s_count, no_pred
 
-def _choose_split_honest(x, y, S, P, cfg, rng):
-    """Returns (axis, threshold, from_random) or None if the node cannot split."""
-    d = x.shape[1]
-    cache: list = [False] * d  # False = not yet evaluated
-
-    def best(axis):
-        if cache[axis] is False:
-            cache[axis] = _best_structure_candidate(x, y, S, P, axis, cfg.gamma)
-        return cache[axis]
-
-    use_random = rng.random() < cfg.delta
-    if use_random:
-        axis = int(rng.integers(d))
-        res = best(axis)
-        if res is not None:
-            return axis, res[0], True
-        others = [a for a in range(d) if a != axis and best(a) is not None]
-        if others:
-            axis = others[int(rng.integers(len(others)))]
-            return axis, best(axis)[0], True
-    else:
-        best_axis, best_t, best_score = -1, np.nan, -np.inf
+    has = best > -np.inf
+    uniform = u[:, 0] < cfg.delta
+    drawn = _pick(u[:, 1], d)
+    others = has.copy()
+    others[every, drawn] = False
+    redrawn = _nth(others, _pick(u[:, 2], others.sum(axis=1)))
+    axis = np.where(uniform, np.where(has[every, drawn], drawn, redrawn), axis)
+    thr = best_thr[every, axis]
+    split = has.any(axis=1)
+    from_random = uniform
+    need = ~split
+    if need.any():
+        # prediction-coordinate fallback for the nodes no structure midpoint splits
+        fb_thr, fb_count = [], []
         for a in range(d):
-            res = best(a)
-            if res is not None and res[1] > best_score:
-                best_axis, best_t, best_score = a, res[0], res[1]
-        if best_axis >= 0:
-            return best_axis, best_t, False
-        # greedy branch found nothing; only the fallback below remains
-    fb = _prediction_fallback_split(x, S, P, cfg.gamma, rng)
-    if fb is None:
-        return None
-    return fb[0], fb[1], True
+            node, r, pos = _decode(p_keys[a], shift, p_start)
+            xp = axes.x[a, r]
+            c = np.flatnonzero((xp[:-1] < xp[1:]) & (node[:-1] == node[1:]) & need[node[:-1]])
+            g = node[c]
+            t = 0.5 * (xp[c] + xp[c + 1])
+            rank_t = np.searchsorted(axes.x[a], t, side="right")
+            left_s = np.searchsorted(s_keys[a], (g << shift) + rank_t) - s_start[g]
+            ok = _balanced(pos[c] + 1 + left_s, m[g], cfg.gamma)
+            fb_thr.append(t[ok])
+            fb_count.append(np.bincount(g[ok], minlength=n_nodes))
+        # admissible midpoints run by (axis, node), thresholds increasing
+        fb_thr = np.concatenate(fb_thr)
+        fb_count = np.concatenate(fb_count)
+        fb_start = (np.cumsum(fb_count) - fb_count).reshape(d, n_nodes).T
+        fb_count = fb_count.reshape(d, n_nodes).T
+        eligible = fb_count > 0
+        n_eligible = eligible.sum(axis=1)
+        fb = np.flatnonzero(need & (n_eligible > 0))
+        fb_axis = _nth(eligible[fb], _pick(u[fb, 3], n_eligible[fb]))
+        k = _pick(u[fb, 4], fb_count[fb, fb_axis])
+        thr[fb] = fb_thr[fb_start[fb, fb_axis] + k]
+        axis[fb] = fb_axis
+        from_random = uniform.copy()
+        from_random[fb] = True
+        split[fb] = True
+    leaf_pred = np.full(n_nodes, n)
+    np.minimum.at(leaf_pred, p_node, p_pt)
+    return split, axis, thr, from_random, ts.y[leaf_pred], leaf_pred
 
 
-def _small_axis_candidate(S_rows, P_rows, axis, gamma):
-    """Plain-Python twin of _best_structure_candidate for tiny nodes."""
-    nS = len(S_rows)
-    if nS < 2:
-        return None
-    pairs = sorted((r[0][axis], r[1]) for r in S_rows)
-    coords = [p[0] for p in pairs]
-    cand = [i for i in range(nS - 1) if coords[i] < coords[i + 1]]
-    if not cand:
-        return None
-    pxs = sorted(r[0][axis] for r in P_rows)
-    nP = len(P_rows)
-    m = nS + nP
-    unconstrained = 1.0 / m >= gamma
-    pref = [0.0]
-    acc = 0.0
-    for _, lab in pairs:
-        acc += lab
-        pref.append(acc)
-    total = acc
-    best_t, best_score = None, -np.inf
-    for i in cand:
-        t = 0.5 * (coords[i] + coords[i + 1])
-        lp = bisect_right(pxs, t)
-        if lp < 1 or lp > nP - 1:
-            continue
-        if not unconstrained:
-            frac_l = (i + 1 + lp) / m
-            if not (frac_l >= gamma and (1.0 - frac_l) >= gamma):
-                continue
-        lsum = pref[i + 1]
-        n_left = i + 1.0
-        score = lsum * lsum / n_left + (total - lsum) ** 2 / (nS - n_left)
-        if score > best_score:
-            best_t, best_score = t, score
-    if best_t is None:
-        return None
-    return best_t, best_score
+def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np.ndarray,
+               prediction: np.ndarray | None = None, uniforms: np.ndarray | None = None) -> GrownBlock:
+    """Grow one tree per row of ``structure``, all of them breadth-first together.
 
+    Honest trees pass (T, |S|) structure and (T, |P|) prediction index rows
+    and their (T, 2|P| - 1, 5) uniform tables; greedy CART trees pass their
+    (T, s) subsample rows as ``structure`` alone.
+    """
+    honest = prediction is not None
+    n_trees = structure.shape[0]
+    cap = 2 * (prediction if honest else structure).shape[1] - 1
+    feature = np.full(n_trees * cap, -1, dtype=np.int32)
+    threshold = np.zeros(n_trees * cap)
+    value = np.zeros(n_trees * cap)
+    pred_index = np.full(n_trees * cap, -1, dtype=np.int32)
+    from_random = np.zeros(n_trees * cap, dtype=bool)
+    left = np.zeros(n_trees * cap, dtype=np.intp)
+    size = np.ones(n_trees, dtype=np.intp)
 
-def _small_fallback(S_rows, P_rows, gamma, d, rng):
-    """Plain-Python twin of _prediction_fallback_split."""
-    m = len(S_rows) + len(P_rows)
-    unconstrained = 1.0 / m >= gamma
-    eligible = []
-    for axis in range(d):
-        pxs = sorted(r[0][axis] for r in P_rows)
-        ts = [
-            0.5 * (pxs[i] + pxs[i + 1])
-            for i in range(len(pxs) - 1)
-            if pxs[i] < pxs[i + 1]
-        ]
-        if not ts:
-            continue
-        if not unconstrained:
-            sxs = sorted(r[0][axis] for r in S_rows)
-            kept = []
-            for t in ts:
-                left = bisect_right(pxs, t) + bisect_right(sxs, t)
-                frac_l = left / m
-                if frac_l >= gamma and (1.0 - frac_l) >= gamma:
-                    kept.append(t)
-            ts = kept
-            if not ts:
-                continue
-        eligible.append((axis, ts))
-    if not eligible:
-        return None
-    axis, ts = eligible[int(rng.integers(len(eligible)))]
-    return axis, ts[int(rng.integers(len(ts)))]
+    tree_of = np.arange(n_trees)
+    node_id = np.zeros(n_trees, dtype=np.intp)
+    points = [(np.repeat(tree_of, rows.shape[1]), rows.ravel())
+              for rows in ((structure, prediction) if honest else (structure,))]
+    while tree_of.size:
+        slot = tree_of * cap + node_id
+        u = uniforms[tree_of, node_id] if honest else None
+        split, axis, thr, rand, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u)
+        leaf = slot[~split]
+        value[leaf] = leaf_value[~split]
+        pred_index[leaf] = leaf_pred[~split]
+        inner = slot[split]
+        feature[inner] = axis[split]
+        threshold[inner] = thr[split]
+        from_random[inner] = rand[split]
+        # a tree's new nodes follow its existing ones, in the order of their parents
+        parent_tree = tree_of[split]
+        per_tree = np.bincount(parent_tree, minlength=n_trees)
+        k = np.arange(parent_tree.size) - (np.cumsum(per_tree) - per_tree)[parent_tree]
+        left_id = size[parent_tree] + 2 * k
+        left[inner] = left_id
+        size += 2 * per_tree
+        tree_of = np.repeat(parent_tree, 2)
+        node_id = (left_id[:, None] + np.arange(2)).ravel()
+        new_node = np.cumsum(split) - 1
+        moved = []
+        for node, pt in points:
+            keep = split[node]
+            node, pt = node[keep], pt[keep]
+            go_right = ~(ts.x[pt, axis[node]] <= thr[node])
+            moved.append((2 * new_node[node] + go_right, pt))
+        points = moved
 
-
-def _grow_small_subtree(b, nid0, S_rows, P_rows, cfg, rng, d):
-    """Grow a subtree on plain-Python rows: (coords, label) / (coords, label, index)."""
-    gamma, delta = cfg.gamma, cfg.delta
-    stack = [(nid0, S_rows, P_rows)]
-    while stack:
-        nid, S, P = stack.pop()
-        if len(P) == 1:
-            b.leaf(nid, P[0][1], P[0][2])
-            continue
-        choice = None
-        use_random = rng.random() < delta
-        if use_random:
-            axis = int(rng.integers(d))
-            res = _small_axis_candidate(S, P, axis, gamma)
-            if res is not None:
-                choice = (axis, res[0], True)
-            else:
-                others = [
-                    a for a in range(d)
-                    if a != axis and _small_axis_candidate(S, P, a, gamma) is not None
-                ]
-                if others:
-                    axis = others[int(rng.integers(len(others)))]
-                    choice = (axis, _small_axis_candidate(S, P, axis, gamma)[0], True)
-        else:
-            best_axis, best_t, best_score = -1, None, -np.inf
-            for a in range(d):
-                res = _small_axis_candidate(S, P, a, gamma)
-                if res is not None and res[1] > best_score:
-                    best_axis, best_t, best_score = a, res[0], res[1]
-            if best_axis >= 0:
-                choice = (best_axis, best_t, False)
-        if choice is None:
-            fb = _small_fallback(S, P, gamma, d, rng)
-            if fb is not None:
-                choice = (fb[0], fb[1], True)
-        if choice is None:
-            # duplicate feature vectors: nothing can separate the points
-            gi, yv = min((p[2], p[1]) for p in P)
-            b.leaf(nid, yv, gi)
-            continue
-        axis, thr, rand = choice
-        lid = b.alloc()
-        rid = b.alloc()
-        b.split(nid, axis, thr, lid, rid, rand)
-        stack.append((rid, [r for r in S if r[0][axis] > thr], [r for r in P if r[0][axis] > thr]))
-        stack.append((lid, [r for r in S if r[0][axis] <= thr], [r for r in P if r[0][axis] <= thr]))
+    kept = (np.arange(cap) < size[:, None]).ravel()
+    roots = np.cumsum(size) - size
+    feature = feature[kept]
+    ids = np.arange(feature.size)
+    left = left[kept] + np.repeat(roots, size)
+    child = np.where((feature >= 0)[:, None], left[:, None] + np.arange(2), ids[:, None])
+    return GrownBlock(feature, threshold[kept], child, value[kept], pred_index[kept], from_random[kept], roots)
 
 
 def fit_honest(
@@ -370,108 +405,20 @@ def fit_honest(
     cfg: TreeConfig,
     rng: np.random.Generator,
 ) -> TreeModel:
-    """Grow an honest regular tree on the given subsample and partition."""
+    """Grow an honest regular tree on the given subsample and partition.
+
+    Draws the tree's uniform table from ``rng``, exactly as forest training
+    does after the same subsample and partition draws.
+    """
     if draw.s < 2:
         raise ValueError(f"honest trees need a subsample of size >= 2, got {draw.s}")
     if partition.prediction.size < 1:
         raise ValueError("empty prediction set")
     if draw.n != ts.n:
         raise ValueError(f"draw over n={draw.n} does not match training set n={ts.n}")
-
-    x, y = ts.x, ts.y
-    b = _Builder()
-    root = b.alloc()
-    stack = [(root, partition.structure, partition.prediction)]
-    while stack:
-        nid, S, P = stack.pop()
-        if P.size == 1:
-            p = int(P[0])
-            b.leaf(nid, float(y[p]), p)
-            continue
-        if S.size + P.size <= _SMALL_NODE:
-            s_rows = list(zip(x[S].tolist(), y[S].tolist()))
-            p_rows = list(zip(x[P].tolist(), y[P].tolist(), P.tolist()))
-            _grow_small_subtree(b, nid, s_rows, p_rows, cfg, rng, ts.d)
-            continue
-        choice = _choose_split_honest(x, y, S, P, cfg, rng)
-        if choice is None:
-            # duplicate feature vectors: nothing can separate the points
-            p = int(P.min())
-            b.leaf(nid, float(y[p]), p)
-            continue
-        axis, thr, rand = choice
-        s_left = x[S, axis] <= thr
-        p_left = x[P, axis] <= thr
-        lid = b.alloc()
-        rid = b.alloc()
-        b.split(nid, axis, thr, lid, rid, rand)
-        stack.append((rid, S[~s_left], P[~p_left]))
-        stack.append((lid, S[s_left], P[p_left]))
-    return b.freeze(ts.d, cfg, draw, partition)
-
-
-def _grow_small_cart(b, nid0, rows, cfg, d):
-    """Plain-Python CART subtree on rows of (coords, label)."""
-    max_leaf = cfg.max_leaf_size
-    stack = [(nid0, rows)]
-    while stack:
-        nid, R = stack.pop()
-        m = len(R)
-        labels = [r[1] for r in R]
-        total = 0.0
-        for v in labels:
-            total += v
-        first = labels[0]
-        if m <= max_leaf or all(v == first for v in labels):
-            b.leaf(nid, total / m)
-            continue
-        best_axis, best_t, best_score = -1, None, -np.inf
-        for axis in range(d):
-            pairs = sorted((r[0][axis], r[1]) for r in R)
-            coords = [p[0] for p in pairs]
-            acc = 0.0
-            pref = [0.0]
-            for _, lab in pairs:
-                acc += lab
-                pref.append(acc)
-            tot = acc
-            for i in range(m - 1):
-                if coords[i] >= coords[i + 1]:
-                    continue
-                lsum = pref[i + 1]
-                n_left = i + 1.0
-                score = lsum * lsum / n_left + (tot - lsum) ** 2 / (m - n_left)
-                if score > best_score:
-                    best_axis = axis
-                    best_t = 0.5 * (coords[i] + coords[i + 1])
-                    best_score = score
-        if best_axis < 0 or best_score <= total * total / m:
-            b.leaf(nid, total / m)
-            continue
-        lid = b.alloc()
-        rid = b.alloc()
-        b.split(nid, best_axis, best_t, lid, rid, False)
-        stack.append((rid, [r for r in R if r[0][best_axis] > best_t]))
-        stack.append((lid, [r for r in R if r[0][best_axis] <= best_t]))
-
-
-def _best_cart_split(x, y, idx, axis):
-    """Best midpoint by variance reduction over all node labels, or None."""
-    cx = x[idx, axis]
-    order = np.argsort(cx, kind="stable")
-    cxo = cx[order]
-    bounds = np.nonzero(cxo[:-1] < cxo[1:])[0]
-    if bounds.size == 0:
-        return None
-    cyo = y[idx][order]
-    csum = np.cumsum(cyo)
-    n_left = bounds + 1.0
-    lsum = csum[bounds]
-    total = csum[-1]
-    score = lsum * lsum / n_left + (total - lsum) ** 2 / (idx.size - n_left)
-    k = int(np.argmax(score))
-    t = 0.5 * (cxo[bounds] + cxo[bounds + 1])
-    return float(t[k]), float(score[k])
+    uniforms = split_uniforms(rng, partition.prediction.size)
+    grown = grow_block(ts, sorted_axes(ts), cfg, partition.structure[None], partition.prediction[None], uniforms[None])
+    return tree_view(grown, 0, grown.feature.size, ts.d, cfg, draw, partition)
 
 
 def fit_greedy_cart(
@@ -483,36 +430,8 @@ def fit_greedy_cart(
     """Grow a greedy CART-style tree (deterministic; rng kept for interface parity)."""
     if draw.n != ts.n:
         raise ValueError(f"draw over n={draw.n} does not match training set n={ts.n}")
-    x, y = ts.x, ts.y
-    d = ts.d
-    b = _Builder()
-    root = b.alloc()
-    stack = [(root, draw.indices)]
-    while stack:
-        nid, idx = stack.pop()
-        labels = y[idx]
-        if idx.size <= cfg.max_leaf_size or np.all(labels == labels[0]):
-            b.leaf(nid, float(labels.mean()))
-            continue
-        if idx.size <= _SMALL_NODE:
-            _grow_small_cart(b, nid, list(zip(x[idx].tolist(), labels.tolist())), cfg, d)
-            continue
-        best_axis, best_t, best_score = -1, np.nan, -np.inf
-        for axis in range(d):
-            res = _best_cart_split(x, y, idx, axis)
-            if res is not None and res[1] > best_score:
-                best_axis, best_t, best_score = axis, res[0], res[1]
-        total = float(labels.sum())
-        if best_axis < 0 or best_score <= total * total / idx.size:
-            b.leaf(nid, float(labels.mean()))
-            continue
-        go_left = x[idx, best_axis] <= best_t
-        lid = b.alloc()
-        rid = b.alloc()
-        b.split(nid, best_axis, best_t, lid, rid, False)
-        stack.append((rid, idx[~go_left]))
-        stack.append((lid, idx[go_left]))
-    return b.freeze(d, cfg, draw, None)
+    grown = grow_block(ts, sorted_axes(ts), cfg, draw.indices[None])
+    return tree_view(grown, 0, grown.feature.size, ts.d, cfg, draw, None)
 
 
 def _leaf_of(tree: TreeModel, xq: np.ndarray) -> int:
@@ -609,8 +528,8 @@ def validate_regularity(tree: TreeModel, ts: TrainingSet) -> RegularityReport:
         thr = tree.threshold[nid]
         go_left = ts.x[idx, axis] <= thr
         p_left = ts.x[pidx, axis] <= thr
-        frac = float(np.count_nonzero(go_left)) / idx.size
-        mf = min(frac, 1.0 - frac)
+        n_left = int(np.count_nonzero(go_left))
+        mf = min(n_left, idx.size - n_left) / idx.size
         axes.append(axis)
         rand.append(bool(tree.from_random[nid]))
         min_frac.append(mf)

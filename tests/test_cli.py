@@ -227,6 +227,15 @@ class TestModelFile:
                                    sort_keys=True, separators=(",", ":")) + "\n")
         self._refused(path, tmp_path, capsys, "format version 1 does not match")
 
+    def test_version_2_model_refused(self, saved, tmp_path, capsys):
+        # same layout, older grower: the header's version alone refuses it
+        _, path = saved
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["format_version"] = 2
+        path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 3")
+
     def test_non_model_file_refused(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\xff\x00junk")

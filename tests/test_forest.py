@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subforest import dataset, forest, tree
+from subforest import dataset, forest, rng, sampling, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 
@@ -59,6 +59,91 @@ class TestTrain:
             assert np.array_equal(serial.subsample_indices, f2.subsample_indices)
             for a, b in zip(serial.trees, f2.trees):
                 assert trees_equal(a, b)
+
+
+_PACKED = ("feature", "threshold", "child", "value", "pred_index", "from_random", "roots",
+           "subsample_indices", "prediction_indices")
+
+
+def _same_forest(a, b) -> bool:
+    return all(
+        (getattr(a, k) is None and getattr(b, k) is None) or np.array_equal(getattr(a, k), getattr(b, k))
+        for k in _PACKED
+    )
+
+
+class TestBlockGrowth:
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_block_size_does_not_change_trees(self, cosine_1k, monkeypatch, mode):
+        cfg = ForestConfig(b=23, seed=14, tree=tree.TreeConfig(mode=mode))
+        # 23 trees fall into ranges of 6; a block of 256 holds a whole range
+        grown = {}
+        for block in (1, 7, 256):
+            monkeypatch.setattr(forest, "_TREE_BLOCK", block)
+            grown[block] = forest.train(cosine_1k, cfg)
+        # and all 23 in one block
+        resolved = grown[1].config
+        one_block = forest._pack(forest._fit_range((cosine_1k, tree.sorted_axes(cosine_1k), resolved, resolved.s, 0, 23)),
+                                 cosine_1k.n, resolved.s, cosine_1k.d, resolved)
+        assert _same_forest(grown[1], grown[7])
+        assert _same_forest(grown[1], grown[256])
+        assert _same_forest(grown[1], one_block)
+
+    def test_trees_equal_one_tree_fits_on_the_same_stream(self, cosine_1k):
+        for mode in ("honest", "cart"):
+            cfg = ForestConfig(b=6, seed=15, tree=tree.TreeConfig(mode=mode))
+            fm = forest.train(cosine_1k, cfg)
+            for b, t in enumerate(fm.trees):
+                g = rng.stream(15, rng.TREE, b)
+                draw = sampling.draw_subsample(cosine_1k.n, fm.s, g)
+                if mode == "honest":
+                    part = sampling.honesty_partition(draw, g)
+                    alone = tree.fit_honest(cosine_1k, draw, part, cfg.tree, g)
+                    assert np.array_equal(t.partition.prediction, part.prediction)
+                    assert np.array_equal(t.partition.structure, part.structure)
+                else:
+                    alone = tree.fit_greedy_cart(cosine_1k, draw, cfg.tree, g)
+                assert np.array_equal(t.subsample.indices, draw.indices)
+                assert trees_equal(t, alone)
+                assert np.array_equal(t.left, alone.left) and np.array_equal(t.right, alone.right)
+
+    def test_draws_match_per_tree_sampling(self, cosine_1k):
+        fm = forest.train(cosine_1k, ForestConfig(b=30, s=40, seed=16))
+        for b in range(30):
+            g = rng.stream(16, rng.TREE, b)
+            draw = sampling.draw_subsample(cosine_1k.n, 40, g)
+            part = sampling.honesty_partition(draw, g)
+            assert np.array_equal(fm.subsample_indices[b], draw.indices)
+            assert np.array_equal(fm.prediction_indices[b], part.prediction)
+
+    def test_breadth_first_node_order(self, cosine_1k):
+        fm = forest.train(cosine_1k, ForestConfig(b=8, seed=17))
+        for t in fm.trees:
+            inner = np.flatnonzero(t.feature >= 0)
+            # children are numbered in the order of their parents, left then right
+            kids = np.column_stack([t.left[inner], t.right[inner]]).ravel()
+            assert np.array_equal(kids, np.arange(1, t.n_nodes))
+
+    def test_honest_forest_passes_regularity_audit(self, cosine_1k):
+        fm = forest.train(cosine_1k, ForestConfig(b=200, seed=0), n_jobs=2)
+        assert fm.s == 125
+        assert all(tree.validate_regularity(t, cosine_1k).passed for t in fm.trees)
+
+    def test_prediction_labels_do_not_move_splits(self, cosine_1k):
+        cfg = ForestConfig(b=23, seed=18)
+        fm = forest.train(cosine_1k, cfg)
+        # labels of points that are no tree's structure point are read by leaves only
+        structure = np.concatenate([t.partition.structure for t in fm.trees])
+        free = np.setdiff1d(np.arange(cosine_1k.n), structure)
+        y2 = cosine_1k.y.copy()
+        y2[free] = cosine_1k.y[np.random.default_rng(1).permutation(free)]
+        assert not np.array_equal(y2, cosine_1k.y)
+        ts2 = TrainingSet(cosine_1k.x, y2)
+        fm2 = forest.train(ts2, cfg)
+        for name in ("feature", "threshold", "from_random", "child", "pred_index"):
+            assert np.array_equal(getattr(fm, name), getattr(fm2, name)), name
+        leaves = fm2.feature < 0
+        assert np.array_equal(fm2.value[leaves], y2[fm2.pred_index[leaves]])
 
 
 class TestPredict:

@@ -114,6 +114,33 @@ class TestHonestyPartition:
             sampling.honesty_partition(d, _stream(13))
 
 
+class TestDrawBlock:
+    def test_rows_equal_per_tree_draws(self, monkeypatch):
+        # a pool budget of 100 entries forces chunks of 2 rows at n = 50
+        monkeypatch.setattr(sampling, "_POOL_ENTRIES", 100)
+        gens = [rng.stream(3, rng.TREE, b) for b in range(7)]
+        sub = sampling.draw_block(50, 13, gens)
+        struct, pred = sampling.partition_block(sub, gens)
+        assert sub.shape == (7, 13) and struct.shape == (7, 6) and pred.shape == (7, 7)
+        for b in range(7):
+            g = rng.stream(3, rng.TREE, b)
+            draw = sampling.draw_subsample(50, 13, g)
+            part = sampling.honesty_partition(draw, g)
+            assert np.array_equal(sub[b], draw.indices)
+            assert np.array_equal(pred[b], part.prediction)
+            assert np.array_equal(struct[b], part.structure)
+            # the generator is left where the per-tree calls leave it
+            assert gens[b].random() == g.random()
+
+    def test_pinned_draw(self):
+        # stream (3, TREE, 5) at n=50, s=12, as the per-tree loop drew it
+        g = rng.stream(3, rng.TREE, 5)
+        sub = sampling.draw_block(50, 12, [g])
+        _, pred = sampling.partition_block(sub, [g])
+        assert sub[0].tolist() == [2, 3, 6, 7, 9, 24, 28, 34, 36, 45, 48, 49]
+        assert pred[0].tolist() == [2, 3, 24, 28, 34, 48]
+
+
 class TestDefaultSubsampleSize:
     @pytest.mark.parametrize("n,expect", [(200, 40), (1000, 125), (4, 2), (50, 15), (3200, 284)])
     def test_rule_values(self, n, expect):

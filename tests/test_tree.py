@@ -101,6 +101,53 @@ class TestFitHonest:
         assert model.pred_index[0] == 2
 
 
+class TestGrowBlock:
+    def test_mixed_block_matches_trees_grown_alone(self):
+        # rows 0-5 share one feature vector; tree 0 is all duplicates (one
+        # leaf), tree 1's structure points are duplicates (no structure
+        # midpoint: prediction-coordinate fallback), trees 2-5 are ordinary
+        gen = np.random.default_rng(5)
+        x = gen.random((60, 2))
+        x[:6] = 0.5
+        ts = TrainingSet(x, gen.random(60))
+        structure = [[0, 1, 2], [3, 4, 5]]
+        prediction = [[3, 4, 5], [10, 11, 12]]
+        for _ in range(4):
+            rows = gen.choice(np.arange(6, 60), 6, replace=False)
+            structure.append(np.sort(rows[:3]))
+            prediction.append(np.sort(rows[3:]))
+        structure, prediction = np.array(structure), np.array(prediction)
+        uniforms = gen.random((6, 5, 5))
+        axes = tree.sorted_axes(ts)
+        cfg = TreeConfig()
+        block = tree.grow_block(ts, axes, cfg, structure, prediction, uniforms)
+        for t in range(6):
+            alone = tree.grow_block(ts, axes, cfg, structure[t:t + 1], prediction[t:t + 1], uniforms[t:t + 1])
+            lo = block.roots[t]
+            hi = block.roots[t + 1] if t < 5 else block.feature.size
+            assert np.array_equal(block.child[lo:hi] - lo, alone.child)
+            for name in ("feature", "threshold", "value", "pred_index", "from_random"):
+                assert np.array_equal(getattr(block, name)[lo:hi], getattr(alone, name)), (t, name)
+        assert block.feature[0] == -1 and block.pred_index[0] == 3
+        root1 = block.roots[1]
+        assert block.feature[root1] >= 0 and block.from_random[root1]
+        px = np.sort(x[prediction[1], block.feature[root1]])
+        assert block.threshold[root1] in 0.5 * (px[:-1] + px[1:])
+
+    def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
+        rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
+        cfg = TreeConfig(mode="cart")
+        axes = tree.sorted_axes(cosine_1k)
+        block = tree.grow_block(cosine_1k, axes, cfg, rows)
+        ends = np.append(block.roots[1:], block.feature.size)
+        for t in range(5):
+            alone = tree.grow_block(cosine_1k, axes, cfg, rows[t:t + 1])
+            lo, hi = block.roots[t], ends[t]
+            assert np.array_equal(block.value[lo:hi], alone.value)
+            assert np.array_equal(block.threshold[lo:hi], alone.threshold)
+            assert np.array_equal(block.child[lo:hi] - lo, alone.child)
+
+
 class TestFitGreedyCart:
     def test_constant_labels_single_leaf(self):
         ts = TrainingSet(np.random.default_rng(0).random((20, 2)), np.full(20, 4.5))
@@ -297,6 +344,45 @@ class TestValidateRegularity:
         rep = tree.validate_regularity(model, ts)
         assert not rep.passed
         assert rep.split_min_fraction[0] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("m, ok", [(10, True), (11, False)])
+    def test_gamma_boundary_is_a_count_ratio(self, m, ok):
+        # a 9/1 split of 10 points meets gamma = 0.1 exactly; 10/1 of 11 falls short
+        x = np.linspace(0.0, 1.0, m).reshape(-1, 1)
+        ts = TrainingSet(x, np.arange(m, dtype=float))
+        draw = SubsampleDraw(np.arange(m), m)
+        part = HonestyPartition(structure=np.arange(1, m // 2 + 1), prediction=np.r_[0, np.arange(m // 2 + 1, m)])
+        model = tree.TreeModel(
+            feature=np.array([0, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5 * (x[-2, 0] + x[-1, 0]), 0.0, 0.0]),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.zeros(3),
+            pred_index=np.array([-1, 0, m - 1], dtype=np.int32),
+            from_random=np.zeros(3, dtype=bool),
+            n_features=1,
+            config=TreeConfig(gamma=0.1),
+            subsample=draw,
+            partition=part,
+        )
+        rep = tree.validate_regularity(model, ts)
+        assert rep.split_min_fraction[0] == 1 / m
+        assert bool(rep.splits_ok[0]) is ok
+
+    def test_grower_admits_a_split_at_exactly_gamma(self):
+        # 20 points at 0..19, prediction {0..8, 19}, structure {9..18}; only
+        # structure point 18 has label 1, so the best split isolates it at
+        # 17.5, leaving 2 of 20 points on the right: exactly gamma = 0.1
+        x = np.arange(20, dtype=float).reshape(-1, 1)
+        ts = TrainingSet(x, (x[:, 0] == 18).astype(float))
+        draw = SubsampleDraw(np.arange(20), 20)
+        part = HonestyPartition(structure=np.arange(9, 19), prediction=np.r_[0:9, 19])
+        model = tree.fit_honest(ts, draw, part, TreeConfig(gamma=0.1), _stream(3))
+        assert model.feature[0] == 0
+        assert model.threshold[0] == 17.5
+        rep = tree.validate_regularity(model, ts)
+        assert rep.split_min_fraction[0] == 0.1
+        assert rep.splits_ok[0]
 
     def test_cart_rejected(self):
         ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
