@@ -37,7 +37,7 @@ from .experiments import (
     run_bias_grid,
     simulate_predictions,
 )
-from .forest import ForestConfig, train
+from .forest import ForestConfig, WorkerError, train
 from .jackknife import interval, predict_with_variance, v_ij
 from .model_io import load_model, save_model
 from .oracle import (
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, WorkerError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

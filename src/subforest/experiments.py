@@ -154,11 +154,15 @@ def _replicate(args) -> tuple:
     )
 
 
+def _replicate_name(args) -> str:
+    return f"replicate {args[4]}"
+
+
 def simulate_predictions(spec: ExperimentSpec) -> SimulationResult:
     """Predictions and variance estimates for K test points x R replicates."""
     test_x = spec.source.sample_test_points(rng.stream(spec.seed, rng.TEST_POINTS), spec.k_test)
     jobs = [(spec.source, spec.n, spec.forest, spec.seed, r, test_x) for r in range(spec.r_replicates)]
-    outs = fan_out(_replicate, jobs, spec.n_jobs)
+    outs = fan_out(_replicate, jobs, spec.n_jobs, _replicate_name)
     pred = np.column_stack([o[0] for o in outs])
     corrected = np.column_stack([o[1] for o in outs])
     truncated = np.column_stack([o[2] for o in outs])
@@ -358,6 +362,6 @@ def run_bias_grid(
     centers = np.column_stack([cx.ravel(), cy.ravel()])
     fcfg = ForestConfig(s=s, b=b, tree=TreeConfig(mode=mode), seed=0)
     jobs = [(p, n, fcfg, seed, r, centers) for r in range(r_replicates)]
-    outs = fan_out(_bias_grid_replicate, jobs, n_jobs)
+    outs = fan_out(_bias_grid_replicate, jobs, n_jobs, _replicate_name)
     means = np.mean(np.stack(outs, axis=0), axis=0).reshape(g, g)
     return BiasGrid(resolution=g, cell_means=means, mode=mode, n=n, s=s, r_replicates=r_replicates)

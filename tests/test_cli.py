@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from subforest.cli import main
 from subforest.forest import ForestConfig
 from subforest.model_io import load_model, save_model
 
-from conftest import trees_equal
+from conftest import time_limit, trees_equal
 
 
 def _sha(path):
@@ -88,6 +89,18 @@ class TestTrain:
                      "--out", str(model)]) == 0
         fm, _ = load_model(model)
         assert fm.b == 6  # flag wins over config file
+
+    def test_dead_worker_exits_one_naming_tree_ranges(self, tmp_path, monkeypatch, capsys):
+        data = _gen(tmp_path)
+        # two usable cores: the dying fit runs in pool workers, never in this process
+        monkeypatch.setattr(forest, "usable_cores", lambda: 2)
+        monkeypatch.setattr(forest, "_fit_range", _exit_worker)
+        with time_limit(120):
+            assert main(["train", "--data", str(data), "--threads", "2", "--b", "16",
+                         "--out", str(tmp_path / "m.bin")]) == 1
+        err = capsys.readouterr().err
+        assert "error: a worker process died; no results for trees 0-1, trees 2-3" in err
+        assert "Traceback" not in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         data = _gen(tmp_path)
@@ -221,6 +234,25 @@ class TestModelFile:
         self._rewrite(path, "feature", edit)
         self._refused(path, tmp_path, capsys, "split features")
 
+    def test_non_finite_threshold_refused(self, saved, tmp_path, capsys):
+        # the walk would send every query right at a NaN threshold, the bitmask left
+        _, path = saved
+
+        def edit(threshold):
+            threshold[0] = np.nan
+
+        self._rewrite(path, "threshold", edit)
+        self._refused(path, tmp_path, capsys, "split thresholds must be finite")
+
+    def test_shared_child_refused(self, saved, tmp_path, capsys):
+        _, path = saved
+
+        def edit(child):
+            child[0, 1] = child[0, 0]
+
+        self._rewrite(path, "child", edit)
+        self._refused(path, tmp_path, capsys, "child of exactly one split")
+
     def test_version_1_json_model_refused(self, tmp_path, capsys):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"format_version": 1, "n": 40, "d": 2, "trees": []},
@@ -344,3 +376,7 @@ class TestThreadsEnv:
         assert main(["train", "--data", str(data), "--b", "6", "--seed", "1",
                      "--out", str(m2)]) == 0
         assert _sha(m1) == _sha(m2)
+
+
+def _exit_worker(args):
+    os._exit(3)

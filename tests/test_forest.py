@@ -1,3 +1,6 @@
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from subforest import dataset, forest, rng, sampling, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 
-from conftest import trees_equal
+from conftest import time_limit, trees_equal
 
 
 class TestConfig:
@@ -213,6 +216,92 @@ class TestPredict:
         per = forest.predict_per_tree(fm, np.array([[0.5], [0.25], [np.nan], [0.3]]))
         assert np.array_equal(per, [[1.0, 1.0, 2.0, 1.0], [4.0, 3.0, 4.0, 4.0]])
 
+    @staticmethod
+    def _bitmask_calls(monkeypatch) -> list:
+        """Record the query shape of every bitmask traversal."""
+        calls, real = [], forest._bitmask
+        monkeypatch.setattr(forest, "_bitmask", lambda fm, xs: calls.append(xs.shape) or real(fm, xs))
+        return calls
+
+    @staticmethod
+    def _hard_queries(fm, k, seed) -> np.ndarray:
+        """k queries with NaN and infinite coordinates, split thresholds and duplicates."""
+        xs = np.random.default_rng(seed).random((k, fm.d))
+        xs[0] = np.nan
+        xs[1, 0], xs[2, 0], xs[3, -1] = np.inf, -np.inf, np.nan
+        inner = np.flatnonzero(fm.feature >= 0)
+        for row, node in zip(range(4, 24), inner[:: max(1, inner.size // 20)]):
+            xs[row, fm.feature[node]] = fm.threshold[node]
+        xs[24:30] = xs[4:10]
+        return xs
+
+    @staticmethod
+    def _matches_tree_predict(fm, xs, per):
+        for b, t in enumerate(fm.trees):
+            for k in range(xs.shape[0]):
+                assert per[b, k] == tree.predict(t, xs[k]), (b, k)
+
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_bitmask_matches_tree_predict(self, cosine_1k, monkeypatch, mode):
+        fm = forest.train(cosine_1k, ForestConfig(b=12, seed=19, tree=tree.TreeConfig(mode=mode)))
+        k = fm.feature.size // fm.b + 10
+        calls = self._bitmask_calls(monkeypatch)
+        xs = self._hard_queries(fm, k, 5)
+        per = forest.predict_per_tree(fm, xs)
+        assert calls == [(k, 2)]
+        self._matches_tree_predict(fm, xs, per)
+        assert np.array_equal(per, forest._walk(fm, xs))
+
+    @pytest.mark.parametrize("chunk, words", [(7, 1 << 17), (1024, 300), (5, 40)])
+    def test_bitmask_chunks_match_tree_predict(self, cosine_1k, monkeypatch, chunk, words):
+        # queries span several chunks, trees several tables (40 words hold one tree)
+        fm = forest.train(cosine_1k, ForestConfig(b=9, seed=20))
+        monkeypatch.setattr(forest, "_QUERY_CHUNK", chunk)
+        monkeypatch.setattr(forest, "_TABLE_WORDS", words)
+        calls = self._bitmask_calls(monkeypatch)
+        xs = self._hard_queries(fm, 150, 6)
+        per = forest.predict_per_tree(fm, xs)
+        assert calls == [(150, 2)]
+        self._matches_tree_predict(fm, xs, per)
+
+    def test_bitmask_single_leaf_tree(self, monkeypatch):
+        # a one-leaf tree next to a stump on x2 at 0.5
+        fm = forest.ForestModel(
+            feature=[-1, 1, -1, -1],
+            threshold=[0.0, 0.5, 0.0, 0.0],
+            child=[[0, 0], [2, 3], [2, 2], [3, 3]],
+            value=[7.0, 0.0, 1.0, 2.0],
+            pred_index=[-1] * 4,
+            from_random=[False] * 4,
+            roots=[0, 1],
+            subsample_indices=[[0, 1], [1, 2]],
+            prediction_indices=None,
+            n=3, d=2, s=2, b=2,
+            config=ForestConfig(s=2, b=2, tree=tree.TreeConfig(mode="cart")),
+        )
+        calls = self._bitmask_calls(monkeypatch)
+        per = forest.predict_per_tree(fm, np.array([[0.0, 0.5], [np.nan, 0.7], [1.0, np.nan]]))
+        assert calls == [(3, 2)]
+        assert np.array_equal(per, [[7.0, 7.0, 7.0], [1.0, 2.0, 2.0]])
+
+    def test_walk_beyond_one_mask_word_or_few_queries(self, cosine_1k, monkeypatch):
+        calls = self._bitmask_calls(monkeypatch)
+        # s = n: CART trees of more than 64 leaves
+        deep = forest.train(cosine_1k, ForestConfig(s=1000, b=3, seed=21, tree=tree.TreeConfig(mode="cart")))
+        assert np.add.reduceat(deep.feature < 0, deep.roots).min() > 64
+        xs = self._hard_queries(deep, deep.feature.size // deep.b + 5, 7)
+        self._matches_tree_predict(deep, xs, forest.predict_per_tree(deep, xs))
+        # fewer queries than nodes per tree
+        fm = forest.train(cosine_1k, ForestConfig(b=6, seed=22))
+        xs = self._hard_queries(fm, fm.feature.size // fm.b - 5, 8)
+        self._matches_tree_predict(fm, xs, forest.predict_per_tree(fm, xs))
+        # more features than the bitmask takes
+        wide = dataset.gen_synthetic(SyntheticSpec("cosine", forest._MASK_MAX_D + 1), 300, seed=3)
+        fw = forest.train(wide, ForestConfig(b=4, seed=23))
+        xs = self._hard_queries(fw, 200, 9)
+        self._matches_tree_predict(fw, xs, forest.predict_per_tree(fw, xs))
+        assert calls == []
+
     def test_dimension_mismatch(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=2, seed=10))
         with pytest.raises(ValueError, match="features"):
@@ -241,8 +330,10 @@ class TestWorkers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                done = Future()
+                done.set_result(fn(job))
+                return done
 
         monkeypatch.setattr(forest, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(forest, "usable_cores", lambda: 2)
@@ -250,6 +341,16 @@ class TestWorkers:
         assert forest.fan_out(abs, [-4], 1000) == [4]
         assert forest.fan_out(abs, [-5, -6], 1) == [5, 6]
         assert sizes == [2]
+
+    def test_dead_worker_names_lost_jobs(self, monkeypatch):
+        # two usable cores: the jobs run in pool workers, never in this process
+        monkeypatch.setattr(forest, "usable_cores", lambda: 2)
+        with time_limit(120), pytest.raises(forest.WorkerError, match="no results for replicate 0, replicate 1$"):
+            forest.fan_out(_exit_worker, [0, 1], 2, lambda job: f"replicate {job}")
+
+
+def _exit_worker(job):
+    os._exit(3)
 
 
 class TestConsistencySanity:
