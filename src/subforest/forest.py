@@ -168,11 +168,12 @@ class ForestModel:
             raise ValueError("children must lie after their parent inside its tree; leaves point at themselves")
         # each tree is one binary tree over its nodes, as the bitmask traversal
         # numbers its leaves; a threshold orders against every query as the walk reads it
-        parents = np.bincount(self.child[split].ravel(), minlength=n_nodes)
+        # (a leaf's two self-references are taken back off its count)
+        parents = np.bincount(self.child.reshape(-1), minlength=n_nodes) - 2 * ~split
         parents[self.roots] += 1
         if np.any(parents != 1):
             raise ValueError("every node but a root must be the child of exactly one split")
-        if not np.isfinite(self.threshold[split]).all():
+        if not np.all(np.isfinite(self.threshold) | ~split):
             raise ValueError("split thresholds must be finite")
         if self.pred_index.min() < -1 or self.pred_index.max() >= self.n:
             raise ValueError(f"leaf training indices must lie in [-1, {self.n})")
@@ -262,18 +263,21 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     The pool is clamped to the tasks and the usable cores: a pool forks all
     its workers up front, so an unclamped large request would fork that many.
     A worker that dies (killed, out of memory) breaks the pool; that raises
-    ``WorkerError`` naming, by ``name(job)``, every job left without a result.
+    ``WorkerError`` naming, by ``name(job)``, every job from the first one
+    whose result did not arrive.
     """
     workers = worker_count(n_jobs, len(jobs), usable_cores())
     if workers == 1:
         return [fn(job) for job in jobs]
+    results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
         try:
-            return [f.result() for f in futures]
+            for out in pool.map(fn, jobs):
+                results.append(out)
         except BrokenProcessPool as e:
-            lost = [name(job) for job, f in zip(jobs, futures) if isinstance(f.exception(), BrokenProcessPool)]
-            raise WorkerError(f"a worker process died; no results for {', '.join(lost)}") from e
+            lost = ", ".join(name(job) for job in jobs[len(results):])
+            raise WorkerError(f"a worker process died; no results for {lost}") from e
+    return results
 
 
 def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, s: int, b_lo: int, b_hi: int):
