@@ -16,13 +16,15 @@ level. A tree does not depend on its block, so blocks and worker ranges are a
 schedule, not part of the model.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
-node arrays once, and traversal, the variance estimate and the model file
-all read those arrays. Tree b owns the nodes ``roots[b]`` up to the next
-root, numbered breadth-first; child ids are global, every internal node's
-children lie after it inside its own tree, and a leaf's children are the
-leaf itself, so a walk from any root ends at a leaf and then stays there.
-``ForestModel.trees`` rebuilds per-tree ``TreeModel`` views on demand for
-audits and tests.
+node arrays once, and traversal, the variance estimate, the regularity
+audit and the model file all read those arrays. Tree b owns the nodes
+``roots[b]`` up to the next root, numbered breadth-first, so child ids are
+not stored: ``tree.left_children`` derives them once, when the
+construction check reads them, and ``ForestModel.left`` keeps them for
+traversal and the audit. The check makes the derivation safe for any
+input: each tree has 2 * splits + 1 nodes, and each split's left child lies
+after it, so every node but a root is the child of exactly one split and a
+walk from any root ends at a leaf.
 
 ``predict_per_tree`` finds each (tree, query) leaf by one of two traversals,
 which return the same copied leaf values bit for bit:
@@ -59,13 +61,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import HonestyPartition, SubsampleDraw, default_subsample_size, draw_block, partition_block
-from .tree import HONEST, TreeConfig, TreeModel
+from .sampling import default_subsample_size, draw_block, partition_block
+from .tree import HONEST, TreeConfig
 
 # (tree, point) pairs walked together: bounds the traversal's working set
 # independently of B and K
@@ -119,10 +122,9 @@ class ForestModel:
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
     threshold: np.ndarray  # (N,) float64
-    child: np.ndarray  # (N, 2) intp global [left, right] ids; a leaf's are its own id
     value: np.ndarray  # (N,) float64 leaf predictions
     pred_index: np.ndarray  # (N,) int32 training index behind a leaf, -1 for CART
-    from_random: np.ndarray  # (N,) bool, split axis came from the uniform branch
+    split_kind: np.ndarray  # (N,) uint8 split provenance, index into tree.SPLIT_KINDS
     roots: np.ndarray  # (B,) intp root id of each tree, increasing from 0
     subsample_indices: np.ndarray  # (B, s) int64, row b = sorted subsample of tree b
     prediction_indices: np.ndarray | None  # (B, ceil(s/2)) int64 honest prediction sets; None for CART
@@ -134,9 +136,9 @@ class ForestModel:
 
     def __post_init__(self):
         dtypes = {
-            "feature": np.int32, "threshold": np.float64, "child": np.intp,
-            "value": np.float64, "pred_index": np.int32, "from_random": bool,
-            "roots": np.intp, "subsample_indices": np.int64, "prediction_indices": np.int64,
+            "feature": np.int32, "threshold": np.float64, "value": np.float64,
+            "pred_index": np.int32, "split_kind": np.uint8, "roots": np.intp,
+            "subsample_indices": np.int64, "prediction_indices": np.int64,
         }
         for name, dtype in dtypes.items():
             arr = getattr(self, name)
@@ -148,31 +150,24 @@ class ForestModel:
         if self.d < 1 or not 2 <= self.s <= self.n:
             raise ValueError(f"need d >= 1 and 2 <= s <= n, got d={self.d}, s={self.s}, n={self.n}")
         n_nodes = self.feature.size
-        for name in ("threshold", "value", "pred_index", "from_random"):
+        for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
             if getattr(self, name).shape != (n_nodes,):
                 raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n_nodes} nodes")
-        if self.feature.ndim != 1 or self.child.shape != (n_nodes, 2):
-            raise ValueError(f"child shape {self.child.shape} does not match {n_nodes} nodes")
         if self.b < 1 or self.roots.shape != (self.b,) or self.roots[0] != 0:
             raise ValueError(f"need {self.b} >= 1 tree roots starting at node 0")
-        ends = np.append(self.roots[1:], n_nodes)
-        if np.any(ends <= self.roots):
+        size = np.diff(np.append(self.roots, n_nodes))
+        if np.any(size <= 0):
             raise ValueError("tree roots must increase and every tree needs a node")
         if self.feature.min() < -1 or self.feature.max() >= self.d:
             raise ValueError(f"split features must lie in [-1, {self.d})")
-        end = np.repeat(ends, ends - self.roots)[:, None]
-        ids = np.arange(n_nodes)[:, None]
+        # the derived children lie inside each tree and make it one binary tree
+        # (see the module docstring); a threshold orders against every query
+        # as the walk reads it
         split = self.feature >= 0
-        ok = np.where(split[:, None], (self.child > ids) & (self.child < end), self.child == ids)
-        if not ok.all():
-            raise ValueError("children must lie after their parent inside its tree; leaves point at themselves")
-        # each tree is one binary tree over its nodes, as the bitmask traversal
-        # numbers its leaves; a threshold orders against every query as the walk reads it
-        # (a leaf's two self-references are taken back off its count)
-        parents = np.bincount(self.child.reshape(-1), minlength=n_nodes) - 2 * ~split
-        parents[self.roots] += 1
-        if np.any(parents != 1):
-            raise ValueError("every node but a root must be the child of exactly one split")
+        if np.any(size != 2 * np.add.reduceat(split, self.roots, dtype=np.intp) + 1):
+            raise ValueError("every tree needs 2 * splits + 1 nodes")
+        if np.any(split & (self.left <= np.arange(n_nodes))):
+            raise ValueError("every split's children must lie after it inside its tree")
         if not np.all(np.isfinite(self.threshold) | ~split):
             raise ValueError("split thresholds must be finite")
         if self.pred_index.min() < -1 or self.pred_index.max() >= self.n:
@@ -193,19 +188,13 @@ class ForestModel:
             if not np.array_equal(sub_keys[at], pred_keys):
                 raise ValueError("prediction indices must lie inside their tree's subsample")
 
-    @property
-    def trees(self) -> tuple[TreeModel, ...]:
-        """Per-tree views of the packed arrays, rebuilt on every access."""
-        ends = np.append(self.roots[1:], self.feature.size)
-        out = []
-        for b, (lo, hi) in enumerate(zip(self.roots.tolist(), ends.tolist())):
-            sub = self.subsample_indices[b]
-            partition = None
-            if self.prediction_indices is not None:
-                pred = self.prediction_indices[b]
-                partition = HonestyPartition(np.setdiff1d(sub, pred, assume_unique=True), pred)
-            out.append(tree_mod.tree_view(self, lo, hi, self.d, self.config.tree, SubsampleDraw(sub, self.n), partition))
-        return tuple(out)
+    @cached_property
+    def left(self) -> np.ndarray:
+        """(N,) left child id of every split, a leaf's own id at leaves (``tree.left_children``).
+
+        Derived once, by the construction check; traversal and the audit reuse it.
+        """
+        return tree_mod.left_children(self.feature, self.roots)
 
     def counts_matrix(self) -> np.ndarray:
         """(B, n) 0/1 inclusion counts N*_bi of every tree's subsample."""
@@ -225,10 +214,9 @@ def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestMode
     return ForestModel(
         feature=cat("feature"),
         threshold=cat("threshold"),
-        child=np.concatenate([g.child + off for g, off in zip(grown, offsets)]),
         value=cat("value"),
         pred_index=cat("pred_index"),
-        from_random=cat("from_random"),
+        split_kind=cat("split_kind"),
         roots=np.concatenate([g.roots + off for g, off in zip(grown, offsets)]),
         subsample_indices=np.vstack(subs),
         prediction_indices=np.vstack(preds) if cfg.tree.mode == HONEST else None,
@@ -280,10 +268,11 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     return results
 
 
-def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, s: int, b_lo: int, b_hi: int):
-    """Trees b_lo..b_hi-1 grown together, with their subsample and prediction rows."""
-    gens = [rng.stream(cfg.seed, rng.TREE, b) for b in range(b_lo, b_hi)]
-    sub = draw_block(ts.n, s, gens)
+def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray, gens: list):
+    """Trees on subsample rows ``sub``, with their subsample and prediction rows.
+
+    Honest tree t draws its partition, then its uniform table, from ``gens[t]``.
+    """
     if cfg.tree.mode != HONEST:
         return tree_mod.grow_block(ts, axes, cfg.tree, sub), sub, None
     struct, pred = partition_block(sub, gens)
@@ -293,7 +282,11 @@ def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, s:
 
 def _fit_range(args) -> list:
     ts, axes, cfg, s, b_lo, b_hi = args
-    return [_fit_block(ts, axes, cfg, s, lo, min(lo + _TREE_BLOCK, b_hi)) for lo in range(b_lo, b_hi, _TREE_BLOCK)]
+    blocks = []
+    for lo in range(b_lo, b_hi, _TREE_BLOCK):
+        gens = [rng.stream(cfg.seed, rng.TREE, b) for b in range(lo, min(lo + _TREE_BLOCK, b_hi))]
+        blocks.append(_grow(ts, axes, cfg, draw_block(ts.n, s, gens), gens))
+    return blocks
 
 
 def _range_name(args) -> str:
@@ -312,12 +305,19 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
     return _pack(blocks, ts.n, s, ts.d, cfg)
 
 
+def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, gens: list) -> ForestModel:
+    """A forest of one tree per given sorted subsample row, tree b drawing its randomness from ``gens[b]``.
+
+    ``cfg`` must carry s and b matching ``sub``.
+    """
+    return _pack([_grow(ts, tree_mod.sorted_axes(ts), cfg, sub, gens)], ts.n, sub.shape[1], ts.d, cfg)
+
+
 def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     """(B, K) leaf values by walking blocks of (tree, query) pairs level by level."""
     k = xs.shape[0]
     x_flat = xs.reshape(-1)
-    child = forest.child.reshape(-1)
-    feature, threshold = forest.feature, forest.threshold
+    left, feature, threshold = forest.left, forest.feature, forest.threshold
     total = forest.b * k
     out = np.empty(total)
     # pairs are b-major, so `out` reshapes to (B, K); each block walks its
@@ -334,10 +334,10 @@ def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
                 out[pair] = forest.value[node]
                 if not n_live:
                     break
-                node, base, pair, feat = node[live], base[live], pair[live], feat[live]
+                node, base, pair, feat, live = node[live], base[live], pair[live], feat[live], live[live]
             # ties go left and NaN goes right; a pair at a leaf reads some
-            # coordinate (feature -1) and stays put
-            node = child[2 * node + ~(x_flat[base + feat] <= threshold[node])]
+            # coordinate (feature -1) but stays put, as it never goes right
+            node = left[node] + (live & ~(x_flat[base + feat] <= threshold[node]))
     return out.reshape(forest.b, k)
 
 
@@ -348,14 +348,14 @@ def _leaf_masks(forest: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray
     over the levels counts every subtree's leaves, a top-down pass gives
     every node the number of its first leaf.
     """
-    feature, child = forest.feature, forest.child
+    feature, left_of = forest.feature, forest.left
     levels = []
     nodes = forest.roots
     while nodes.size:
         inner = nodes[feature[nodes] >= 0]
-        kids = child[inner]
-        levels.append((inner, kids[:, 0], kids[:, 1]))
-        nodes = kids.ravel()
+        left = left_of[inner]
+        levels.append((inner, left, left + 1))
+        nodes = np.concatenate([left, left + 1])
     # at most 64 leaves per tree: counts and first leaves fit a byte
     count = np.ones(feature.size, dtype=np.uint8)
     for inner, left, right in reversed(levels):

@@ -8,15 +8,18 @@ int32, floats as their exact float64 bits, so a reloaded model reproduces
 predictions bit-exactly. There are no timestamps and no container, so the
 bytes are a function of the forest alone and identical at any worker count.
 
+Child ids are not stored: nodes are numbered breadth-first within each
+tree, so the forest derives them from the split pattern (see ``forest``).
+Split provenance is one byte per node, a ``tree.SPLIT_KINDS`` code.
+
 Loading reads no pickle and trusts nothing: the header must list exactly the
 expected arrays with the expected dtypes and shapes, laid out back to back
 up to the end of the file, and the forest built from them re-checks its
-structure (feature range, children after their parent inside its own tree,
-index ranges). A file that fails any check, including a version-1 JSON model
-whose single line parses as a header of the wrong version, is refused with
-``ValueError``. Version 3 has version 2's layout; it marks forests whose
-honest trees read their split draws per node (see ``tree``), which the same
-config grows differently from version 2, so a version-2 file is refused too.
+structure (feature range, node count and split positions of every tree,
+index ranges). A file that fails any check, including a version-1 JSON
+model whose single line parses as a header of the wrong version, is refused
+with ``ValueError``. Version 4 dropped version 3's stored child table and
+its 0/1 provenance flag; files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -29,18 +32,17 @@ import numpy as np
 from . import __version__
 from .dataset import TrainingSet
 from .forest import ForestConfig, ForestModel
-from .tree import HONEST, TreeConfig
+from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # array name -> on-disk dtype, in file order
 _DISK_DTYPES = {
     "feature": "<i4",
     "threshold": "<f8",
-    "child": "<i4",
     "value": "<f8",
     "pred_index": "<i4",
-    "from_random": "|u1",
+    "split_kind": "|u1",
     "roots": "<i4",
     "subsample_indices": "<i4",
     "prediction_indices": "<i4",
@@ -98,8 +100,8 @@ def _to_disk(arr: np.ndarray, dtype: str) -> np.ndarray:
 def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
     """Header entries of the arrays, in file order and back to back."""
     shapes = {
-        "feature": [n_nodes], "threshold": [n_nodes], "child": [n_nodes, 2], "value": [n_nodes],
-        "pred_index": [n_nodes], "from_random": [n_nodes], "roots": [b],
+        "feature": [n_nodes], "threshold": [n_nodes], "value": [n_nodes],
+        "pred_index": [n_nodes], "split_kind": [n_nodes], "roots": [b],
         "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)],
     }
     entries, offset = [], 0
@@ -161,8 +163,8 @@ def _read_arrays(header: dict, body: memoryview, honest: bool) -> dict:
         e["name"]: np.frombuffer(body, e["dtype"], int(np.prod(e["shape"])), e["offset"]).reshape(e["shape"]).copy()
         for e in layout
     }
-    if out["from_random"].max() > 1:
-        raise ValueError("from_random flags must be 0 or 1")
+    if out["split_kind"].max() >= len(SPLIT_KINDS):
+        raise ValueError(f"split kinds must lie in [0, {len(SPLIT_KINDS)})")
     return out
 
 
@@ -192,10 +194,9 @@ def load_model(path) -> tuple[ForestModel, dict]:
         forest = ForestModel(
             feature=arrays["feature"],
             threshold=arrays["threshold"],
-            child=arrays["child"],
             value=arrays["value"],
             pred_index=arrays["pred_index"],
-            from_random=arrays["from_random"].view(bool),
+            split_kind=arrays["split_kind"],
             roots=arrays["roots"],
             subsample_indices=arrays["subsample_indices"],
             prediction_indices=arrays.get("prediction_indices"),

@@ -17,7 +17,11 @@ Everything here enumerates instead of sampling:
 Learners are callables (xs, ys) -> float and must be exchangeable in their
 rows; the tree learner canonicalizes row order and derives its internal
 randomness from a content hash of the subsample, so each subsample maps to
-one deterministic output.
+one deterministic output. A learner with ``evaluate_many(xs_rows, ys_rows)``
+takes (R, m, d) features and (R, m) labels and returns its R outputs at
+once; the enumerations and the Monte Carlo path use it when present. The
+tree learner's batch grows its rows as one forest over the stacked
+subsamples, with each row's tree exactly the one it grows alone.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import rng
+from . import forest, rng
 from .dataset import TrainingSet
-from .sampling import SubsampleDraw, honesty_partition
-from .tree import TreeConfig, fit_honest, predict
+from .forest import ForestConfig
+from .tree import TreeConfig
 
 ENUM_CAP = 10**6
 
@@ -75,7 +79,7 @@ class SubsampleMean:
     def __call__(self, xs, ys) -> float:
         return float(np.mean(ys))
 
-    def evaluate_many(self, ys_rows: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.mean(axis=1)
 
 
@@ -83,7 +87,7 @@ class SubsampleMax:
     def __call__(self, xs, ys) -> float:
         return float(np.max(ys))
 
-    def evaluate_many(self, ys_rows: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.max(axis=1)
 
 
@@ -93,7 +97,7 @@ class LabelSum:
     def __call__(self, xs, ys) -> float:
         return float(np.sum(ys))
 
-    def evaluate_many(self, ys_rows: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.sum(axis=1)
 
 
@@ -112,20 +116,29 @@ class HonestTreeLearner:
 
     def __call__(self, xs, ys) -> float:
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        ys = np.asarray(ys, dtype=np.float64)
-        m = ys.size
+        return float(self.evaluate_many(xs[None], np.asarray(ys, dtype=np.float64)[None])[0])
+
+    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
+        """Outputs on R subsamples: blocks of rows grow and predict as one forest each."""
+        xs_rows = np.asarray(xs_rows, dtype=np.float64)
+        ys_rows = np.asarray(ys_rows, dtype=np.float64)
+        r, m, d = xs_rows.shape
         if m == 1:
-            return float(ys[0])
+            return ys_rows[:, 0].copy()
         # canonical row order: lexicographic by (x_1, ..., x_d, y)
-        order = np.lexsort((ys,) + tuple(xs.T[::-1]))
-        xs, ys = np.ascontiguousarray(xs[order]), np.ascontiguousarray(ys[order])
-        seed = rng.stable_hash64(xs.tobytes() + ys.tobytes()) ^ self.base_seed
-        gen = rng.stream(seed, rng.PARTITION)
-        ts = TrainingSet(xs, ys)
-        draw = SubsampleDraw(np.arange(m, dtype=np.int64), m)
-        part = honesty_partition(draw, gen)
-        tree = fit_honest(ts, draw, part, self.cfg, gen)
-        return predict(tree, self.x)
+        order = np.lexsort((ys_rows,) + tuple(np.moveaxis(xs_rows, -1, 0)[::-1]), axis=-1)
+        xs_rows = np.take_along_axis(xs_rows, order[..., None], axis=1)
+        ys_rows = np.take_along_axis(ys_rows, order, axis=1)
+        out = np.empty(r)
+        for lo in range(0, r, forest._TREE_BLOCK):
+            xs, ys = xs_rows[lo:lo + forest._TREE_BLOCK], ys_rows[lo:lo + forest._TREE_BLOCK]
+            seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) ^ self.base_seed for x, y in zip(xs, ys))
+            gens = [rng.stream(seed, rng.PARTITION) for seed in seeds]
+            ts = TrainingSet(xs.reshape(-1, d), ys.reshape(-1))
+            cfg = ForestConfig(s=m, b=len(gens), tree=self.cfg)
+            fm = forest.fit_subsamples(ts, cfg, np.arange(ts.n).reshape(-1, m), gens)
+            out[lo:lo + len(gens)] = forest.predict_per_tree(fm, self.x)
+        return out
 
 
 def _check_cap(count: int, what: str, cap: int = ENUM_CAP) -> None:
@@ -146,7 +159,7 @@ def enumerate_subsamples(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP):
         count=m_total * s,
     ).reshape(m_total, s)
     if hasattr(learner, "evaluate_many"):
-        values = np.asarray(learner.evaluate_many(ts.y[subsets]), dtype=np.float64)
+        values = np.asarray(learner.evaluate_many(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
     else:
         values = np.array([learner(ts.x[row], ts.y[row]) for row in subsets])
     return subsets, values
@@ -196,7 +209,7 @@ def _tuple_enumeration(dist: FiniteSupportDistribution, s: int, cap: int = ENUM_
 
 def _tuple_values(dist: FiniteSupportDistribution, learner, ids: np.ndarray) -> np.ndarray:
     if hasattr(learner, "evaluate_many"):
-        return np.asarray(learner.evaluate_many(dist.ys[ids]), dtype=np.float64)
+        return np.asarray(learner.evaluate_many(dist.xs[ids], dist.ys[ids]), dtype=np.float64)
     return np.array([learner(dist.xs[row], dist.ys[row]) for row in ids])
 
 
@@ -353,9 +366,10 @@ def incrementality_curve(
         for j in range(outer):
             xz, yz = source.sample(gen, 1)
             if batch:
-                _, yr = source.sample(gen, inner * (s - 1))
+                xr, yr = source.sample(gen, inner * (s - 1))
+                xs_rows = np.concatenate([np.broadcast_to(xz, (inner, 1, d)), xr.reshape(inner, s - 1, d)], axis=1)
                 ys_rows = np.column_stack([np.full(inner, yz[0]), yr.reshape(inner, s - 1)])
-                vals = np.asarray(learner.evaluate_many(ys_rows), dtype=np.float64)
+                vals = np.asarray(learner.evaluate_many(xs_rows, ys_rows), dtype=np.float64)
             else:
                 vals = np.empty(inner)
                 for l in range(inner):

@@ -25,15 +25,25 @@ Split rule, honest mode:
     the prediction coordinates, on a uniformly chosen axis that has one;
   * a node that no admissible midpoint splits is a leaf holding its lowest
     prediction index: it has one prediction point, duplicate feature
-    vectors, or (rarely) prediction points whose every separating midpoint
-    breaks the gamma floor.
+    vectors, or (rarely, about one tree in 10^4) prediction points whose
+    every separating midpoint breaks the gamma floor. ``validate_regularity``
+    accepts such a multi-point leaf only after checking that no structure or
+    prediction-coordinate midpoint on any axis is admissible for it.
+
+Every split records where its axis came from in ``split_kind``, indexed
+into ``SPLIT_KINDS``: 0 greedy (the best axis; every CART split), 1 the
+uniform axis, 2 the redrawn axis, 3 the prediction-coordinate fallback.
+Leaves record 0.
 
 The greedy CART mode uses all subsample labels for both splitting and leaf
 means, stopping at ``max_leaf_size``; it exists as the dishonest baseline.
 
 Node order and randomness: nodes are numbered breadth-first within their
 tree -- the root is 0, and each level's children follow all earlier nodes,
-left before right, in the order of their parents. An honest tree has at most
+left before right, in the order of their parents. So child ids need not be
+stored: the split at local position p with k splits before it has the
+children 2k + 1 and 2k + 2 (``left_children``), a tree of i splits has
+2i + 1 nodes, and p <= 2k at every split. An honest tree has at most
 2|P| - 1 nodes, since every leaf holds a prediction point, and its split
 randomness is one table ``split_uniforms(rng, |P|)`` of shape (2|P| - 1, 5),
 drawn from the tree's stream after its subsample and partition. Node ``i``
@@ -51,8 +61,7 @@ training set by ``sorted_axes``), label prefix sums are taken within each
 node's run by doubling steps, the prediction points left of each midpoint
 come from one ``searchsorted``, and the split choice is made by masks over
 (node, axis). A node's decision reads only its own points, in an order the
-node fixes, so the block a tree is grown in never changes it. ``fit_honest``
-and ``fit_greedy_cart`` are one-tree blocks.
+node fixes, so the block a tree is grown in never changes it.
 
 Routing is axis-aligned with ties at the threshold going left
 (x[axis] <= threshold).
@@ -60,19 +69,21 @@ Routing is axis-aligned with ties at the threshold going left
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import TrainingSet
-from .sampling import HonestyPartition, SubsampleDraw
 
 HONEST = "honest"
 CART = "cart"
 
 # uniforms per node: branch, uniform axis, redrawn axis, fallback axis, fallback threshold
 _UNIFORMS = 5
+
+# split provenance, by split_kind code
+SPLIT_KINDS = ("greedy", "uniform", "redrawn", "fallback")
 
 
 @dataclass(frozen=True)
@@ -93,64 +104,32 @@ class TreeConfig:
             raise ValueError(f"max_leaf_size must be >= 1, got {self.max_leaf_size}")
 
 
-@dataclass(frozen=True)
-class TreeModel:
-    """Fitted tree as flat node arrays; node 0 is the root, feature -1 marks a leaf."""
-
-    feature: np.ndarray  # (nodes,) int32, split axis or -1
-    threshold: np.ndarray  # (nodes,) float64
-    left: np.ndarray  # (nodes,) int32 child ids
-    right: np.ndarray  # (nodes,) int32
-    value: np.ndarray  # (nodes,) float64 leaf predictions
-    pred_index: np.ndarray  # (nodes,) int32 training index behind a leaf, -1 for CART
-    from_random: np.ndarray  # (nodes,) bool, split axis came from the uniform branch
-    n_features: int
-    config: TreeConfig
-    subsample: SubsampleDraw
-    partition: HonestyPartition | None = field(default=None)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
-
-
 class GrownBlock(NamedTuple):
     """Packed node arrays of a block of trees, each tree contiguous and breadth-first."""
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
     threshold: np.ndarray  # (N,) float64
-    child: np.ndarray  # (N, 2) intp block-global [left, right] ids; a leaf's are its own id
     value: np.ndarray  # (N,) float64
     pred_index: np.ndarray  # (N,) int32, -1 for CART
-    from_random: np.ndarray  # (N,) bool
+    split_kind: np.ndarray  # (N,) uint8 index into SPLIT_KINDS, 0 at leaves
     roots: np.ndarray  # (T,) intp
 
 
-def tree_view(grown, lo: int, hi: int, n_features: int, config: TreeConfig,
-              subsample: SubsampleDraw, partition: HonestyPartition | None) -> TreeModel:
-    """``TreeModel`` of the tree owning packed nodes [lo, hi) of ``grown``, with local child ids.
+def left_children(feature: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Left child id of every split of packed breadth-first trees; a leaf maps to itself.
 
-    ``grown`` is anything with the packed node arrays: a ``GrownBlock`` or a forest.
+    Tree b's split with k splits before it in the tree has children
+    ``roots[b] + 1 + 2k`` and the id after that.
     """
-    leaf = grown.feature[lo:hi] < 0
-    local = np.where(leaf[:, None], -1, grown.child[lo:hi] - lo).astype(np.int32)
-    return TreeModel(
-        feature=grown.feature[lo:hi],
-        threshold=grown.threshold[lo:hi],
-        left=local[:, 0],
-        right=local[:, 1],
-        value=grown.value[lo:hi],
-        pred_index=grown.pred_index[lo:hi],
-        from_random=grown.from_random[lo:hi],
-        n_features=n_features,
-        config=config,
-        subsample=subsample,
-        partition=partition,
-    )
+    split = feature >= 0
+    # built in place: a split with c splits up to and including it in the
+    # forest has k = c - 1 - (splits before its root)
+    left = np.cumsum(split)
+    first = roots - 1 - 2 * (left[roots] - split[roots])
+    left *= 2
+    left += np.repeat(first, np.diff(np.append(roots, feature.size)))
+    np.copyto(left, np.arange(feature.size), where=~split)
+    return left
 
 
 @dataclass(frozen=True)
@@ -234,7 +213,7 @@ def _level(ts, axes, cfg, n_nodes, points, u):
 
     ``points`` holds (node, training index) arrays: structure points first,
     then, for honest trees, prediction points. Returns per node whether it
-    splits, the axis, threshold and from_random of a split, and the value
+    splits, the axis, threshold and split kind of a split, and the value
     and training index of a leaf.
     """
     n, d = ts.x.shape
@@ -290,7 +269,7 @@ def _level(ts, axes, cfg, n_nodes, points, u):
         np.maximum.at(hi, s_node, labels)
         split = (s_count > cfg.max_leaf_size) & (lo < hi) & (best[every, axis] > node_total ** 2 / s_count)
         no_pred = np.full(n_nodes, -1)
-        return split, axis, best_thr[every, axis], np.zeros(n_nodes, dtype=bool), node_total / s_count, no_pred
+        return split, axis, best_thr[every, axis], np.zeros(n_nodes, dtype=np.uint8), node_total / s_count, no_pred
 
     has = best > -np.inf
     uniform = u[:, 0] < cfg.delta
@@ -301,7 +280,7 @@ def _level(ts, axes, cfg, n_nodes, points, u):
     axis = np.where(uniform, np.where(has[every, drawn], drawn, redrawn), axis)
     thr = best_thr[every, axis]
     split = has.any(axis=1)
-    from_random = uniform
+    kind = np.where(uniform, np.where(has[every, drawn], 1, 2), 0).astype(np.uint8)
     need = ~split
     if need.any():
         # prediction-coordinate fallback for the nodes no structure midpoint splits
@@ -329,12 +308,11 @@ def _level(ts, axes, cfg, n_nodes, points, u):
         k = _pick(u[fb, 4], fb_count[fb, fb_axis])
         thr[fb] = fb_thr[fb_start[fb, fb_axis] + k]
         axis[fb] = fb_axis
-        from_random = uniform.copy()
-        from_random[fb] = True
+        kind[fb] = 3
         split[fb] = True
     leaf_pred = np.full(n_nodes, n)
     np.minimum.at(leaf_pred, p_node, p_pt)
-    return split, axis, thr, from_random, ts.y[leaf_pred], leaf_pred
+    return split, axis, thr, kind, ts.y[leaf_pred], leaf_pred
 
 
 def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np.ndarray,
@@ -352,8 +330,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
     threshold = np.zeros(n_trees * cap)
     value = np.zeros(n_trees * cap)
     pred_index = np.full(n_trees * cap, -1, dtype=np.int32)
-    from_random = np.zeros(n_trees * cap, dtype=bool)
-    left = np.zeros(n_trees * cap, dtype=np.intp)
+    split_kind = np.zeros(n_trees * cap, dtype=np.uint8)
     size = np.ones(n_trees, dtype=np.intp)
 
     tree_of = np.arange(n_trees)
@@ -363,20 +340,19 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
     while tree_of.size:
         slot = tree_of * cap + node_id
         u = uniforms[tree_of, node_id] if honest else None
-        split, axis, thr, rand, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u)
+        split, axis, thr, kind, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u)
         leaf = slot[~split]
         value[leaf] = leaf_value[~split]
         pred_index[leaf] = leaf_pred[~split]
         inner = slot[split]
         feature[inner] = axis[split]
         threshold[inner] = thr[split]
-        from_random[inner] = rand[split]
+        split_kind[inner] = kind[split]
         # a tree's new nodes follow its existing ones, in the order of their parents
         parent_tree = tree_of[split]
         per_tree = np.bincount(parent_tree, minlength=n_trees)
         k = np.arange(parent_tree.size) - (np.cumsum(per_tree) - per_tree)[parent_tree]
         left_id = size[parent_tree] + 2 * k
-        left[inner] = left_id
         size += 2 * per_tree
         tree_of = np.repeat(parent_tree, 2)
         node_id = (left_id[:, None] + np.arange(2)).ravel()
@@ -391,83 +367,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
 
     kept = (np.arange(cap) < size[:, None]).ravel()
     roots = np.cumsum(size) - size
-    feature = feature[kept]
-    ids = np.arange(feature.size)
-    left = left[kept] + np.repeat(roots, size)
-    child = np.where((feature >= 0)[:, None], left[:, None] + np.arange(2), ids[:, None])
-    return GrownBlock(feature, threshold[kept], child, value[kept], pred_index[kept], from_random[kept], roots)
-
-
-def fit_honest(
-    ts: TrainingSet,
-    draw: SubsampleDraw,
-    partition: HonestyPartition,
-    cfg: TreeConfig,
-    rng: np.random.Generator,
-) -> TreeModel:
-    """Grow an honest regular tree on the given subsample and partition.
-
-    Draws the tree's uniform table from ``rng``, exactly as forest training
-    does after the same subsample and partition draws.
-    """
-    if draw.s < 2:
-        raise ValueError(f"honest trees need a subsample of size >= 2, got {draw.s}")
-    if partition.prediction.size < 1:
-        raise ValueError("empty prediction set")
-    if draw.n != ts.n:
-        raise ValueError(f"draw over n={draw.n} does not match training set n={ts.n}")
-    uniforms = split_uniforms(rng, partition.prediction.size)
-    grown = grow_block(ts, sorted_axes(ts), cfg, partition.structure[None], partition.prediction[None], uniforms[None])
-    return tree_view(grown, 0, grown.feature.size, ts.d, cfg, draw, partition)
-
-
-def fit_greedy_cart(
-    ts: TrainingSet,
-    draw: SubsampleDraw,
-    cfg: TreeConfig,
-    rng: np.random.Generator | None = None,
-) -> TreeModel:
-    """Grow a greedy CART-style tree (deterministic; rng kept for interface parity)."""
-    if draw.n != ts.n:
-        raise ValueError(f"draw over n={draw.n} does not match training set n={ts.n}")
-    grown = grow_block(ts, sorted_axes(ts), cfg, draw.indices[None])
-    return tree_view(grown, 0, grown.feature.size, ts.d, cfg, draw, None)
-
-
-def _leaf_of(tree: TreeModel, xq: np.ndarray) -> int:
-    nid = 0
-    feature = tree.feature
-    while feature[nid] >= 0:
-        if xq[feature[nid]] <= tree.threshold[nid]:
-            nid = tree.left[nid]
-        else:
-            nid = tree.right[nid]
-    return nid
-
-
-def predict(tree: TreeModel, xq) -> float:
-    """Prediction of the unique leaf containing xq (ties at thresholds go left)."""
-    xq = np.asarray(xq, dtype=np.float64).reshape(-1)
-    if xq.size != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {xq.size}")
-    return float(tree.value[_leaf_of(tree, xq)])
-
-
-def predict_batch(tree: TreeModel, xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if xs.shape[1] != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {xs.shape[1]}")
-    return np.array([tree.value[_leaf_of(tree, row)] for row in xs])
-
-
-def selected_index(tree: TreeModel, xq) -> int:
-    """Training index i*(x) behind the leaf prediction (honest trees only)."""
-    if tree.config.mode != HONEST:
-        raise ValueError("selected_index is defined for honest trees only")
-    xq = np.asarray(xq, dtype=np.float64).reshape(-1)
-    if xq.size != tree.n_features:
-        raise ValueError(f"expected {tree.n_features} features, got {xq.size}")
-    return int(tree.pred_index[_leaf_of(tree, xq)])
+    return GrownBlock(feature[kept], threshold[kept], value[kept], pred_index[kept], split_kind[kept], roots)
 
 
 def is_pnn(xq, i: int, candidates, ts: TrainingSet) -> bool:
@@ -491,57 +391,101 @@ def is_pnn(xq, i: int, candidates, ts: TrainingSet) -> bool:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Per-split child fractions and per-leaf prediction counts of an honest tree."""
+    """Per-split child fractions and per-leaf prediction counts of an honest forest."""
 
+    split_tree: np.ndarray  # (splits,) intp, the tree each split belongs to
     split_axes: np.ndarray  # (splits,) int32
-    split_from_random: np.ndarray  # (splits,) bool
+    split_kinds: np.ndarray  # (splits,) uint8 index into SPLIT_KINDS
     split_min_fraction: np.ndarray  # (splits,) float64, min child fraction
     splits_ok: np.ndarray  # (splits,) bool, min fraction >= gamma
     leaf_pred_counts: np.ndarray  # (leaves,) int64
-    leaves_ok: np.ndarray  # (leaves,) bool, exactly one prediction point
+    leaves_ok: np.ndarray  # (leaves,) bool, see validate_regularity
     gamma: float
 
     @property
     def passed(self) -> bool:
         return bool(self.splits_ok.all() and self.leaves_ok.all())
 
+    @property
+    def unsplittable_leaves(self) -> int:
+        """Accepted leaves holding two or more prediction points."""
+        return int(np.count_nonzero(self.leaves_ok & (self.leaf_pred_counts >= 2)))
 
-def validate_regularity(tree: TreeModel, ts: TrainingSet) -> RegularityReport:
-    """Audit child fractions and leaf occupancy by re-routing the subsample."""
-    if tree.config.mode != HONEST or tree.partition is None:
+
+def _splittable(x_s: np.ndarray, x_p: np.ndarray, gamma: float) -> bool:
+    """Whether some structure or prediction-coordinate midpoint is admissible for a node.
+
+    ``x_s`` and ``x_p`` are the node's structure and prediction feature rows.
+    """
+    m = len(x_s) + len(x_p)
+    for a in range(x_p.shape[1]):
+        for coords in (x_s[:, a], x_p[:, a]):
+            u = np.unique(coords)
+            t = 0.5 * (u[:-1] + u[1:])
+            left_p = np.count_nonzero(x_p[:, a, None] <= t, axis=0)
+            left = left_p + np.count_nonzero(x_s[:, a, None] <= t, axis=0)
+            if np.any((left_p >= 1) & (left_p < len(x_p)) & _balanced(left, m, gamma)):
+                return True
+    return False
+
+
+def validate_regularity(forest, ts: TrainingSet) -> RegularityReport:
+    """Audit child fractions and leaf occupancy of every tree of an honest forest.
+
+    Routes every tree's subsample down its tree level by level, all trees at
+    once. A split passes when both children keep at least a gamma fraction
+    of its points. A leaf passes when its value and training index are those
+    of its lowest prediction point, and it holds exactly one prediction point
+    or, failing that, at least two that no admissible midpoint could separate
+    (the split rule in the module docstring).
+    """
+    cfg = forest.config.tree
+    if cfg.mode != HONEST:
         raise ValueError("regularity validation is defined for honest trees only")
-    gamma = tree.config.gamma
-    axes, rand, min_frac, ok = [], [], [], []
-    leaf_counts, leaves_ok = [], []
-    stack = [(0, tree.subsample.indices, tree.partition.prediction)]
-    while stack:
-        nid, idx, pidx = stack.pop()
-        axis = int(tree.feature[nid])
-        if axis < 0:
-            leaf_counts.append(pidx.size)
-            leaves_ok.append(
-                pidx.size == 1
-                and int(tree.pred_index[nid]) == int(pidx[0])
-                and tree.value[nid] == ts.y[int(pidx[0])]
-            )
-            continue
-        thr = tree.threshold[nid]
-        go_left = ts.x[idx, axis] <= thr
-        p_left = ts.x[pidx, axis] <= thr
-        n_left = int(np.count_nonzero(go_left))
-        mf = min(n_left, idx.size - n_left) / idx.size
-        axes.append(axis)
-        rand.append(bool(tree.from_random[nid]))
-        min_frac.append(mf)
-        ok.append(mf >= gamma)
-        stack.append((int(tree.right[nid]), idx[~go_left], pidx[~p_left]))
-        stack.append((int(tree.left[nid]), idx[go_left], pidx[p_left]))
+    n, gamma = ts.n, cfg.gamma
+    b, s = forest.subsample_indices.shape
+    pt = forest.subsample_indices.ravel()
+    # prediction points of each row, found by row-offset keys
+    offset = np.arange(b)[:, None] * n
+    is_pred = np.zeros(pt.size, dtype=bool)
+    is_pred[np.searchsorted((forest.subsample_indices + offset).ravel(), (forest.prediction_indices + offset).ravel())] = True
+    node, tree_of = forest.roots, np.arange(b)
+    at = np.repeat(tree_of, s)  # each point's position in the frontier
+    splits, leaves = [], []
+    while node.size:
+        feat = forest.feature[node]
+        inner = feat >= 0
+        count = np.bincount(at, minlength=node.size)
+        p_count = np.bincount(at[is_pred], minlength=node.size)
+        lowest = np.full(node.size, n)
+        np.minimum.at(lowest, at[is_pred], pt[is_pred])
+        leaf_at = np.flatnonzero(~inner)
+        leaf, p_leaf, low = node[leaf_at], p_count[leaf_at], lowest[leaf_at]
+        ok = (p_leaf >= 1) & (forest.pred_index[leaf] == low) & (forest.value[leaf] == ts.y[np.minimum(low, n - 1)])
+        for j in np.flatnonzero(ok & (p_leaf >= 2)):
+            mine = at == leaf_at[j]
+            ok[j] = not _splittable(ts.x[pt[mine & ~is_pred]], ts.x[pt[mine & is_pred]], gamma)
+        leaves.append((p_leaf, ok))
+
+        keep = inner[at]
+        at, pt, is_pred = at[keep], pt[keep], is_pred[keep]
+        go_right = ~(ts.x[pt, feat[at]] <= forest.threshold[node[at]])
+        m = count[inner]
+        n_left = m - np.bincount(at[go_right], minlength=node.size)[inner]
+        splits.append((tree_of[inner], feat[inner], forest.split_kind[node[inner]],
+                       np.minimum(n_left, m - n_left) / np.maximum(m, 1)))
+        at = 2 * (np.cumsum(inner) - 1)[at] + go_right
+        node = (forest.left[node[inner], None] + np.arange(2)).ravel()
+        tree_of = np.repeat(tree_of[inner], 2)
+    split_tree, axes, kinds, min_frac = (np.concatenate(a) for a in zip(*splits))
+    counts, leaves_ok = (np.concatenate(a) for a in zip(*leaves))
     return RegularityReport(
-        split_axes=np.asarray(axes, dtype=np.int32),
-        split_from_random=np.asarray(rand, dtype=bool),
-        split_min_fraction=np.asarray(min_frac, dtype=np.float64),
-        splits_ok=np.asarray(ok, dtype=bool),
-        leaf_pred_counts=np.asarray(leaf_counts, dtype=np.int64),
-        leaves_ok=np.asarray(leaves_ok, dtype=bool),
+        split_tree=split_tree,
+        split_axes=axes,
+        split_kinds=kinds,
+        split_min_fraction=min_frac,
+        splits_ok=min_frac >= gamma,
+        leaf_pred_counts=counts,
+        leaves_ok=leaves_ok,
         gamma=gamma,
     )

@@ -190,21 +190,15 @@ def test_criterion_7_consistency_trend(capsys):
 
 def test_criterion_8_regularity_audit(capsys):
     ts = dataset.gen_synthetic(SyntheticSpec("cosine", 2), 1000, seed=7)
-    s = sampling.default_subsample_size(1000)
     cfg = TreeConfig()
-    axes, rand_flags, n_splits, all_pass = [], [], 0, True
-    for b in range(500):
-        gen = rng.stream(4242, rng.TREE, b)
-        draw = sampling.draw_subsample(1000, s, gen)
-        part = sampling.honesty_partition(draw, gen)
-        model = tree.fit_honest(ts, draw, part, cfg, gen)
-        rep = tree.validate_regularity(model, ts)
-        all_pass &= rep.passed
-        axes.append(rep.split_axes)
-        rand_flags.append(rep.split_from_random)
-        n_splits += rep.split_axes.size
-    axes = np.concatenate(axes)
-    rand_flags = np.concatenate(rand_flags)
+    # tree b's subsample, partition and split draws come from stream (4242, TREE, b)
+    fm = forest.train(ts, ForestConfig(b=500, seed=4242, tree=cfg))
+    assert fm.s == sampling.default_subsample_size(1000)
+    rep = tree.validate_regularity(fm, ts)
+    all_pass = rep.passed
+    axes = rep.split_axes
+    rand_flags = rep.split_kinds != 0
+    n_splits = axes.size
     assert n_splits >= 10**4
     floor = 0.8 * (cfg.delta / 2)
     # both readings of the frequency floor: uniform-branch splits per axis
@@ -212,10 +206,15 @@ def test_criterion_8_regularity_audit(capsys):
     freq_rand = [float(np.mean((axes == a) & rand_flags)) for a in (0, 1)]
     freq_all = [float(np.mean(axes == a)) for a in (0, 1)]
     freq_ok = all(f >= floor for f in freq_rand) and all(f >= floor for f in freq_all)
+    # reported only: the uniform-branch reading without prediction-coordinate fallbacks
+    branch = np.isin(rep.split_kinds, [tree.SPLIT_KINDS.index("uniform"), tree.SPLIT_KINDS.index("redrawn")])
+    freq_branch = [float(np.mean((axes == a) & branch)) for a in (0, 1)]
     _report(capsys, 8, "regularity audit", all_pass and freq_ok,
             f"500 trees, {n_splits} splits, all gamma/leaf checks pass={all_pass}; "
             f"uniform-branch axis freq {freq_rand[0]:.3f}/{freq_rand[1]:.3f}, "
-            f"overall {freq_all[0]:.3f}/{freq_all[1]:.3f} (floor {floor})")
+            f"overall {freq_all[0]:.3f}/{freq_all[1]:.3f} (floor {floor}); "
+            f"without fallbacks {freq_branch[0]:.3f}/{freq_branch[1]:.3f}, "
+            f"unsplittable multi-point leaves {rep.unsplittable_leaves}")
     assert all_pass
     assert freq_ok
 

@@ -10,7 +10,7 @@ from subforest.cli import main
 from subforest.forest import ForestConfig
 from subforest.model_io import load_model, save_model
 
-from conftest import time_limit, trees_equal
+from conftest import time_limit
 
 
 def _sha(path):
@@ -161,7 +161,7 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 1
 
 
-_ARRAYS = ("feature", "threshold", "child", "value", "pred_index", "from_random", "roots",
+_ARRAYS = ("feature", "threshold", "value", "pred_index", "split_kind", "roots",
            "subsample_indices", "prediction_indices")
 
 
@@ -203,12 +203,6 @@ class TestModelFile:
             assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
         xs = np.random.default_rng(3).random((40, 2))
         assert np.array_equal(forest.predict_per_tree(loaded, xs), forest.predict_per_tree(fm, xs))
-        for a, b in zip(fm.trees, loaded.trees):
-            assert trees_equal(a, b)
-            assert np.array_equal(a.subsample.indices, b.subsample.indices)
-            if a.partition is not None:
-                assert np.array_equal(a.partition.structure, b.partition.structure)
-                assert np.array_equal(a.partition.prediction, b.partition.prediction)
 
     def test_truncated_file_refused(self, saved, tmp_path, capsys):
         _, path = saved
@@ -216,14 +210,17 @@ class TestModelFile:
         self._refused(path, tmp_path, capsys, "truncated")
 
     def test_child_not_after_parent_refused(self, saved, tmp_path, capsys):
-        # the root pointing back at itself would otherwise walk forever
-        _, path = saved
+        # tree 0's root made a leaf and its last leaf a split: the node count
+        # holds, but a split with no split before it has itself as its
+        # derived left child (the [-1, 0, -1] shape), which would walk forever
+        fm, path = saved
 
-        def edit(child):
-            child[0, 0] = 0
+        def edit(feature):
+            feature[0] = -1
+            feature[fm.roots[1] - 1] = 0
 
-        self._rewrite(path, "child", edit)
-        self._refused(path, tmp_path, capsys, "after their parent")
+        self._rewrite(path, "feature", edit)
+        self._refused(path, tmp_path, capsys, "children must lie after it")
 
     def test_feature_out_of_range_refused(self, saved, tmp_path, capsys):
         _, path = saved
@@ -244,14 +241,15 @@ class TestModelFile:
         self._rewrite(path, "threshold", edit)
         self._refused(path, tmp_path, capsys, "split thresholds must be finite")
 
-    def test_shared_child_refused(self, saved, tmp_path, capsys):
-        _, path = saved
+    def test_wrong_node_count_refused(self, saved, tmp_path, capsys):
+        # one more split in tree 0 would derive children past its last node
+        fm, path = saved
 
-        def edit(child):
-            child[0, 1] = child[0, 0]
+        def edit(feature):
+            feature[fm.roots[1] - 1] = 0
 
-        self._rewrite(path, "child", edit)
-        self._refused(path, tmp_path, capsys, "child of exactly one split")
+        self._rewrite(path, "feature", edit)
+        self._refused(path, tmp_path, capsys, r"2 \* splits \+ 1 nodes")
 
     def test_version_1_json_model_refused(self, tmp_path, capsys):
         path = tmp_path / "v1.json"
@@ -259,14 +257,33 @@ class TestModelFile:
                                    sort_keys=True, separators=(",", ":")) + "\n")
         self._refused(path, tmp_path, capsys, "format version 1 does not match")
 
-    def test_version_2_model_refused(self, saved, tmp_path, capsys):
-        # same layout, older grower: the header's version alone refuses it
-        _, path = saved
+    @staticmethod
+    def _set_version(path, version):
         header, body = path.read_bytes().split(b"\n", 1)
         doc = json.loads(header)
-        doc["format_version"] = 2
+        doc["format_version"] = version
         path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
-        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 3")
+
+    def test_version_2_model_refused(self, saved, tmp_path, capsys):
+        # older grower: the header's version alone refuses it
+        _, path = saved
+        self._set_version(path, 2)
+        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 4")
+
+    def test_version_3_model_refused(self, saved, tmp_path, capsys):
+        # version 3 stored a child table and a 0/1 provenance flag
+        _, path = saved
+        self._set_version(path, 3)
+        self._refused(path, tmp_path, capsys, "format version 3 does not match supported version 4")
+
+    def test_split_kind_out_of_range_refused(self, saved, tmp_path, capsys):
+        _, path = saved
+
+        def edit(split_kind):
+            split_kind[0] = len(tree.SPLIT_KINDS)
+
+        self._rewrite(path, "split_kind", edit)
+        self._refused(path, tmp_path, capsys, "split kinds")
 
     def test_non_model_file_refused(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"

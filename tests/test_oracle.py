@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from subforest import oracle, tree
+from subforest import forest, oracle, tree
 from subforest.dataset import TrainingSet
 from subforest.oracle import (
     FiniteSupportDistribution,
@@ -159,6 +159,29 @@ class TestHonestTreeLearner:
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.3, 0.9])
         assert learner(xs, ys) in ys
 
+    def test_outputs_pinned(self):
+        # the values the one-tree fit path gave on the inputs above, bit for bit
+        learner = HonestTreeLearner(tree.TreeConfig(), x=[0.5, 0.5])
+        gen = np.random.default_rng(3)
+        assert learner(gen.random((6, 2)), gen.standard_normal(6)) == -0.39080097723465473
+        gen = np.random.default_rng(4)
+        assert learner(gen.random((6, 2)), gen.standard_normal(6)) == -1.9156455579583005
+        gen = np.random.default_rng(5)
+        xs, ys = gen.random((8, 2)), gen.standard_normal(8)
+        assert HonestTreeLearner(tree.TreeConfig(), x=[0.3, 0.9])(xs, ys) == -0.06308597192528916
+
+    @pytest.mark.parametrize("m", [2, 5, 16])
+    def test_batch_equals_one_row_calls(self, monkeypatch, m):
+        # 11 rows in blocks of 4 trees, with duplicate rows and tied features
+        monkeypatch.setattr(forest, "_TREE_BLOCK", 4)
+        gen = np.random.default_rng(6)
+        xs = np.round(gen.random((11, m, 2)), 1)
+        ys = gen.standard_normal((11, m))
+        xs[3], ys[3] = xs[2], ys[2]
+        learner = HonestTreeLearner(tree.TreeConfig(), x=[0.4, 0.6], base_seed=9)
+        batch = learner.evaluate_many(xs, ys)
+        assert np.array_equal(batch, [learner(x, y) for x, y in zip(xs, ys)])
+
 
 class TestIncrementality:
     def test_exact_path_ratio_in_unit_interval(self):
@@ -169,6 +192,8 @@ class TestIncrementality:
         for p in pts:
             assert p.method == "exact"
             assert 0.0 <= p.ratio <= 1.0 + 1e-12
+        # the ratios the one-tree fit path gave, bit for bit
+        assert [p.ratio for p in pts] == [0.7368421052631579, 0.8399999999999999]
 
     def test_constant_labels_degenerate(self):
         dist = FiniteSupportDistribution(

@@ -1,24 +1,31 @@
 import numpy as np
 import pytest
 
-from subforest import dataset, rng, sampling, tree
+from subforest import dataset, forest, rng, sampling, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
-from subforest.sampling import HonestyPartition, SubsampleDraw
+from subforest.forest import ForestConfig
 from subforest.tree import TreeConfig
 
-from conftest import trees_equal
+from conftest import grow_one, one_tree_forest, reference_children, reference_leaf, same_forest
 
 
 def _stream(i=0):
     return rng.stream(2024, rng.SPLIT, i)
 
 
-def _fit_cosine_honest(ts, seed=0, cfg=None):
-    g = rng.stream(seed, rng.TREE, 0)
-    draw = sampling.draw_subsample(ts.n, sampling.default_subsample_size(ts.n), g)
-    part = sampling.honesty_partition(draw, g)
-    model = tree.fit_honest(ts, draw, part, cfg or TreeConfig(), g)
-    return model, draw, part
+def _fit_honest(ts, structure, prediction, cfg=None, gen=None):
+    """One honest tree on a given partition, its uniform table drawn from ``gen``."""
+    uniforms = tree.split_uniforms(gen, len(prediction))
+    return grow_one(ts, cfg or TreeConfig(), structure, prediction, uniforms)
+
+
+def _fit_cosine_honest(ts, seed=0):
+    """Tree 0 of a forest with this seed: its subsample, partition and uniforms come from stream (seed, TREE, 0)."""
+    return forest.train(ts, ForestConfig(b=1, seed=seed))
+
+
+def _fit_cart(ts, rows, cfg=None):
+    return grow_one(ts, cfg or TreeConfig(mode="cart"), rows)
 
 
 class TestConfig:
@@ -38,66 +45,57 @@ class TestConfig:
 class TestFitHonest:
     def test_two_points_single_leaf(self):
         ts = TrainingSet(np.array([[0.2], [0.8]]), np.array([1.0, 9.0]))
-        draw = SubsampleDraw(np.array([0, 1]), 2)
-        part = HonestyPartition(structure=np.array([0]), prediction=np.array([1]))
-        model = tree.fit_honest(ts, draw, part, TreeConfig(), _stream())
-        assert model.n_nodes == 1
-        assert tree.predict(model, [0.5]) == 9.0
+        model = _fit_honest(ts, [0], [1], gen=_stream())
+        assert model.feature.size == 1
+        assert forest.predict(model, [0.5]) == 9.0
         assert model.pred_index[0] == 1
 
     def test_d1_threshold_between_prediction_points(self):
         # structure at 0.2, 0.8; prediction at 0.1, 0.9: the only candidate
         # midpoint 0.5 keeps one prediction point per side
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
-        draw = SubsampleDraw(np.arange(4), 4)
-        part = HonestyPartition(structure=np.array([0, 1]), prediction=np.array([2, 3]))
-        model = tree.fit_honest(ts, draw, part, TreeConfig(), _stream(1))
+        model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
         assert model.feature[0] == 0
         assert model.threshold[0] == pytest.approx(0.5)
         assert 0.1 < model.threshold[0] < 0.9
-        assert tree.predict(model, [0.0]) == 5.0
-        assert tree.predict(model, [1.0]) == 7.0
+        assert forest.predict(model, [0.0]) == 5.0
+        assert forest.predict(model, [1.0]) == 7.0
 
     def test_honesty_label_permutation_preserves_structure(self, cosine_1k):
         ts = cosine_1k
-        model, draw, part = _fit_cosine_honest(ts, seed=5)
+        model = _fit_cosine_honest(ts, seed=5)
         # permute labels on the prediction set only; refit with the same streams
+        prediction = model.prediction_indices[0]
         y2 = ts.y.copy()
-        perm = np.random.default_rng(0).permutation(part.prediction)
-        y2[part.prediction] = ts.y[perm]
+        y2[prediction] = ts.y[np.random.default_rng(0).permutation(prediction)]
         ts2 = TrainingSet(ts.x, y2)
-        g = rng.stream(5, rng.TREE, 0)
-        sampling.draw_subsample(ts.n, draw.s, g)
-        sampling.honesty_partition(draw, g)
-        model2 = tree.fit_honest(ts2, draw, part, TreeConfig(), g)
+        model2 = _fit_cosine_honest(ts2, seed=5)
         assert np.array_equal(model.feature, model2.feature)
         assert np.array_equal(model.threshold, model2.threshold)
-        assert np.array_equal(model.from_random, model2.from_random)
+        assert np.array_equal(model.split_kind, model2.split_kind)
         # leaf values follow the permuted labels
         assert np.array_equal(model2.value[model2.feature < 0],
                               ts2.y[model2.pred_index[model2.feature < 0]])
 
     def test_fully_grown_leaf_count(self, cosine_1k):
-        model, _, part = _fit_cosine_honest(cosine_1k, seed=6)
-        assert model.n_leaves == part.prediction.size
+        model = _fit_cosine_honest(cosine_1k, seed=6)
+        assert np.count_nonzero(model.feature < 0) == model.prediction_indices.shape[1]
 
     def test_leaf_values_are_prediction_labels(self, cosine_1k):
-        model, _, part = _fit_cosine_honest(cosine_1k, seed=7)
+        model = _fit_cosine_honest(cosine_1k, seed=7)
         leaves = model.feature < 0
-        assert np.all(np.isin(model.pred_index[leaves], part.prediction))
+        assert np.all(np.isin(model.pred_index[leaves], model.prediction_indices[0]))
         assert np.array_equal(model.value[leaves], cosine_1k.y[model.pred_index[leaves]])
 
     def test_empty_prediction_set_rejected(self):
         with pytest.raises(ValueError):
-            HonestyPartition(structure=np.array([0, 1]), prediction=np.array([], dtype=np.int64))
+            sampling.HonestyPartition(structure=np.array([0, 1]), prediction=np.array([], dtype=np.int64))
 
     def test_duplicate_points_collapse_to_lowest_index(self):
         x = np.full((4, 2), 0.5)
         ts = TrainingSet(x, np.array([1.0, 2.0, 3.0, 4.0]))
-        draw = SubsampleDraw(np.arange(4), 4)
-        part = HonestyPartition(structure=np.array([0, 1]), prediction=np.array([2, 3]))
-        model = tree.fit_honest(ts, draw, part, TreeConfig(), _stream(2))
-        assert model.n_nodes == 1
+        model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(2))
+        assert model.feature.size == 1
         assert model.pred_index[0] == 2
 
 
@@ -125,14 +123,26 @@ class TestGrowBlock:
             alone = tree.grow_block(ts, axes, cfg, structure[t:t + 1], prediction[t:t + 1], uniforms[t:t + 1])
             lo = block.roots[t]
             hi = block.roots[t + 1] if t < 5 else block.feature.size
-            assert np.array_equal(block.child[lo:hi] - lo, alone.child)
-            for name in ("feature", "threshold", "value", "pred_index", "from_random"):
+            for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
                 assert np.array_equal(getattr(block, name)[lo:hi], getattr(alone, name)), (t, name)
         assert block.feature[0] == -1 and block.pred_index[0] == 3
         root1 = block.roots[1]
-        assert block.feature[root1] >= 0 and block.from_random[root1]
+        assert block.feature[root1] >= 0 and tree.SPLIT_KINDS[block.split_kind[root1]] == "fallback"
         px = np.sort(x[prediction[1], block.feature[root1]])
         assert block.threshold[root1] in 0.5 * (px[:-1] + px[1:])
+
+    def test_redrawn_axis_is_recorded(self):
+        # the uniform branch draws axis 0, where every structure point sits at
+        # 0.5, so the axis is redrawn to axis 1
+        x = np.array([[0.5, 0.1], [0.5, 0.2], [0.5, 0.8], [0.5, 0.9],
+                      [0.3, 0.15], [0.4, 0.25], [0.6, 0.85], [0.7, 0.95]])
+        ts = TrainingSet(x, np.arange(8.0))
+        uniforms = np.full((7, 5), 0.5)
+        uniforms[0, :2] = 0.0  # uniform branch, axis 0
+        block = tree.grow_block(ts, tree.sorted_axes(ts), TreeConfig(), np.array([[0, 1, 2, 3]]),
+                                np.array([[4, 5, 6, 7]]), uniforms[None])
+        assert block.feature[0] == 1 and block.threshold[0] == 0.5
+        assert tree.SPLIT_KINDS[block.split_kind[0]] == "redrawn"
 
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
         rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
@@ -145,37 +155,34 @@ class TestGrowBlock:
             lo, hi = block.roots[t], ends[t]
             assert np.array_equal(block.value[lo:hi], alone.value)
             assert np.array_equal(block.threshold[lo:hi], alone.threshold)
-            assert np.array_equal(block.child[lo:hi] - lo, alone.child)
+            assert np.array_equal(block.feature[lo:hi], alone.feature)
 
 
 class TestFitGreedyCart:
     def test_constant_labels_single_leaf(self):
         ts = TrainingSet(np.random.default_rng(0).random((20, 2)), np.full(20, 4.5))
-        model = tree.fit_greedy_cart(ts, SubsampleDraw(np.arange(20), 20), TreeConfig(mode="cart"))
+        model = _fit_cart(ts, np.arange(20))
         assert np.all(model.value[model.feature < 0] == 4.5)
 
     def test_single_point(self):
         ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
-        model = tree.fit_greedy_cart(ts, SubsampleDraw(np.array([0]), 1), TreeConfig(mode="cart"))
-        assert model.n_nodes == 1 and model.value[0] == 2.5
+        grown = tree.grow_block(ts, tree.sorted_axes(ts), TreeConfig(mode="cart"), np.array([[0]]))
+        assert grown.feature.size == 1 and grown.value[0] == 2.5
 
     def test_hand_case_two_label_groups(self):
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
-        model = tree.fit_greedy_cart(
-            ts, SubsampleDraw(np.arange(4), 4), TreeConfig(mode="cart", max_leaf_size=2)
-        )
+        model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
         assert model.feature[0] == 0
         assert model.threshold[0] == pytest.approx(0.5)
-        assert tree.predict(model, [0.15]) == 0.0
-        assert tree.predict(model, [0.85]) == 10.0
+        assert forest.predict(model, [0.15]) == 0.0
+        assert forest.predict(model, [0.85]) == 10.0
 
     def test_leaf_means(self, cosine_1k):
         g = rng.stream(1, rng.TREE, 1)
-        draw = sampling.draw_subsample(1000, 60, g)
-        model = tree.fit_greedy_cart(cosine_1k, draw, TreeConfig(mode="cart"), g)
-        # verify one leaf's value is the mean of the training labels routed to it
-        idx = draw.indices
-        leaf_ids = np.array([tree._leaf_of(model, cosine_1k.x[i]) for i in idx])
+        idx = sampling.draw_subsample(1000, 60, g).indices
+        model = _fit_cart(cosine_1k, idx)
+        # verify each leaf's value is the mean of the training labels routed to it
+        leaf_ids = np.array([reference_leaf(model, 0, cosine_1k.x[i]) for i in idx])
         for leaf in np.unique(leaf_ids):
             members = idx[leaf_ids == leaf]
             assert model.value[leaf] == pytest.approx(cosine_1k.y[members].mean(), rel=1e-12)
@@ -183,40 +190,39 @@ class TestFitGreedyCart:
 
 class TestPredict:
     def test_single_leaf_everywhere(self):
-        ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
-        model = tree.fit_greedy_cart(ts, SubsampleDraw(np.array([0]), 1), TreeConfig(mode="cart"))
+        ts = TrainingSet(np.array([[0.3], [0.3]]), np.array([2.5, 2.5]))
+        model = _fit_cart(ts, np.arange(2))
+        assert model.feature.size == 1
         for v in (0.0, 0.3, 1.0):
-            assert tree.predict(model, [v]) == 2.5
+            assert forest.predict(model, [v]) == 2.5
 
     def test_tie_at_threshold_routes_left(self):
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
-        model = tree.fit_greedy_cart(
-            ts, SubsampleDraw(np.arange(4), 4), TreeConfig(mode="cart", max_leaf_size=2)
-        )
+        model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
         thr = model.threshold[0]
-        assert tree.predict(model, [thr]) == 0.0  # exactly at the threshold: left
+        assert forest.predict(model, [thr]) == 0.0  # exactly at the threshold: left
 
     def test_dimension_mismatch(self, cosine_1k):
-        model, _, _ = _fit_cosine_honest(cosine_1k)
+        model = _fit_cosine_honest(cosine_1k)
         with pytest.raises(ValueError, match="features"):
-            tree.predict(model, [0.1, 0.2, 0.3])
+            forest.predict_per_tree(model, [0.1, 0.2, 0.3])
 
     def test_noise_free_recovery_at_prediction_point(self):
         spec = SyntheticSpec("cosine", 2, noise_sd=0.0)
         ts = dataset.gen_synthetic(spec, 400, seed=3)
-        g = rng.stream(3, rng.TREE, 0)
-        draw = sampling.draw_subsample(400, 66, g)
-        part = sampling.honesty_partition(draw, g)
-        model = tree.fit_honest(ts, draw, part, TreeConfig(), g)
-        for p in part.prediction[:10]:
-            assert tree.predict(model, ts.x[p]) == ts.y[p]
+        model = forest.train(ts, ForestConfig(b=1, seed=3))
+        assert model.s == 66
+        for p in model.prediction_indices[0, :10]:
+            assert forest.predict(model, ts.x[p]) == ts.y[p]
 
     def test_monotone_routing_constant_on_leaf_cell(self, cosine_1k):
-        model, _, _ = _fit_cosine_honest(cosine_1k, seed=9)
+        model = _fit_cosine_honest(cosine_1k, seed=9)
+        left = reference_children(model, 0)
         gen = np.random.default_rng(0)
         for _ in range(20):
             xq = gen.random(2)
-            leaf = tree._leaf_of(model, xq)
+            leaf = reference_leaf(model, 0, xq)
+            assert forest.predict(model, xq) == model.value[leaf]
             # walk the cell bounds by descending with the recorded routing
             lo, hi = np.zeros(2), np.ones(2)
             nid = 0
@@ -224,42 +230,32 @@ class TestPredict:
                 a, t = model.feature[nid], model.threshold[nid]
                 if xq[a] <= t:
                     hi[a] = min(hi[a], t)
-                    nid = model.left[nid]
+                    nid = left[nid]
                 else:
                     lo[a] = max(lo[a], t)
-                    nid = model.right[nid]
+                    nid = left[nid] + 1
             assert nid == leaf
             for _ in range(5):
                 inside = lo + (hi - lo) * gen.random(2) * 0.999999
-                assert tree._leaf_of(model, inside) == leaf
+                assert reference_leaf(model, 0, inside) == leaf
 
 
 class TestSelectedIndex:
+    # i*(x), the training index behind a leaf prediction, read at the reference walk's leaf
     def test_piecewise_constant_and_matches_leaf(self, cosine_1k):
-        model, _, part = _fit_cosine_honest(cosine_1k, seed=10)
+        model = _fit_cosine_honest(cosine_1k, seed=10)
         gen = np.random.default_rng(1)
         for _ in range(10):
             xq = gen.random(2)
-            i_star = tree.selected_index(model, xq)
-            assert i_star in part.prediction
-            assert tree.predict(model, xq) == cosine_1k.y[i_star]
-            # a nearby point in the same leaf shares i*
-            leaf = tree._leaf_of(model, xq)
-            assert tree.selected_index(model, xq) == model.pred_index[leaf]
+            i_star = model.pred_index[reference_leaf(model, 0, xq)]
+            assert i_star in model.prediction_indices[0]
+            assert forest.predict(model, xq) == cosine_1k.y[i_star]
 
     def test_at_prediction_point(self):
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
-        draw = SubsampleDraw(np.arange(4), 4)
-        part = HonestyPartition(structure=np.array([0, 1]), prediction=np.array([2, 3]))
-        model = tree.fit_honest(ts, draw, part, TreeConfig(), _stream(1))
-        assert tree.selected_index(model, [0.1]) == 2
-        assert tree.selected_index(model, [0.9]) == 3
-
-    def test_cart_rejected(self):
-        ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
-        model = tree.fit_greedy_cart(ts, SubsampleDraw(np.array([0]), 1), TreeConfig(mode="cart"))
-        with pytest.raises(ValueError, match="honest"):
-            tree.selected_index(model, [0.3])
+        model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
+        assert model.pred_index[reference_leaf(model, 0, [0.1])] == 2
+        assert model.pred_index[reference_leaf(model, 0, [0.9])] == 3
 
 
 class TestIsPnn:
@@ -288,33 +284,34 @@ class TestIsPnn:
         assert tree.is_pnn([0.0, 0.0], 0, [0, 1], ts) is False
 
     def test_prediction_is_pnn_of_leaf(self, cosine_1k):
-        model, _, _ = _fit_cosine_honest(cosine_1k, seed=11)
+        model = _fit_cosine_honest(cosine_1k, seed=11)
         gen = np.random.default_rng(2)
         for _ in range(10):
             xq = gen.random(2)
-            i_star = tree.selected_index(model, xq)
+            i_star = int(model.pred_index[reference_leaf(model, 0, xq)])
             assert tree.is_pnn(xq, i_star, [i_star], cosine_1k)
 
 
 class TestValidateRegularity:
     def test_fit_output_passes(self, cosine_1k):
-        model, _, _ = _fit_cosine_honest(cosine_1k, seed=12)
+        model = _fit_cosine_honest(cosine_1k, seed=12)
         rep = tree.validate_regularity(model, cosine_1k)
         assert rep.passed
         assert np.all(rep.split_min_fraction >= rep.gamma)
         assert np.all(rep.leaf_pred_counts == 1)
+        assert np.all(rep.split_tree == 0)
+        assert rep.split_axes.size == np.count_nonzero(model.feature >= 0)
 
     def test_handbuilt_zero_prediction_leaf_fails(self, cosine_1k):
-        model, _, part = _fit_cosine_honest(cosine_1k, seed=13)
+        model = _fit_cosine_honest(cosine_1k, seed=13)
         # swap a leaf's recorded index for a structure point: leaf check must fail
         bad = model.pred_index.copy()
         leaves = np.nonzero(model.feature < 0)[0]
-        bad[leaves[0]] = model.partition.structure[0]
-        broken = tree.TreeModel(
-            feature=model.feature, threshold=model.threshold, left=model.left,
-            right=model.right, value=model.value, pred_index=bad,
-            from_random=model.from_random, n_features=model.n_features,
-            config=model.config, subsample=model.subsample, partition=model.partition,
+        bad[leaves[0]] = np.setdiff1d(model.subsample_indices[0], model.prediction_indices[0])[0]
+        broken = one_tree_forest(
+            cosine_1k, model.config.tree, model.subsample_indices[0], model.prediction_indices[0],
+            feature=model.feature, threshold=model.threshold, value=model.value, pred_index=bad,
+            split_kind=model.split_kind,
         )
         rep = tree.validate_regularity(broken, cosine_1k)
         assert not rep.passed
@@ -325,21 +322,11 @@ class TestValidateRegularity:
         gen = np.random.default_rng(3)
         x = np.sort(gen.random(100)).reshape(-1, 1)
         ts = TrainingSet(x, gen.random(100))
-        draw = SubsampleDraw(np.arange(100), 100)
-        part = HonestyPartition(structure=np.arange(0, 50), prediction=np.arange(50, 100))
         thr = float((x[0, 0] + x[1, 0]) / 2)
-        model = tree.TreeModel(
-            feature=np.array([0, -1, -1], dtype=np.int32),
-            threshold=np.array([thr, 0.0, 0.0]),
-            left=np.array([1, -1, -1], dtype=np.int32),
-            right=np.array([2, -1, -1], dtype=np.int32),
-            value=np.array([0.0, ts.y[50], ts.y[51]]),
-            pred_index=np.array([-1, 50, 51], dtype=np.int32),
-            from_random=np.zeros(3, dtype=bool),
-            n_features=1,
-            config=TreeConfig(),
-            subsample=draw,
-            partition=part,
+        model = one_tree_forest(
+            ts, TreeConfig(), np.arange(100), np.arange(50, 100),
+            feature=[0, -1, -1], threshold=[thr, 0.0, 0.0],
+            value=[0.0, ts.y[50], ts.y[51]], pred_index=[-1, 50, 51],
         )
         rep = tree.validate_regularity(model, ts)
         assert not rep.passed
@@ -350,20 +337,10 @@ class TestValidateRegularity:
         # a 9/1 split of 10 points meets gamma = 0.1 exactly; 10/1 of 11 falls short
         x = np.linspace(0.0, 1.0, m).reshape(-1, 1)
         ts = TrainingSet(x, np.arange(m, dtype=float))
-        draw = SubsampleDraw(np.arange(m), m)
-        part = HonestyPartition(structure=np.arange(1, m // 2 + 1), prediction=np.r_[0, np.arange(m // 2 + 1, m)])
-        model = tree.TreeModel(
-            feature=np.array([0, -1, -1], dtype=np.int32),
-            threshold=np.array([0.5 * (x[-2, 0] + x[-1, 0]), 0.0, 0.0]),
-            left=np.array([1, -1, -1], dtype=np.int32),
-            right=np.array([2, -1, -1], dtype=np.int32),
-            value=np.zeros(3),
-            pred_index=np.array([-1, 0, m - 1], dtype=np.int32),
-            from_random=np.zeros(3, dtype=bool),
-            n_features=1,
-            config=TreeConfig(gamma=0.1),
-            subsample=draw,
-            partition=part,
+        model = one_tree_forest(
+            ts, TreeConfig(gamma=0.1), np.arange(m), np.r_[0, np.arange(m // 2 + 1, m)],
+            feature=[0, -1, -1], threshold=[0.5 * (x[-2, 0] + x[-1, 0]), 0.0, 0.0],
+            value=np.zeros(3), pred_index=[-1, 0, m - 1],
         )
         rep = tree.validate_regularity(model, ts)
         assert rep.split_min_fraction[0] == 1 / m
@@ -375,18 +352,46 @@ class TestValidateRegularity:
         # 17.5, leaving 2 of 20 points on the right: exactly gamma = 0.1
         x = np.arange(20, dtype=float).reshape(-1, 1)
         ts = TrainingSet(x, (x[:, 0] == 18).astype(float))
-        draw = SubsampleDraw(np.arange(20), 20)
-        part = HonestyPartition(structure=np.arange(9, 19), prediction=np.r_[0:9, 19])
-        model = tree.fit_honest(ts, draw, part, TreeConfig(gamma=0.1), _stream(3))
+        model = _fit_honest(ts, np.arange(9, 19), np.r_[0:9, 19], TreeConfig(gamma=0.1), _stream(3))
         assert model.feature[0] == 0
         assert model.threshold[0] == 17.5
         rep = tree.validate_regularity(model, ts)
         assert rep.split_min_fraction[0] == 0.1
         assert rep.splits_ok[0]
 
+    @staticmethod
+    def _one_separating_midpoint():
+        # 1-d, 20 points: structure and 9 prediction points at 0.5, one
+        # prediction point at 0.9; the only separating midpoint, 0.7, leaves
+        # 1 of 20 points on its right
+        x = np.full((20, 1), 0.5)
+        x[19] = 0.9
+        return TrainingSet(x, np.arange(20.0)), np.arange(10), np.arange(10, 20)
+
+    def test_unsplittable_leaf_is_accepted(self):
+        ts, structure, prediction = self._one_separating_midpoint()
+        model = _fit_honest(ts, structure, prediction, TreeConfig(gamma=0.1), _stream(4))
+        assert model.feature.size == 1 and model.pred_index[0] == 10
+        rep = tree.validate_regularity(model, ts)
+        assert rep.passed and rep.unsplittable_leaves == 1
+        assert rep.leaf_pred_counts.tolist() == [10]
+        # at gamma = 0.05 the midpoint is admissible, so the same leaf fails
+        loose = one_tree_forest(ts, TreeConfig(gamma=0.05), np.arange(20), prediction, feature=model.feature,
+                                threshold=model.threshold, value=model.value, pred_index=model.pred_index)
+        rep = tree.validate_regularity(loose, ts)
+        assert not rep.passed and rep.unsplittable_leaves == 0
+        # and the grower splits there
+        assert _fit_honest(ts, structure, prediction, TreeConfig(gamma=0.05), _stream(4)).feature[0] == 0
+
+    def test_unsplittable_leaf_keeps_its_lowest_prediction_index(self):
+        ts, _, prediction = self._one_separating_midpoint()
+        model = one_tree_forest(ts, TreeConfig(gamma=0.1), np.arange(20), prediction, feature=[-1],
+                                threshold=[0.0], value=[ts.y[11]], pred_index=[11])
+        assert not tree.validate_regularity(model, ts).passed
+
     def test_cart_rejected(self):
-        ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
-        model = tree.fit_greedy_cart(ts, SubsampleDraw(np.array([0]), 1), TreeConfig(mode="cart"))
+        ts = TrainingSet(np.array([[0.3], [0.6]]), np.array([2.5, 1.0]))
+        model = _fit_cart(ts, np.arange(2))
         with pytest.raises(ValueError, match="honest"):
             tree.validate_regularity(model, ts)
 
@@ -394,14 +399,8 @@ class TestValidateRegularity:
 class TestSplitAxisFrequency:
     def test_uniform_branch_lower_bound(self, cosine_1k):
         # over many splits with delta=0.5, d=2: each axis frequency >= 0.8 * delta/d
-        axes = []
-        for b in range(60):
-            g = rng.stream(77, rng.TREE, b)
-            draw = sampling.draw_subsample(1000, 125, g)
-            part = sampling.honesty_partition(draw, g)
-            model = tree.fit_honest(cosine_1k, draw, part, TreeConfig(), g)
-            axes.append(model.feature[model.feature >= 0])
-        axes = np.concatenate(axes)
+        fm = forest.train(cosine_1k, ForestConfig(b=60, seed=77))
+        axes = fm.feature[fm.feature >= 0]
         assert axes.size >= 10**3
         for a in (0, 1):
             assert np.mean(axes == a) >= 0.8 * (0.5 / 2)
@@ -409,6 +408,6 @@ class TestSplitAxisFrequency:
 
 class TestDeterminism:
     def test_same_stream_same_tree(self, cosine_1k):
-        a, _, _ = _fit_cosine_honest(cosine_1k, seed=21)
-        b, _, _ = _fit_cosine_honest(cosine_1k, seed=21)
-        assert trees_equal(a, b)
+        a = _fit_cosine_honest(cosine_1k, seed=21)
+        b = _fit_cosine_honest(cosine_1k, seed=21)
+        assert same_forest(a, b)
