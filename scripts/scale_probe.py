@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Time and size one train / save / load / predict-with-variance run at a chosen scale.
+
+    PYTHONPATH=src python scripts/scale_probe.py --n 5000 --b 25000 --k 200 --threads 2
+
+Two stages, each in a fresh interpreter. The first generates cosine d=2
+training data (n rows, seed --seed), trains an honest forest (s defaults to
+floor(n^0.7)) and saves the model to a temporary directory. The second
+reloads it, times the per-tree (B, K) matrix for K uniform query points,
+naming the traversal that ran, and then ``jackknife.predict_with_variance``
+(which traverses once more). So the second stage's peak RSS is that of a
+process which only loads the model and predicts.
+
+``ru_maxrss`` is read after every stage: it is a process's peak so far, so
+each reading bounds that stage and all before it. Human-readable lines (the
+machine stamp: nproc, CPU, Python, numpy; then one line per stage) come
+first, the last line is one JSON object. ``--estimates PATH`` also writes ŷ
+and the plugin, corrected, truncated and C values to an ``.npz`` file, to
+compare two versions of the package on the same run.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+from subforest import dataset, forest, jackknife, model_io, rng
+from subforest.dataset import SyntheticSpec
+from subforest.forest import ForestConfig
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine() or "unknown"
+
+
+def train_stage(args, model: str) -> dict:
+    """Data, train, save."""
+    out = {"start_peak_mb": peak_mb()}
+    ts = dataset.gen_synthetic(SyntheticSpec("cosine", 2), args.n, args.seed)
+    out["data_peak_mb"] = peak_mb()
+    t0 = time.perf_counter()
+    fm = forest.train(ts, ForestConfig(s=args.s, b=args.b, seed=args.seed), n_jobs=args.threads)
+    out["train_s"] = time.perf_counter() - t0
+    out["s"] = fm.s
+    out["train_peak_mb"] = peak_mb()
+    t0 = time.perf_counter()
+    model_io.save_model(model, fm, ts)
+    out["save_s"] = time.perf_counter() - t0
+    out["save_peak_mb"] = peak_mb()
+    out["model_mb"] = os.path.getsize(model) / 2**20
+    return out
+
+
+def predict_stage(args, model: str) -> dict:
+    """Load, per-tree matrix, predict_with_variance."""
+    out = {"start_peak_mb": peak_mb()}
+    t0 = time.perf_counter()
+    fm, _ = model_io.load_model(model)
+    out["load_s"] = time.perf_counter() - t0
+    out["load_peak_mb"] = peak_mb()
+    xs = rng.stream(args.seed, rng.TEST_POINTS).random((args.k, fm.d))
+    t0 = time.perf_counter()
+    per_tree = forest.predict_per_tree(fm, xs)
+    out["per_tree_s"] = time.perf_counter() - t0
+    out["traversal"] = forest._traversal(fm, args.k).__name__.lstrip("_")
+    out["max_leaves"] = int(np.add.reduceat(fm.feature < 0, fm.roots).max())
+    del per_tree
+    out["per_tree_peak_mb"] = peak_mb()
+    t0 = time.perf_counter()
+    yhat, ests = jackknife.predict_with_variance(fm, xs)
+    out["predict_with_variance_s"] = time.perf_counter() - t0
+    out["predict_with_variance_peak_mb"] = peak_mb()
+    if args.estimates:
+        np.savez(args.estimates, yhat=yhat, c=np.column_stack([e.c for e in ests]),
+                 **{f: np.array([getattr(e, f) for e in ests]) for f in ("plugin", "corrected", "truncated")})
+    return out
+
+
+def run_stage(stage: str, model: str) -> dict:
+    """One stage in a fresh interpreter, started from this small one.
+
+    A child's ``ru_maxrss`` starts at its parent's peak, so this process
+    trains and loads nothing itself: the predict stage's reading is then that
+    of a process which only loads the model and predicts.
+    """
+    cmd = [sys.executable, os.path.abspath(__file__), *sys.argv[1:], "--stage", stage, "--model", model]
+    child = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--n", type=int, required=True)
+    ap.add_argument("--b", type=int, required=True)
+    ap.add_argument("--k", type=int, required=True)
+    ap.add_argument("--s", type=int, default=None, help="subsample size (default floor(n^0.7))")
+    ap.add_argument("--threads", type=int, default=2)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--estimates", default=None, help="write ŷ and the estimates to this .npz file")
+    ap.add_argument("--stage", choices=["train", "predict"], help=argparse.SUPPRESS)
+    ap.add_argument("--model", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.stage:
+        stage = train_stage if args.stage == "train" else predict_stage
+        print(json.dumps(stage(args, args.model)))
+        return 0
+
+    machine = {"nproc": forest.usable_cores(), "cpu": cpu_model(),
+               "python": platform.python_version(), "numpy": np.__version__}
+    print(f"machine: nproc={machine['nproc']} cpu={machine['cpu']} python={machine['python']} numpy={machine['numpy']}")
+    rec = {"n": args.n, "b": args.b, "k": args.k, "threads": args.threads, "seed": args.seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.bin")
+        trained = run_stage("train", model)
+        predicted = run_stage("predict", model)
+    rec["s"] = trained.pop("s")
+    rec.update({f"train.{k}": v for k, v in trained.items()})
+    rec.update({f"predict.{k}": v for k, v in predicted.items()})
+    print(f"train: s={rec['s']} {trained['train_s']:.2f} s, peak {trained['train_peak_mb']:.0f} MB")
+    print(f"save: {trained['model_mb']:.0f} MB file in {trained['save_s']:.2f} s, peak {trained['save_peak_mb']:.0f} MB")
+    print(f"load: {predicted['load_s']:.2f} s, peak {predicted['load_peak_mb']:.0f} MB "
+          f"(a fresh process, {predicted['start_peak_mb']:.0f} MB after imports)")
+    print(f"per-tree matrix: {predicted['traversal']} (max {predicted['max_leaves']} leaves), "
+          f"{predicted['per_tree_s']:.3f} s, peak {predicted['per_tree_peak_mb']:.0f} MB")
+    print(f"predict_with_variance: {predicted['predict_with_variance_s']:.2f} s, "
+          f"peak {predicted['predict_with_variance_peak_mb']:.0f} MB")
+    print(json.dumps({"machine": machine, **rec}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

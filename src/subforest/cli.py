@@ -37,7 +37,7 @@ from .experiments import (
     run_bias_grid,
     simulate_predictions,
 )
-from .forest import ForestConfig, WorkerError, train
+from .forest import ForestConfig, WorkerError, train, usable_cores
 from .jackknife import interval, predict_with_variance, v_ij
 from .model_io import load_model, save_model
 from .oracle import (
@@ -63,10 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_threads() -> int:
+    """Workers when --threads is not given: SUBFOREST_THREADS, else the usable cores."""
     env = os.environ.get(THREADS_ENV)
-    if env:
+    if not env:
+        return usable_cores()
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:

@@ -8,12 +8,13 @@ order with numpy's pairwise summation, which keeps the reduction
 deterministic as well.
 
 Training grows each worker's range of trees in blocks of at most
-``_TREE_BLOCK``: the block's subsamples and partitions are drawn together
+``_TREE_BLOCK``: each tree's stream draws its swap targets and, for an
+honest tree, its uniform table, on one generator restarted per tree; the
+block's subsamples and partitions are then built together
 (``sampling.draw_block`` and ``partition_block``, one swap loop over all
-rows), each honest tree then
-draws its uniform table, and ``tree.grow_block`` grows the block level by
-level. A tree does not depend on its block, so blocks and worker ranges are a
-schedule, not part of the model.
+rows), and ``tree.grow_block`` grows the block level by level. A tree does
+not depend on its block, so blocks and worker ranges are a schedule, not
+part of the model.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate, the regularity
@@ -268,24 +269,50 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     return results
 
 
-def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray, gens: list):
+def _stream_draws(paths: list, lows: np.ndarray, highs: np.ndarray, n_pred: int):
+    """Per stream ``rng.stream(*paths[t])``: its draws ``integers(lows, highs)``, then
+    its ``split_uniforms`` table for ``n_pred`` prediction points (none when 0).
+
+    One Philox generator is restarted on each stream (``rng.rekey``) rather
+    than built per stream.
+    """
+    gen = rng.stream(0)  # any Philox generator: rekey restarts it
+    js = np.empty((len(paths), lows.size), dtype=np.int64)
+    uniforms = []
+    for t, path in enumerate(paths):
+        rng.rekey(gen, *path)
+        js[t] = gen.integers(lows, highs)
+        if n_pred:
+            uniforms.append(tree_mod.split_uniforms(gen, n_pred))
+    return js, np.stack(uniforms) if n_pred else None
+
+
+def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray,
+          part_js: np.ndarray, uniforms: np.ndarray | None):
     """Trees on subsample rows ``sub``, with their subsample and prediction rows.
 
-    Honest tree t draws its partition, then its uniform table, from ``gens[t]``.
+    Honest tree t takes its partition's swap targets ``part_js[t]`` and its
+    uniform table ``uniforms[t]``; CART trees take neither.
     """
     if cfg.tree.mode != HONEST:
         return tree_mod.grow_block(ts, axes, cfg.tree, sub), sub, None
-    struct, pred = partition_block(sub, gens)
-    uniforms = np.stack([tree_mod.split_uniforms(g, pred.shape[1]) for g in gens])
+    struct, pred = partition_block(sub, part_js)
     return tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms), sub, pred
 
 
 def _fit_range(args) -> list:
     ts, axes, cfg, s, b_lo, b_hi = args
+    k = -(-s // 2) if cfg.tree.mode == HONEST else 0
+    # tree b's stream draws its subsample's swap targets, then its
+    # partition's, then its uniform table; one integers call over both
+    # target ranges draws the values of the two separate calls
+    lows = np.concatenate([np.arange(s), np.arange(k)])
+    highs = np.concatenate([np.full(s, ts.n), np.full(k, s)])
     blocks = []
     for lo in range(b_lo, b_hi, _TREE_BLOCK):
-        gens = [rng.stream(cfg.seed, rng.TREE, b) for b in range(lo, min(lo + _TREE_BLOCK, b_hi))]
-        blocks.append(_grow(ts, axes, cfg, draw_block(ts.n, s, gens), gens))
+        paths = [(cfg.seed, rng.TREE, b) for b in range(lo, min(lo + _TREE_BLOCK, b_hi))]
+        js, uniforms = _stream_draws(paths, lows, highs, k)
+        blocks.append(_grow(ts, axes, cfg, draw_block(ts.n, s, js[:, :s]), js[:, s:], uniforms))
     return blocks
 
 
@@ -305,12 +332,16 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
     return _pack(blocks, ts.n, s, ts.d, cfg)
 
 
-def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, gens: list) -> ForestModel:
-    """A forest of one tree per given sorted subsample row, tree b drawing its randomness from ``gens[b]``.
+def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, paths: list) -> ForestModel:
+    """A forest of one tree per given sorted subsample row, tree b drawing its
+    partition and uniform table from ``rng.stream(*paths[b])``.
 
     ``cfg`` must carry s and b matching ``sub``.
     """
-    return _pack([_grow(ts, tree_mod.sorted_axes(ts), cfg, sub, gens)], ts.n, sub.shape[1], ts.d, cfg)
+    s = sub.shape[1]
+    k = -(-s // 2) if cfg.tree.mode == HONEST else 0
+    js, uniforms = _stream_draws(paths, np.arange(k), np.full(k, s), k)
+    return _pack([_grow(ts, tree_mod.sorted_axes(ts), cfg, sub, js, uniforms)], ts.n, s, ts.d, cfg)
 
 
 def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
@@ -423,6 +454,14 @@ def _bitmask(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _traversal(forest: ForestModel, k: int):
+    """The traversal ``predict_per_tree`` takes for k queries, ``_bitmask`` or ``_walk``."""
+    many = k * forest.b >= forest.feature.size and forest.d <= _MASK_MAX_D
+    if many and np.add.reduceat(forest.feature < 0, forest.roots, dtype=np.intp).max() <= _MASK_LEAVES:
+        return _bitmask
+    return _walk
+
+
 def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:
     """Per-tree predictions; (B,) for a single point, (B, K) for a matrix."""
     xq = np.asarray(xq, dtype=np.float64)
@@ -430,11 +469,7 @@ def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:
     xs = np.ascontiguousarray(np.atleast_2d(xq))
     if xs.shape[1] != forest.d:
         raise ValueError(f"expected {forest.d} features, got {xs.shape[1]}")
-    many = xs.shape[0] * forest.b >= forest.feature.size and forest.d <= _MASK_MAX_D
-    if many and np.add.reduceat(forest.feature < 0, forest.roots, dtype=np.intp).max() <= _MASK_LEAVES:
-        values = _bitmask(forest, xs)
-    else:
-        values = _walk(forest, xs)
+    values = _traversal(forest, xs.shape[0])(forest, xs)
     return values[:, 0] if single else values
 
 

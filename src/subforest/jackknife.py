@@ -20,6 +20,21 @@ mean the scaled exact value is sum_i (y_i - ybar)^2 / (n(n-1)), the variance
 of the full-sample mean. (At s = n every tree sees every row, C is zero and
 the term is 0.) Its second term is the Monte Carlo variance of averaging B
 i.i.d. trees, Var*(T)/B, estimated without bias by v_hat / (B-1).
+
+One kernel computes every estimate, one per column of a (B, K) matrix of
+centered tree outputs: the forest's per-tree matrix, which
+``predict_with_variance`` centers in place, or the one column of ``v_ij``.
+It accumulates C = (1/B) sum_blocks Ntilde_blk^T @ centered_blk over blocks
+of at most ``_IJ_BLOCK`` trees, building each block's rows Ntilde = N* - s/n
+as float64 straight from the forest's subsample rows (or from the caller's
+counts rows), and divides by B in place. So beyond the (B, K) input and the
+(n, K) result it holds one (_IJ_BLOCK, n) float64 block and, past one
+block, one (n, K) partial product; no (B, n) counts matrix is formed. At
+B <= ``_IJ_BLOCK`` this is the single product of the dense formula on the
+same values, so the estimates are bit-identical to it; past that only the
+order in which the blocks' products are summed differs, which moves the
+estimates by rounding (at most 2.2e-15 relative on a cosine d=2 forest at
+n = 5000, B = 25000).
 """
 
 from __future__ import annotations
@@ -30,6 +45,10 @@ import numpy as np
 
 from .forest import ForestModel, predict_per_tree
 from .normal import norm_ppf
+
+# trees per block of N* - s/n rows: bounds the kernel's working set
+# independently of B, like forest._PAIR_BLOCK bounds the traversal's
+_IJ_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -78,11 +97,20 @@ def _finite_sample_scale(n: int, s: int) -> float:
     return (n - 1) / n * (n / (n - s)) ** 2 if s < n else 0.0
 
 
-def _estimates(outputs: np.ndarray, counts: np.ndarray, s: int, n: int) -> list[VarianceEstimate]:
-    """The IJ kernel: one estimate per column of a (B, K) matrix of tree outputs."""
-    b = outputs.shape[0]
-    centered = outputs - outputs.mean(axis=0, keepdims=True)
-    c_all = (counts - s / n).T.astype(np.float64, copy=False) @ centered / b  # (n, K)
+def _estimates(centered: np.ndarray, tilde_rows, s: int, n: int) -> list[VarianceEstimate]:
+    """The IJ kernel: one estimate per column of a (B, K) matrix of centered tree outputs.
+
+    ``tilde_rows(lo, hi)`` returns the float64 rows N*_b - s/n of trees
+    lo..hi-1 (clipped to B), a fresh (hi - lo, n) array.
+    """
+    b = centered.shape[0]
+    c_all = tilde_rows(0, _IJ_BLOCK).T @ centered[:_IJ_BLOCK]  # (n, K)
+    if b > _IJ_BLOCK:
+        part = np.empty_like(c_all)
+        for lo in range(_IJ_BLOCK, b, _IJ_BLOCK):
+            hi = lo + _IJ_BLOCK
+            c_all += np.matmul(tilde_rows(lo, hi).T, centered[lo:hi], out=part)
+    c_all /= b
     plugin = np.einsum("ik,ik->k", c_all, c_all)
     v_hat = np.einsum("bk,bk->k", centered, centered) / b
     correction = s * (n - s) / n * v_hat / b
@@ -97,14 +125,23 @@ def _estimates(outputs: np.ndarray, counts: np.ndarray, s: int, n: int) -> list[
             v_hat=float(v_hat[k]),
             c=c_all[:, k],
         )
-        for k in range(outputs.shape[1])
+        for k in range(centered.shape[1])
     ]
 
 
 def v_ij(outputs, counts, s: int, n: int) -> VarianceEstimate:
-    """Plug-in and bias-corrected infinitesimal-jackknife variance estimate."""
+    """Plug-in and bias-corrected infinitesimal-jackknife variance estimate.
+
+    Reads ``outputs`` and ``counts`` without modifying them.
+    """
     outputs, counts = _check(outputs, counts, s, n)
-    return _estimates(outputs[:, None], counts, s, n)[0]
+    column = outputs[:, None]
+    centered = column - column.mean(axis=0, keepdims=True)  # a new array, the caller's stays
+
+    def tilde_rows(lo, hi):
+        return (counts[lo:hi] - s / n).astype(np.float64, copy=False)
+
+    return _estimates(centered, tilde_rows, s, n)[0]
 
 
 def c_weights(outputs, counts, s: int, n: int) -> np.ndarray:
@@ -121,8 +158,19 @@ def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[Var
     if forest.b < 2:
         raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {forest.b}")
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    outputs = predict_per_tree(forest, xs)  # (B, K)
-    return outputs.mean(axis=0), _estimates(outputs, forest.counts_matrix(), forest.s, forest.n)
+    centered = predict_per_tree(forest, xs)  # (B, K), a fresh array
+    y_hat = centered.mean(axis=0)
+    centered -= y_hat
+    sub, s, n = forest.subsample_indices, forest.s, forest.n
+
+    def tilde_rows(lo, hi):
+        # N* - s/n row by row: 1 - s/n at the tree's subsample, -s/n elsewhere
+        idx = sub[lo:hi]
+        rows = np.full((idx.shape[0], n), -(s / n))
+        np.put_along_axis(rows, idx, 1 - s / n, axis=1)
+        return rows
+
+    return y_hat, _estimates(centered, tilde_rows, s, n)
 
 
 def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:

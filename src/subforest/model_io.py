@@ -14,9 +14,11 @@ Split provenance is one byte per node, a ``tree.SPLIT_KINDS`` code.
 
 Loading reads no pickle and trusts nothing: the header must list exactly the
 expected arrays with the expected dtypes and shapes, laid out back to back
-up to the end of the file, and the forest built from them re-checks its
-structure (feature range, node count and split positions of every tree,
-index ranges). A file that fails any check, including a version-1 JSON
+up to the end of the file (checked against the file's size before any array
+is allocated; each array is then read straight into its own buffer, so the
+file's bytes are never held twice), and the forest built from them
+re-checks its structure (feature range, node count and split positions of
+every tree, index ranges). A file that fails any check, including a version-1 JSON
 model whose single line parses as a header of the wrong version, is refused
 with ``ValueError``. Version 4 dropped version 3's stored child table and
 its 0/1 provenance flag; files of any other version are refused.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -146,8 +149,13 @@ def _count(header: dict, key: str) -> int:
     return v
 
 
-def _read_arrays(header: dict, body: memoryview, honest: bool) -> dict:
-    """Arrays named in the header, which must list exactly the writer's layout."""
+def _read_arrays(header: dict, fh, body_size: int, honest: bool) -> dict:
+    """Arrays named in the header, which must list exactly the writer's layout.
+
+    ``fh`` stands at the first array byte and ``body_size`` bytes follow it.
+    The size is checked against the layout before any array is allocated,
+    then each array is read straight into its own (aligned) buffer.
+    """
     n_nodes = header["arrays"][0]["shape"][0]
     if type(n_nodes) is not int or n_nodes < 1:
         raise ValueError(f"node count must be a positive integer, got {n_nodes!r}")
@@ -156,13 +164,14 @@ def _read_arrays(header: dict, body: memoryview, honest: bool) -> dict:
         raise ValueError("the array table does not match the format's layout")
     last = layout[-1]
     size = last["offset"] + int(np.prod(last["shape"])) * np.dtype(last["dtype"]).itemsize
-    if len(body) != size:
-        raise ValueError(f"file is truncated or has trailing bytes: {len(body)} array bytes, expected {size}")
-    # copies: the body starts wherever the header ends, so views would be unaligned
-    out = {
-        e["name"]: np.frombuffer(body, e["dtype"], int(np.prod(e["shape"])), e["offset"]).reshape(e["shape"]).copy()
-        for e in layout
-    }
+    if body_size != size:
+        raise ValueError(f"file is truncated or has trailing bytes: {body_size} array bytes, expected {size}")
+    out = {}
+    for e in layout:
+        arr = np.empty(e["shape"], dtype=e["dtype"])
+        if fh.readinto(arr) != arr.nbytes:  # the file shrank after its size was read
+            raise ValueError(f"file is truncated: {e['name']} ends early")
+        out[e["name"]] = arr
     if out["split_kind"].max() >= len(SPLIT_KINDS):
         raise ValueError(f"split kinds must lie in [0, {len(SPLIT_KINDS)})")
     return out
@@ -171,40 +180,39 @@ def _read_arrays(header: dict, body: memoryview, honest: bool) -> dict:
 def load_model(path) -> tuple[ForestModel, dict]:
     """Load a model file; returns (forest, header metadata)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
-    try:
-        header = json.loads(data[:end]) if end >= 0 else None
-    except ValueError:  # bad JSON or bad UTF-8
-        header = None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: not a subforest model file (no JSON header line)")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: model format version {version!r} does not match supported version {FORMAT_VERSION}"
-        )
-    try:
-        cfg = _config_from_record(header["config"])
-        honest = cfg.tree.mode == HONEST
-        arrays = _read_arrays(header, memoryview(data)[end + 1:], honest)
-        n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
-        if (cfg.s, cfg.b, cfg.tree.mode) != (s, b, header["mode"]):
-            raise ValueError("config does not match the header's s, b and mode")
-        forest = ForestModel(
-            feature=arrays["feature"],
-            threshold=arrays["threshold"],
-            value=arrays["value"],
-            pred_index=arrays["pred_index"],
-            split_kind=arrays["split_kind"],
-            roots=arrays["roots"],
-            subsample_indices=arrays["subsample_indices"],
-            prediction_indices=arrays.get("prediction_indices"),
-            n=n, d=d, s=s, b=b, config=cfg,
-        )
-        meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
-    except (KeyError, TypeError, IndexError) as e:
-        raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None
-    except ValueError as e:
-        raise ValueError(f"{path}: invalid model file: {e}") from None
+        line = fh.readline()
+        try:
+            header = json.loads(line) if line.endswith(b"\n") else None
+        except ValueError:  # bad JSON or bad UTF-8
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a subforest model file (no JSON header line)")
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: model format version {version!r} does not match supported version {FORMAT_VERSION}"
+            )
+        try:
+            cfg = _config_from_record(header["config"])
+            honest = cfg.tree.mode == HONEST
+            arrays = _read_arrays(header, fh, os.fstat(fh.fileno()).st_size - fh.tell(), honest)
+            n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
+            if (cfg.s, cfg.b, cfg.tree.mode) != (s, b, header["mode"]):
+                raise ValueError("config does not match the header's s, b and mode")
+            forest = ForestModel(
+                feature=arrays["feature"],
+                threshold=arrays["threshold"],
+                value=arrays["value"],
+                pred_index=arrays["pred_index"],
+                split_kind=arrays["split_kind"],
+                roots=arrays["roots"],
+                subsample_indices=arrays["subsample_indices"],
+                prediction_indices=arrays.get("prediction_indices"),
+                n=n, d=d, s=s, b=b, config=cfg,
+            )
+            meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
+        except (KeyError, TypeError, IndexError) as e:
+            raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: invalid model file: {e}") from None
     return forest, meta

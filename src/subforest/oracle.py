@@ -133,11 +133,11 @@ class HonestTreeLearner:
         for lo in range(0, r, forest._TREE_BLOCK):
             xs, ys = xs_rows[lo:lo + forest._TREE_BLOCK], ys_rows[lo:lo + forest._TREE_BLOCK]
             seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) ^ self.base_seed for x, y in zip(xs, ys))
-            gens = [rng.stream(seed, rng.PARTITION) for seed in seeds]
+            paths = [(seed, rng.PARTITION) for seed in seeds]
             ts = TrainingSet(xs.reshape(-1, d), ys.reshape(-1))
-            cfg = ForestConfig(s=m, b=len(gens), tree=self.cfg)
-            fm = forest.fit_subsamples(ts, cfg, np.arange(ts.n).reshape(-1, m), gens)
-            out[lo:lo + len(gens)] = forest.predict_per_tree(fm, self.x)
+            cfg = ForestConfig(s=m, b=len(paths), tree=self.cfg)
+            fm = forest.fit_subsamples(ts, cfg, np.arange(ts.n).reshape(-1, m), paths)
+            out[lo:lo + len(paths)] = forest.predict_per_tree(fm, self.x)
         return out
 
 

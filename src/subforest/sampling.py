@@ -6,10 +6,11 @@ draw satisfy E[N_i] = s/n and Cov(N_i, N_j) = -s(n-s) / (n^2 (n-1)) for
 i != j.
 
 ``draw_block`` and ``partition_block`` draw the subsamples and partitions of
-a block of trees, one generator per tree used exactly as ``draw_subsample``
-and ``honesty_partition`` (their one-row cases) use it, and run each swap
-loop once over all the block's rows. Their index rows are checked by the
-forest that stores them, once per forest rather than once per tree.
+a block of trees from each tree's swap targets, the values ``swap_targets``
+draws, and run each swap loop once over all the block's rows;
+``draw_subsample`` and ``honesty_partition`` are their one-row cases. Their
+index rows are checked by the forest that stores them, once per forest
+rather than once per tree.
 """
 
 from __future__ import annotations
@@ -83,35 +84,36 @@ def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _swap_targets(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    # one vectorized draw of all swap targets keeps the stream usage fixed
+def swap_targets(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """The k partial Fisher-Yates swap targets, j_i uniform on [i, n), in one vectorized draw."""
     return rng.integers(np.arange(k), n)
 
 
-def draw_block(n: int, s: int, gens: list) -> np.ndarray:
-    """Sorted (T, s) subsample rows; row t equals ``draw_subsample(n, s, gens[t])``.
+def draw_block(n: int, s: int, js: np.ndarray) -> np.ndarray:
+    """Sorted (T, s) subsample rows from (T, s) swap targets ``swap_targets(g, s, n)``.
 
-    The swap loop runs once over all rows, in chunks whose (rows, n) index
-    pool stays within ``_POOL_ENTRIES``.
+    Row t equals ``draw_subsample(n, s, g)`` on the generator that drew
+    ``js[t]``. The swap loop runs once over all rows, in chunks whose
+    (rows, n) index pool stays within ``_POOL_ENTRIES``.
     """
     chunk = max(1, _POOL_ENTRIES // n)
     rows = []
-    for lo in range(0, len(gens), chunk):
-        js = np.stack([_swap_targets(g, s, n) for g in gens[lo:lo + chunk]])
-        pool = np.broadcast_to(np.arange(n, dtype=np.int64), (js.shape[0], n))
-        rows.append(np.sort(_fisher_yates(pool, js)[:, :s], axis=1))
+    for lo in range(0, js.shape[0], chunk):
+        part = js[lo:lo + chunk]
+        pool = np.broadcast_to(np.arange(n, dtype=np.int64), (part.shape[0], n))
+        rows.append(np.sort(_fisher_yates(pool, part)[:, :s], axis=1))
     return np.vstack(rows)
 
 
-def partition_block(subsamples: np.ndarray, gens: list) -> tuple[np.ndarray, np.ndarray]:
+def partition_block(subsamples: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (structure, prediction) rows of honesty partitions, one per subsample row.
 
-    Row t equals ``honesty_partition`` of subsample row t on ``gens[t]``:
-    ceil(s/2) prediction points, the rest structure.
+    ``js`` holds each row's ceil(s/2) swap targets ``swap_targets(g, ceil(s/2), s)``;
+    row t equals ``honesty_partition`` of subsample row t on the generator
+    that drew ``js[t]``: ceil(s/2) prediction points, the rest structure.
     """
-    s = subsamples.shape[1]
-    k = -(-s // 2)
-    split = _fisher_yates(subsamples, np.stack([_swap_targets(g, k, s) for g in gens]))
+    k = js.shape[1]
+    split = _fisher_yates(subsamples, js)
     return np.sort(split[:, k:], axis=1), np.sort(split[:, :k], axis=1)
 
 
@@ -119,7 +121,7 @@ def draw_subsample(n: int, s: int, rng: np.random.Generator) -> SubsampleDraw:
     """Uniform draw of s out of n indices without replacement."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return SubsampleDraw(draw_block(n, s, [rng])[0], n)
+    return SubsampleDraw(draw_block(n, s, swap_targets(rng, s, n)[None])[0], n)
 
 
 def counts_vector(draw: SubsampleDraw) -> np.ndarray:
@@ -133,7 +135,7 @@ def honesty_partition(draw: SubsampleDraw, rng: np.random.Generator) -> HonestyP
     """Uniform split of a draw into ceil(s/2) prediction + rest structure points."""
     if draw.s < 2:
         raise ValueError(f"cannot partition a subsample of size {draw.s}")
-    structure, prediction = partition_block(draw.indices[None], [rng])
+    structure, prediction = partition_block(draw.indices[None], swap_targets(rng, -(-draw.s // 2), draw.s)[None])
     return HonestyPartition(structure=structure[0], prediction=prediction[0])
 
 

@@ -209,6 +209,11 @@ class TestModelFile:
         path.write_bytes(path.read_bytes()[:-9])
         self._refused(path, tmp_path, capsys, "truncated")
 
+    def test_trailing_bytes_refused(self, saved, tmp_path, capsys):
+        _, path = saved
+        path.write_bytes(path.read_bytes() + bytes(8))
+        self._refused(path, tmp_path, capsys, "trailing bytes")
+
     def test_child_not_after_parent_refused(self, saved, tmp_path, capsys):
         # tree 0's root made a leaf and its last leaf a split: the node count
         # holds, but a split with no split before it has itself as its
@@ -379,6 +384,21 @@ class TestThreadsEnv:
         assert cli._default_threads() == 3
         monkeypatch.delenv(cli.THREADS_ENV)
         assert cli._default_threads() >= 1
+
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        from subforest import cli
+
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+        assert cli._default_threads() == 3
+
+    def test_bad_env_value_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        from subforest import cli
+
+        data = _gen(tmp_path)
+        monkeypatch.setenv(cli.THREADS_ENV, "abc")
+        assert main(["train", "--data", str(data), "--b", "6", "--out", str(tmp_path / "m.bin")]) == 1
+        assert "error: SUBFOREST_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_env_var_drives_training(self, tmp_path, monkeypatch):
         from subforest import cli

@@ -95,6 +95,76 @@ class TestVij:
             jackknife.variance_estimates(fm, np.array([[0.5, 0.5]]))
 
 
+def _dense(outputs, counts, s, n):
+    """The unblocked formula: (plugin, correction, corrected, truncated, v_hat) per column, and C."""
+    b = outputs.shape[0]
+    centered = outputs - outputs.mean(axis=0, keepdims=True)
+    c_all = (counts - s / n).T.astype(np.float64, copy=False) @ centered / b
+    plugin = np.einsum("ik,ik->k", c_all, c_all)
+    v_hat = np.einsum("bk,bk->k", centered, centered) / b
+    correction = s * (n - s) / n * v_hat / b
+    corrected = plugin - correction
+    truncated = jackknife._finite_sample_scale(n, s) * np.maximum(corrected, 0.0) + v_hat / (b - 1)
+    return np.array([plugin, correction, corrected, truncated, v_hat]), c_all
+
+
+_FIELDS = ("plugin", "correction", "corrected", "truncated", "v_hat")
+
+
+class TestBlockedKernel:
+    @pytest.fixture
+    def fitted(self, cosine_1k):
+        fm = forest.train(cosine_1k, forest.ForestConfig(b=20, seed=8))
+        xs = np.random.default_rng(4).random((6, 2))
+        per = forest.predict_per_tree(fm, xs)
+        return fm, xs, per, _dense(per, fm.counts_matrix(), fm.s, fm.n)
+
+    @staticmethod
+    def _fields(ests):
+        return np.array([[getattr(e, f) for e in ests] for f in _FIELDS]), np.column_stack([e.c for e in ests])
+
+    def test_blocks_match_dense_formula(self, fitted, monkeypatch):
+        # blocks of 7, 7 and 6 trees
+        monkeypatch.setattr(jackknife, "_IJ_BLOCK", 7)
+        fm, xs, per, (want, want_c) = fitted
+        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        assert np.array_equal(yhat, per.mean(axis=0))
+        singles = [jackknife.v_ij(per[:, k], fm.counts_matrix(), fm.s, fm.n) for k in range(xs.shape[0])]
+        for got in (ests, singles):
+            fields, c = self._fields(got)
+            np.testing.assert_allclose(fields, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max())
+
+    def test_one_block_equals_dense_formula_exactly(self, fitted):
+        fm, xs, per, (want, want_c) = fitted
+        assert jackknife._IJ_BLOCK >= fm.b
+        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        assert np.array_equal(yhat, per.mean(axis=0))
+        fields, c = self._fields(ests)
+        assert np.array_equal(fields, want) and np.array_equal(c, want_c)
+        # one column takes BLAS's matrix-vector path, so it has its own dense reference
+        want, want_c = _dense(per[:, 2:3], fm.counts_matrix(), fm.s, fm.n)
+        single = jackknife.v_ij(per[:, 2], fm.counts_matrix(), fm.s, fm.n)
+        assert np.array_equal(self._fields([single])[0], want) and np.array_equal(single.c, want_c[:, 0])
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    def test_v_ij_leaves_its_arguments_unchanged(self, monkeypatch, block):
+        monkeypatch.setattr(jackknife, "_IJ_BLOCK", block)
+        outputs = np.random.default_rng(1).standard_normal(20)
+        counts = _random_counts(20, 9, 4, seed=2)
+        kept = outputs.copy(), counts.copy()
+        jackknife.v_ij(outputs, counts, 4, 9)
+        assert np.array_equal(outputs, kept[0]) and np.array_equal(counts, kept[1])
+
+    def test_c_is_not_changed_by_a_later_call(self, fitted):
+        fm, xs, _, _ = fitted
+        _, first = jackknife.predict_with_variance(fm, xs)
+        kept = [e.c.copy() for e in first]
+        jackknife.predict_with_variance(fm, xs[::-1] * 0.5)
+        jackknife.v_ij(np.arange(20.0), fm.counts_matrix(), fm.s, fm.n)
+        assert all(np.array_equal(e.c, c) for e, c in zip(first, kept, strict=True))
+
+
 class TestFiniteSampleScale:
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 7])
     def test_scaled_mean_learner_is_full_sample_mean_variance(self, s):

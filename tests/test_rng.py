@@ -19,6 +19,22 @@ def test_different_paths_differ():
     assert not np.array_equal(a, d)
 
 
+def test_rekey_restarts_at_a_fresh_stream():
+    gen = rng.stream(1, rng.TREE, 0)
+    gen.integers(0, 7, size=3)  # leaves half of a 64-bit word buffered
+    for path in [(42, rng.TREE, 7), (5, rng.PARTITION)]:
+        rng.rekey(gen, *path)
+        fresh = rng.stream(*path)
+        got, want = gen.bit_generator.state, fresh.bit_generator.state
+        for key in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[key] == want[key], key
+        for key in ("counter", "key"):
+            assert np.array_equal(got["state"][key], want["state"][key]), key
+        assert np.array_equal(gen.integers(np.arange(9), 64), fresh.integers(np.arange(9), 64))
+        assert np.array_equal(gen.random(5), fresh.random(5))
+        gen.integers(0, 7, size=3)
+
+
 def test_mix64_is_bijective_on_samples():
     seen = {rng.mix64(z) for z in range(10000)}
     assert len(seen) == 10000

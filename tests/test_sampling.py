@@ -119,8 +119,8 @@ class TestDrawBlock:
         # a pool budget of 100 entries forces chunks of 2 rows at n = 50
         monkeypatch.setattr(sampling, "_POOL_ENTRIES", 100)
         gens = [rng.stream(3, rng.TREE, b) for b in range(7)]
-        sub = sampling.draw_block(50, 13, gens)
-        struct, pred = sampling.partition_block(sub, gens)
+        sub = sampling.draw_block(50, 13, np.stack([sampling.swap_targets(g, 13, 50) for g in gens]))
+        struct, pred = sampling.partition_block(sub, np.stack([sampling.swap_targets(g, 7, 13) for g in gens]))
         assert sub.shape == (7, 13) and struct.shape == (7, 6) and pred.shape == (7, 7)
         for b in range(7):
             g = rng.stream(3, rng.TREE, b)
@@ -135,8 +135,8 @@ class TestDrawBlock:
     def test_pinned_draw(self):
         # stream (3, TREE, 5) at n=50, s=12, as the per-tree loop drew it
         g = rng.stream(3, rng.TREE, 5)
-        sub = sampling.draw_block(50, 12, [g])
-        _, pred = sampling.partition_block(sub, [g])
+        sub = sampling.draw_block(50, 12, sampling.swap_targets(g, 12, 50)[None])
+        _, pred = sampling.partition_block(sub, sampling.swap_targets(g, 6, 12)[None])
         assert sub[0].tolist() == [2, 3, 6, 7, 9, 24, 28, 34, 36, 45, 48, 49]
         assert pred[0].tolist() == [2, 3, 24, 28, 34, 48]
 
