@@ -30,12 +30,11 @@ from .dataset import (
 from .experiments import (
     ExperimentSpec,
     SyntheticSource,
-    coverage_report,
-    metrics_report,
-    normality_report,
     parametric_bootstrap_source,
     run_bias_grid,
-    simulate_predictions,
+    run_coverage,
+    run_metrics,
+    run_normality,
 )
 from .forest import ForestConfig, WorkerError, train, usable_cores
 from .jackknife import interval, predict_with_variance, v_ij
@@ -133,7 +132,7 @@ def _cmd_gen(args) -> int:
     if cfg["out"] is None:
         raise ValueError("gen: --out is required")
     if cfg["d"] is None:
-        cfg["d"] = ARITY[cfg["kind"]] if cfg["kind"] in ARITY else None
+        cfg["d"] = ARITY.get(cfg["kind"])
     spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
     ts = gen_synthetic(spec, cfg["n"], cfg["seed"])
     with open(cfg["out"], "w", newline="") as fh:
@@ -223,8 +222,6 @@ def _cmd_predict(args) -> int:
     if cfg["model"] is None or cfg["data"] is None or cfg["out"] is None:
         raise ValueError("predict: --model, --data, and --out are required")
     fm, meta = load_model(cfg["model"])
-    if fm.b < 2:
-        raise ValueError("variance estimation requires a model with B >= 2 trees")
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
     yhat, ests = predict_with_variance(fm, xs)
     level = cfg["level"]
@@ -257,7 +254,7 @@ _SIM_COMMON = {
 
 def _experiment_spec(cfg: dict) -> ExperimentSpec:
     if cfg["d"] is None:
-        cfg["d"] = ARITY[cfg["kind"]]
+        cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
     source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
     threads = cfg["threads"] if cfg["threads"] is not None else _default_threads()
     fcfg = _forest_config(cfg)
@@ -293,9 +290,7 @@ def _cmd_sim_metrics(args) -> int:
     cfg = _merge_config(args, _SIM_COMMON)
     if cfg["out"] is None:
         raise ValueError("simulate metrics: --out is required")
-    spec = _experiment_spec(cfg)
-    sim = simulate_predictions(spec)
-    rep = metrics_report(sim.predictions, sim.vij_corrected)
+    rep = run_metrics(_experiment_spec(cfg))
     _write_metrics_csv(cfg["out"], "simulate-metrics", cfg, cfg["kind"], cfg["d"], cfg["n"], rep)
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
     return 0
@@ -308,11 +303,7 @@ def _cmd_sim_normality(args) -> int:
     cfg = _merge_config(args, _SIM_NORMALITY)
     if cfg["out"] is None:
         raise ValueError("simulate normality: --out is required")
-    spec = _experiment_spec(cfg)
-    if spec.r_replicates < 50:
-        raise ValueError("normality checks need at least 50 replicates")
-    sim = simulate_predictions(spec)
-    rep = normality_report(sim.predictions, cfg["alpha"])
+    rep = run_normality(_experiment_spec(cfg), cfg["alpha"])
     _write_json(cfg["out"], {
         "tool": TOOL,
         "command": "simulate-normality",
@@ -335,11 +326,7 @@ def _cmd_sim_coverage(args) -> int:
     if cfg["out"] is None:
         raise ValueError("simulate coverage: --out is required")
     levels = tuple(float(v) for v in str(cfg["levels"]).split(","))
-    spec = _experiment_spec(cfg)
-    if spec.r_replicates < 50:
-        raise ValueError("coverage checks need at least 50 replicates")
-    sim = simulate_predictions(spec)
-    rep = coverage_report(sim.predictions, sim.vij_truncated, sim.degenerate, levels, sim.true_means)
+    rep = run_coverage(_experiment_spec(cfg), levels)
     _write_json(cfg["out"], {
         "tool": TOOL,
         "command": "simulate-coverage",
@@ -404,8 +391,7 @@ def _cmd_sim_bootstrap(args) -> int:
         source=source, n=n, k_test=cfg["k"], r_replicates=cfg["r"],
         forest=fcfg, seed=cfg["seed"], n_jobs=threads,
     )
-    sim = simulate_predictions(spec)
-    rep = metrics_report(sim.predictions, sim.vij_corrected)
+    rep = run_metrics(spec)
     _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, os.path.basename(cfg["data"]), ts.d, n, rep)
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
     return 0
@@ -414,8 +400,7 @@ def _cmd_sim_bootstrap(args) -> int:
 # ---------------------------------------------------------------- oracle-check
 
 _ORACLE_DEFAULTS = {
-    "learner": "mean", "n": 6, "s": 2, "labels": None, "probs": None,
-    "mc_b": 100000, "seed": 0, "out": None,
+    "learner": "mean", "n": 6, "s": 2, "labels": None, "mc_b": 100000, "seed": 0, "out": None,
 }
 
 _LEARNERS = {"mean": SubsampleMean, "max": SubsampleMax, "sum": LabelSum}
@@ -423,6 +408,8 @@ _LEARNERS = {"mean": SubsampleMean, "max": SubsampleMax, "sum": LabelSum}
 
 def _cmd_oracle_check(args) -> int:
     cfg = _merge_config(args, _ORACLE_DEFAULTS)
+    if cfg["learner"] not in _LEARNERS:
+        raise ValueError(f"learner must be one of {sorted(_LEARNERS)}, got {cfg['learner']!r}")
     learner = _LEARNERS[cfg["learner"]]()
     n, s = cfg["n"], cfg["s"]
     labels = cfg["labels"] if cfg["labels"] is not None else list(range(1, n + 1))
@@ -432,11 +419,9 @@ def _cmd_oracle_check(args) -> int:
     ts = TrainingSet(np.arange(n, dtype=np.float64).reshape(-1, 1) / n, np.asarray(labels))
     exact = exact_vij(ts, learner, s)
     subsets, values = enumerate_subsamples(ts, learner, s)
-    counts_table = np.zeros((subsets.shape[0], n), dtype=np.uint8)
-    counts_table[np.arange(subsets.shape[0])[:, None], subsets] = 1
     gen = rng.stream(cfg["seed"], rng.SUBSAMPLE)
     ids = gen.integers(0, subsets.shape[0], size=cfg["mc_b"])
-    mc = v_ij(values[ids], counts_table[ids], s, n)
+    mc = v_ij(values[ids], subsets[ids], n)
 
     # Hajek projection and ANOVA bound on the label support (uniform atoms)
     support = sorted(set(labels))
@@ -518,8 +503,6 @@ def build_parser() -> _Parser:
         sp = simsub.add_parser(name)
         _add_config_opt(sp)
         for key in defaults:
-            if key == "config":
-                continue
             flag = "--" + key.replace("_", "-")
             if key in ("kind",):
                 sp.add_argument(flag, choices=sorted(ARITY), dest=key)

@@ -18,7 +18,8 @@ part of the model.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate, the regularity
-audit and the model file all read those arrays. Tree b owns the nodes
+audit and the model file all read those arrays, in the dtypes
+``PACKED_DTYPES`` declares for memory and file alike. Tree b owns the nodes
 ``roots[b]`` up to the next root, numbered breadth-first, so child ids are
 not stored: ``tree.left_children`` derives them once, when the
 construction check reads them, and ``ForestModel.left`` keeps them for
@@ -113,12 +114,27 @@ def _sorted_rows(rows: np.ndarray, n: int) -> bool:
     return bool(rows.min() >= 0 and rows.max() < n and np.all(rows[:, 1:] > rows[:, :-1]))
 
 
+# every packed array's dtype, in memory and in the model file, in file order
+PACKED_DTYPES = {
+    "feature": "<i4",
+    "threshold": "<f8",
+    "value": "<f8",
+    "pred_index": "<i4",
+    "split_kind": "|u1",
+    "roots": "<i4",
+    "subsample_indices": "<i4",
+    "prediction_indices": "<i4",
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ForestModel:
     """B trees as flat node arrays; node ids are global across the forest.
 
-    Construction checks the invariants traversal relies on, so a forest from
-    an untrusted file can neither loop nor index out of bounds.
+    Construction converts each array to its ``PACKED_DTYPES`` dtype, keeping
+    an array that already has it without a copy, and refuses integers that
+    do not fit it. It then checks the invariants traversal relies on, so a
+    forest from an untrusted file can neither loop nor index out of bounds.
     """
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
@@ -126,9 +142,9 @@ class ForestModel:
     value: np.ndarray  # (N,) float64 leaf predictions
     pred_index: np.ndarray  # (N,) int32 training index behind a leaf, -1 for CART
     split_kind: np.ndarray  # (N,) uint8 split provenance, index into tree.SPLIT_KINDS
-    roots: np.ndarray  # (B,) intp root id of each tree, increasing from 0
-    subsample_indices: np.ndarray  # (B, s) int64, row b = sorted subsample of tree b
-    prediction_indices: np.ndarray | None  # (B, ceil(s/2)) int64 honest prediction sets; None for CART
+    roots: np.ndarray  # (B,) int32 root id of each tree, increasing from 0
+    subsample_indices: np.ndarray  # (B, s) int32, row b = sorted subsample of tree b
+    prediction_indices: np.ndarray | None  # (B, ceil(s/2)) int32 honest prediction sets; None for CART
     n: int
     d: int
     s: int
@@ -136,15 +152,15 @@ class ForestModel:
     config: ForestConfig
 
     def __post_init__(self):
-        dtypes = {
-            "feature": np.int32, "threshold": np.float64, "value": np.float64,
-            "pred_index": np.int32, "split_kind": np.uint8, "roots": np.intp,
-            "subsample_indices": np.int64, "prediction_indices": np.int64,
-        }
-        for name, dtype in dtypes.items():
+        for name, dtype in PACKED_DTYPES.items():
             arr = getattr(self, name)
             if arr is None:
                 continue
+            arr = np.asarray(arr)
+            if arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, dtype):
+                info = np.iinfo(dtype)
+                if arr.min() < info.min or arr.max() > info.max:
+                    raise ValueError(f"{name} holds values outside the range of {dtype}")
             arr = np.ascontiguousarray(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -196,12 +212,6 @@ class ForestModel:
         Derived once, by the construction check; traversal and the audit reuse it.
         """
         return tree_mod.left_children(self.feature, self.roots)
-
-    def counts_matrix(self) -> np.ndarray:
-        """(B, n) 0/1 inclusion counts N*_bi of every tree's subsample."""
-        counts = np.zeros((self.b, self.n), dtype=np.uint8)
-        np.put_along_axis(counts, self.subsample_indices, 1, axis=1)
-        return counts
 
 
 def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestModel:
@@ -289,15 +299,18 @@ def _stream_draws(paths: list, lows: np.ndarray, highs: np.ndarray, n_pred: int)
 
 def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray,
           part_js: np.ndarray, uniforms: np.ndarray | None):
-    """Trees on subsample rows ``sub``, with their subsample and prediction rows.
+    """Trees on subsample rows ``sub``, with their subsample and prediction rows
+    in their ``PACKED_DTYPES`` dtypes.
 
     Honest tree t takes its partition's swap targets ``part_js[t]`` and its
     uniform table ``uniforms[t]``; CART trees take neither.
     """
+    packed_sub = sub.astype(PACKED_DTYPES["subsample_indices"])
     if cfg.tree.mode != HONEST:
-        return tree_mod.grow_block(ts, axes, cfg.tree, sub), sub, None
+        return tree_mod.grow_block(ts, axes, cfg.tree, sub), packed_sub, None
     struct, pred = partition_block(sub, part_js)
-    return tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms), sub, pred
+    grown = tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms)
+    return grown, packed_sub, pred.astype(PACKED_DTYPES["prediction_indices"])
 
 
 def _fit_range(args) -> list:

@@ -24,17 +24,19 @@ i.i.d. trees, Var*(T)/B, estimated without bias by v_hat / (B-1).
 One kernel computes every estimate, one per column of a (B, K) matrix of
 centered tree outputs: the forest's per-tree matrix, which
 ``predict_with_variance`` centers in place, or the one column of ``v_ij``.
-It accumulates C = (1/B) sum_blocks Ntilde_blk^T @ centered_blk over blocks
-of at most ``_IJ_BLOCK`` trees, building each block's rows Ntilde = N* - s/n
-as float64 straight from the forest's subsample rows (or from the caller's
-counts rows), and divides by B in place. So beyond the (B, K) input and the
-(n, K) result it holds one (_IJ_BLOCK, n) float64 block and, past one
-block, one (n, K) partial product; no (B, n) counts matrix is formed. At
-B <= ``_IJ_BLOCK`` this is the single product of the dense formula on the
-same values, so the estimates are bit-identical to it; past that only the
-order in which the blocks' products are summed differs, which moves the
-estimates by rounding (at most 2.2e-15 relative on a cosine d=2 forest at
-n = 5000, B = 25000).
+The inclusion counts N*_bi are read from one record, the (B, s) sorted
+subsample index rows that the forest stores (and that ``v_ij`` takes), so
+s is their width. The kernel accumulates
+C = (1/B) sum_blocks Ntilde_blk^T @ centered_blk over blocks of at most
+``_IJ_BLOCK`` trees, building each block's rows Ntilde = N* - s/n as float64
+straight from its index rows, and divides by B in place. So beyond the
+(B, K) input and the (n, K) result it holds one (_IJ_BLOCK, n) float64 block
+and, past one block, one (n, K) partial product; no (B, n) counts matrix is
+formed. At B <= ``_IJ_BLOCK`` this is the single product of the dense
+formula on the same values, so the estimates are bit-identical to it; past
+that only the order in which the blocks' products are summed differs, which
+moves the estimates by rounding (at most 2.2e-15 relative on a cosine d=2
+forest at n = 5000, B = 25000).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import ForestModel, predict_per_tree
+from .forest import ForestModel, _sorted_rows, predict_per_tree
 from .normal import norm_ppf
 
 # trees per block of N* - s/n rows: bounds the kernel's working set
@@ -77,19 +79,19 @@ class PredictionInterval:
         return self.center + self.half_width
 
 
-def _check(outputs: np.ndarray, counts: np.ndarray, s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _check(outputs, rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     outputs = np.asarray(outputs, dtype=np.float64)
-    counts = np.asarray(counts)
+    rows = np.asarray(rows)
     if outputs.ndim != 1:
         raise ValueError("tree outputs must be a 1-d vector")
     b = outputs.size
     if b < 2:
         raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {b}")
-    if counts.shape != (b, n):
-        raise ValueError(f"counts shape {counts.shape} does not match (B={b}, n={n})")
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return outputs, counts
+    if rows.ndim != 2 or rows.shape[0] != b or not 1 <= rows.shape[1] <= n or rows.dtype.kind not in "iu":
+        raise ValueError(f"subsamples must be B={b} rows of 1 to n={n} integer indices, got {rows.dtype} {rows.shape}")
+    if not _sorted_rows(rows, n):
+        raise ValueError(f"subsamples must be sorted rows of distinct indices in [0, {n})")
+    return outputs, rows
 
 
 def _finite_sample_scale(n: int, s: int) -> float:
@@ -97,19 +99,27 @@ def _finite_sample_scale(n: int, s: int) -> float:
     return (n - 1) / n * (n / (n - s)) ** 2 if s < n else 0.0
 
 
-def _estimates(centered: np.ndarray, tilde_rows, s: int, n: int) -> list[VarianceEstimate]:
+def _tilde_block(rows: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Float64 rows N*_b - s/n of the trees lo..lo+_IJ_BLOCK-1 (clipped to B), from their index rows."""
+    idx = rows[lo:lo + _IJ_BLOCK]
+    s = rows.shape[1]
+    # 1 - s/n at the tree's subsample, -s/n elsewhere
+    block = np.full((idx.shape[0], n), -(s / n))
+    np.put_along_axis(block, idx, 1 - s / n, axis=1)
+    return block
+
+
+def _estimates(centered: np.ndarray, rows: np.ndarray, n: int) -> list[VarianceEstimate]:
     """The IJ kernel: one estimate per column of a (B, K) matrix of centered tree outputs.
 
-    ``tilde_rows(lo, hi)`` returns the float64 rows N*_b - s/n of trees
-    lo..hi-1 (clipped to B), a fresh (hi - lo, n) array.
+    ``rows`` holds tree b's sorted subsample indices in row b, (B, s).
     """
-    b = centered.shape[0]
-    c_all = tilde_rows(0, _IJ_BLOCK).T @ centered[:_IJ_BLOCK]  # (n, K)
+    b, s = rows.shape
+    c_all = _tilde_block(rows, 0, n).T @ centered[:_IJ_BLOCK]  # (n, K)
     if b > _IJ_BLOCK:
         part = np.empty_like(c_all)
         for lo in range(_IJ_BLOCK, b, _IJ_BLOCK):
-            hi = lo + _IJ_BLOCK
-            c_all += np.matmul(tilde_rows(lo, hi).T, centered[lo:hi], out=part)
+            c_all += np.matmul(_tilde_block(rows, lo, n).T, centered[lo:lo + _IJ_BLOCK], out=part)
     c_all /= b
     plugin = np.einsum("ik,ik->k", c_all, c_all)
     v_hat = np.einsum("bk,bk->k", centered, centered) / b
@@ -129,24 +139,21 @@ def _estimates(centered: np.ndarray, tilde_rows, s: int, n: int) -> list[Varianc
     ]
 
 
-def v_ij(outputs, counts, s: int, n: int) -> VarianceEstimate:
+def v_ij(outputs, subsamples, n: int) -> VarianceEstimate:
     """Plug-in and bias-corrected infinitesimal-jackknife variance estimate.
 
-    Reads ``outputs`` and ``counts`` without modifying them.
+    ``subsamples`` holds tree b's sorted subsample indices in row b, (B, s).
+    Reads ``outputs`` and ``subsamples`` without modifying them.
     """
-    outputs, counts = _check(outputs, counts, s, n)
+    outputs, rows = _check(outputs, subsamples, n)
     column = outputs[:, None]
     centered = column - column.mean(axis=0, keepdims=True)  # a new array, the caller's stays
-
-    def tilde_rows(lo, hi):
-        return (counts[lo:hi] - s / n).astype(np.float64, copy=False)
-
-    return _estimates(centered, tilde_rows, s, n)[0]
+    return _estimates(centered, rows, n)[0]
 
 
-def c_weights(outputs, counts, s: int, n: int) -> np.ndarray:
-    """Per-example weights C_i from tree outputs and inclusion counts."""
-    return v_ij(outputs, counts, s, n).c
+def c_weights(outputs, subsamples, n: int) -> np.ndarray:
+    """Per-example weights C_i from tree outputs and sorted (B, s) subsample index rows."""
+    return v_ij(outputs, subsamples, n).c
 
 
 def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[VarianceEstimate]]:
@@ -161,16 +168,7 @@ def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[Var
     centered = predict_per_tree(forest, xs)  # (B, K), a fresh array
     y_hat = centered.mean(axis=0)
     centered -= y_hat
-    sub, s, n = forest.subsample_indices, forest.s, forest.n
-
-    def tilde_rows(lo, hi):
-        # N* - s/n row by row: 1 - s/n at the tree's subsample, -s/n elsewhere
-        idx = sub[lo:hi]
-        rows = np.full((idx.shape[0], n), -(s / n))
-        np.put_along_axis(rows, idx, 1 - s / n, axis=1)
-        return rows
-
-    return y_hat, _estimates(centered, tilde_rows, s, n)
+    return y_hat, _estimates(centered, forest.subsample_indices, forest.n)
 
 
 def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:

@@ -3,10 +3,12 @@
 Layout: one line of JSON with sorted keys (format version, tool, config,
 n/d/s/b, dataset fingerprint, feature names, and for every array its name,
 little-endian dtype, shape and byte offset), then the arrays' bytes back to
-back in the order the header lists them. Ids and indices are stored as
-int32, floats as their exact float64 bits, so a reloaded model reproduces
-predictions bit-exactly. There are no timestamps and no container, so the
-bytes are a function of the forest alone and identical at any worker count.
+back in the order the header lists them. The dtypes are the forest's own
+(``forest.PACKED_DTYPES``): ids and indices are int32, floats their exact
+float64 bits, so saving writes each array's buffer as it is and a reloaded
+model reproduces predictions bit-exactly. There are no timestamps and no
+container, so the bytes are a function of the forest alone and identical at
+any worker count.
 
 Child ids are not stored: nodes are numbered breadth-first within each
 tree, so the forest derives them from the split pattern (see ``forest``).
@@ -15,13 +17,14 @@ Split provenance is one byte per node, a ``tree.SPLIT_KINDS`` code.
 Loading reads no pickle and trusts nothing: the header must list exactly the
 expected arrays with the expected dtypes and shapes, laid out back to back
 up to the end of the file (checked against the file's size before any array
-is allocated; each array is then read straight into its own buffer, so the
-file's bytes are never held twice), and the forest built from them
-re-checks its structure (feature range, node count and split positions of
-every tree, index ranges). A file that fails any check, including a version-1 JSON
-model whose single line parses as a header of the wrong version, is refused
-with ``ValueError``. Version 4 dropped version 3's stored child table and
-its 0/1 provenance flag; files of any other version are refused.
+is allocated; each array is then read straight into its own buffer, which
+the forest keeps, so the file's bytes are never held twice), and the forest
+built from them re-checks its structure (feature range, node count and split
+positions of every tree, index ranges). A file that fails any check,
+including a version-1 JSON model whose single line parses as a header of the
+wrong version, is refused with ``ValueError``. Version 4 dropped version 3's
+stored child table and its 0/1 provenance flag; files of any other version
+are refused.
 """
 
 from __future__ import annotations
@@ -34,22 +37,10 @@ import numpy as np
 
 from . import __version__
 from .dataset import TrainingSet
-from .forest import ForestConfig, ForestModel
+from .forest import PACKED_DTYPES, ForestConfig, ForestModel
 from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
 FORMAT_VERSION = 4
-
-# array name -> on-disk dtype, in file order
-_DISK_DTYPES = {
-    "feature": "<i4",
-    "threshold": "<f8",
-    "value": "<f8",
-    "pred_index": "<i4",
-    "split_kind": "|u1",
-    "roots": "<i4",
-    "subsample_indices": "<i4",
-    "prediction_indices": "<i4",
-}
 
 
 def dataset_fingerprint(ts: TrainingSet) -> str:
@@ -91,15 +82,6 @@ def _config_from_record(c: dict) -> ForestConfig:
     )
 
 
-def _to_disk(arr: np.ndarray, dtype: str) -> np.ndarray:
-    disk = np.dtype(dtype)
-    if disk.kind == "i":
-        info = np.iinfo(disk)
-        if arr.min() < info.min or arr.max() > info.max:
-            raise ValueError(f"values out of range for the on-disk {dtype} format")
-    return np.ascontiguousarray(arr, dtype=disk)
-
-
 def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
     """Header entries of the arrays, in file order and back to back."""
     shapes = {
@@ -108,7 +90,7 @@ def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
         "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)],
     }
     entries, offset = [], 0
-    for name, dtype in _DISK_DTYPES.items():
+    for name, dtype in PACKED_DTYPES.items():
         if name == "prediction_indices" and not honest:
             continue
         entries.append({"name": name, "dtype": dtype, "shape": shapes[name], "offset": offset})
@@ -116,8 +98,8 @@ def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
     return entries
 
 
-def model_bytes(forest: ForestModel, fingerprint: str, feature_names=None) -> bytes:
-    """The model file's bytes: header line, then the raw arrays."""
+def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
+    """Write the header line, then each array's own buffer (already in its file dtype)."""
     entries = _layout(forest.feature.size, forest.b, forest.s, forest.prediction_indices is not None)
     header = {
         "format_version": FORMAT_VERSION,
@@ -128,18 +110,14 @@ def model_bytes(forest: ForestModel, fingerprint: str, feature_names=None) -> by
         "s": forest.s,
         "b": forest.b,
         "mode": forest.config.tree.mode,
-        "dataset_sha256": fingerprint,
-        "feature_names": list(feature_names) if feature_names else None,
+        "dataset_sha256": dataset_fingerprint(ts),
+        "feature_names": list(ts.feature_names) if ts.feature_names else None,
         "arrays": entries,
     }
-    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    arrays = (_to_disk(getattr(forest, e["name"]), e["dtype"]).tobytes() for e in entries)
-    return line.encode() + b"".join(arrays)
-
-
-def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
     with open(path, "wb") as fh:
-        fh.write(model_bytes(forest, dataset_fingerprint(ts), ts.feature_names))
+        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
+        for e in entries:
+            fh.write(getattr(forest, e["name"]).data)
 
 
 def _count(header: dict, key: str) -> int:

