@@ -69,7 +69,7 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import default_subsample_size, draw_block, partition_block
+from .sampling import default_subsample_size, draw_block, partition_block, row_members
 from .tree import HONEST, TreeConfig
 
 # (tree, point) pairs walked together: bounds the traversal's working set
@@ -197,12 +197,7 @@ class ForestModel:
         if pred is not None:
             if pred.shape != (self.b, -(-self.s // 2)) or not _sorted_rows(pred, self.n):
                 raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
-            # each row must lie inside its tree's subsample: search row-offset keys
-            offset = np.arange(self.b)[:, None] * self.n
-            sub_keys = (self.subsample_indices + offset).ravel()
-            pred_keys = (pred + offset).ravel()
-            at = np.minimum(np.searchsorted(sub_keys, pred_keys), sub_keys.size - 1)
-            if not np.array_equal(sub_keys[at], pred_keys):
+            if not row_members(self.subsample_indices, pred, self.n).all():
                 raise ValueError("prediction indices must lie inside their tree's subsample")
 
     @cached_property

@@ -22,6 +22,9 @@ import numpy as np
 # entries of the (rows, n) index pool one ``draw_block`` chunk may hold
 _POOL_ENTRIES = 1 << 20
 
+# rows of the (rows, n) bool table one ``row_members`` block builds
+_MEMBER_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class SubsampleDraw:
@@ -115,6 +118,22 @@ def partition_block(subsamples: np.ndarray, js: np.ndarray) -> tuple[np.ndarray,
     k = js.shape[1]
     split = _fisher_yates(subsamples, js)
     return np.sort(split[:, k:], axis=1), np.sort(split[:, :k], axis=1)
+
+
+def row_members(rows: np.ndarray, of: np.ndarray, n: int) -> np.ndarray:
+    """(B, k) bool: whether ``of[b, j]`` lies in row ``rows[b]``, for entries in [0, n).
+
+    Each block of at most ``_MEMBER_ROWS`` rows marks its entries in a
+    (rows, n) bool table and reads ``of`` from it.
+    """
+    out = np.empty(of.shape, dtype=bool)
+    for lo in range(0, rows.shape[0], _MEMBER_ROWS):
+        hi = min(lo + _MEMBER_ROWS, rows.shape[0])
+        at = np.arange(hi - lo)[:, None]
+        table = np.zeros((hi - lo, n), dtype=bool)
+        table[at, rows[lo:hi]] = True
+        out[lo:hi] = table[at, of[lo:hi]]
+    return out
 
 
 def draw_subsample(n: int, s: int, rng: np.random.Generator) -> SubsampleDraw:

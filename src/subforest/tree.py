@@ -58,10 +58,21 @@ Growth: ``grow_block`` fits a block of trees level by level. Each level
 handles every frontier node of every tree at once: per axis, the points are
 sorted by the int64 key ``(node << shift) + rank`` (ranks computed once per
 training set by ``sorted_axes``), label prefix sums are taken within each
-node's run by doubling steps, the prediction points left of each midpoint
-come from one ``searchsorted``, and the split choice is made by masks over
-(node, axis). A node's decision reads only its own points, in an order the
-node fixes, so the block a tree is grown in never changes it.
+node's run by doubling steps, and the split choice is made by masks over
+(node, axis). A structure midpoint t counts the node's prediction points at
+or below it with no float search (``_at_or_below``): one integer search of
+the candidate's structure key among the prediction keys finds the points
+ranked below it, and a walk steps over the ones after it while x <= t, a
+prefix since they are sorted by x; it takes a few passes over the
+candidates still moving. The prediction-coordinate fallback counts
+structure points the same way. Routing a level's splits settles every child
+whose stop rule already holds (one prediction point in an honest tree, at
+most ``max_leaf_size`` points in a CART tree): it becomes a leaf at once
+and its points leave the frontier, so no later level sorts, sums or
+searches them. A node's decision reads only its own points, in an order the
+node fixes, and the prefix sums pad with -0.0, the exact additive identity,
+so the block a tree is grown in never changes it, down to the sign of a
+zero.
 
 Routing is axis-aligned with ties at the threshold going left
 (x[axis] <= threshold).
@@ -75,6 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import TrainingSet
+from .sampling import row_members
 
 HONEST = "honest"
 CART = "cart"
@@ -178,7 +190,8 @@ def _prefix_sums(values: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
     out = values.copy()
     step = 1
     while step < width:
-        out[step:] += np.where(pos[step:] >= step, out[:-step], 0.0)
+        # -0.0 is the exact additive identity (+0.0 would turn a -0.0 sum into +0.0)
+        out[step:] += np.where(pos[step:] >= step, out[:-step], -0.0)
         step *= 2
     return out
 
@@ -208,6 +221,30 @@ def _first_max(g: np.ndarray, score: np.ndarray, n_nodes: int) -> np.ndarray:
     return w[first]
 
 
+def _at_or_below(keys, x, end, at, g, t):
+    """Per candidate, the position past the points at or below ``t`` of node ``g`` in ``keys``.
+
+    ``keys`` are one axis's sorted keys of a point set, ``x`` their
+    coordinates and ``end`` where each node's run ends. A candidate's own
+    key ``at``, of the other set and in node ``g``, lies at or below ``t``,
+    so every point of ``keys`` before it does too. The points after it are
+    sorted by x, so those at or below ``t`` follow it directly: one integer
+    search finds the start, and a walk steps over them, a few passes, each
+    over the candidates still moving.
+    """
+    i = np.searchsorted(keys, at)
+    if not keys.size:
+        return i
+    end = end[g]
+    # a position past the last point reads the last one, but fails i < end
+    live = np.flatnonzero((i < end) & (x.take(i, mode="clip") <= t))
+    while live.size:
+        i[live] += 1
+        j = i[live]
+        live = live[(j < end[live]) & (x.take(j, mode="clip") <= t[live])]
+    return i
+
+
 def _level(ts, axes, cfg, n_nodes, points, u):
     """Split decisions for one level's frontier of ``n_nodes`` nodes.
 
@@ -230,25 +267,26 @@ def _level(ts, axes, cfg, n_nodes, points, u):
         p_start = np.cumsum(p_count) - p_count
         m = s_count + p_count
         p_keys = [_axis_keys(p_node, p_pt, axes.rank[a], shift) for a in range(d)]
+        p_x = [axes.x[a, keys & ((1 << shift) - 1)] for a, keys in enumerate(p_keys)]
     best = np.full((n_nodes, d), -np.inf)
     best_thr = np.zeros((n_nodes, d))
-    s_keys = []
+    s_keys, s_x = [], []
     for a in range(d):
         keys = _axis_keys(s_node, s_pt, axes.rank[a], shift)
-        s_keys.append(keys)
-        if not keys.size:
-            continue
         node, r, pos = _decode(keys, shift, s_start)
         xs = axes.x[a, r]
+        s_keys.append(keys)
+        s_x.append(xs)
+        if not keys.size:
+            continue
         csum = _prefix_sums(axes.y[a, r], pos, width)
         # an empty node reads some other entry, but it has no candidates
         total = csum[np.maximum(s_start + s_count - 1, 0)]
         c = np.flatnonzero((xs[:-1] < xs[1:]) & (node[:-1] == node[1:]))
         g, n_left = node[c], pos[c] + 1
         if honest:
-            # the points at or below t are exactly the ranks below rank_t
-            rank_t = np.searchsorted(axes.x[a], 0.5 * (xs[c] + xs[c + 1]), side="right")
-            left_p = np.searchsorted(p_keys[a], (g << shift) + rank_t) - p_start[g]
+            t = 0.5 * (xs[c] + xs[c + 1])
+            left_p = _at_or_below(p_keys[a], p_x[a], p_start + p_count, keys[c], g, t) - p_start[g]
             ok = (left_p >= 1) & (left_p < p_count[g]) & _balanced(n_left + left_p, m[g], cfg.gamma)
             c, g, n_left = c[ok], g[ok], n_left[ok]
         elif a == 0:
@@ -286,13 +324,12 @@ def _level(ts, axes, cfg, n_nodes, points, u):
         # prediction-coordinate fallback for the nodes no structure midpoint splits
         fb_thr, fb_count = [], []
         for a in range(d):
-            node, r, pos = _decode(p_keys[a], shift, p_start)
-            xp = axes.x[a, r]
+            node, _, pos = _decode(p_keys[a], shift, p_start)
+            xp = p_x[a]
             c = np.flatnonzero((xp[:-1] < xp[1:]) & (node[:-1] == node[1:]) & need[node[:-1]])
             g = node[c]
             t = 0.5 * (xp[c] + xp[c + 1])
-            rank_t = np.searchsorted(axes.x[a], t, side="right")
-            left_s = np.searchsorted(s_keys[a], (g << shift) + rank_t) - s_start[g]
+            left_s = _at_or_below(s_keys[a], s_x[a], s_start + s_count, p_keys[a][c], g, t) - s_start[g]
             ok = _balanced(pos[c] + 1 + left_s, m[g], cfg.gamma)
             fb_thr.append(t[ok])
             fb_count.append(np.bincount(g[ok], minlength=n_nodes))
@@ -313,6 +350,33 @@ def _level(ts, axes, cfg, n_nodes, points, u):
     leaf_pred = np.full(n_nodes, n)
     np.minimum.at(leaf_pred, p_node, p_pt)
     return split, axis, thr, kind, ts.y[leaf_pred], leaf_pred
+
+
+def _decided(ts, axes, cfg, points, n_nodes):
+    """Routed children whose stop rule already holds, with their leaf values and training indices.
+
+    An honest child with exactly one prediction point holds that point's
+    label and index. A CART child with at most ``max_leaf_size`` points
+    holds their label mean, its sum taken like ``_level``'s node totals:
+    prefix sums within the node in axis-0 key order. ``points`` are the
+    children's (node, training index) arrays, as ``_level`` takes them.
+    """
+    node, pt = points[-1]
+    count = np.bincount(node, minlength=n_nodes)
+    if len(points) > 1:
+        done = count == 1
+        leaf_pred = np.empty(n_nodes, dtype=pt.dtype)
+        leaf_pred[node] = pt  # read only where the node has one point
+        return done, ts.y[leaf_pred[done]], leaf_pred[done]
+    done = count <= cfg.max_leaf_size
+    here = done[node]
+    node = (np.cumsum(done) - 1)[node[here]]
+    count = count[done]
+    start = np.cumsum(count) - count
+    shift = ts.n.bit_length()
+    _, r, pos = _decode(_axis_keys(node, pt[here], axes.rank[0], shift), shift, start)
+    total = _prefix_sums(axes.y[0, r], pos, int(count.max(initial=1)))[start + count - 1]
+    return done, total / count, -1
 
 
 def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np.ndarray,
@@ -363,7 +427,18 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
             node, pt = node[keep], pt[keep]
             go_right = ~(ts.x[pt, axis[node]] <= thr[node])
             moved.append((2 * new_node[node] + go_right, pt))
-        points = moved
+        # a child whose stop rule already holds is a leaf now, and leaves the frontier
+        done, leaf_value, leaf_pred = _decided(ts, axes, cfg, moved, tree_of.size)
+        leaf = (tree_of * cap + node_id)[done]
+        value[leaf] = leaf_value
+        pred_index[leaf] = leaf_pred
+        stay = ~done
+        renumber = np.cumsum(stay) - 1
+        points = []
+        for node, pt in moved:
+            keep = stay[node]
+            points.append((renumber[node[keep]], pt[keep]))
+        tree_of, node_id = tree_of[stay], node_id[stay]
 
     kept = (np.arange(cap) < size[:, None]).ravel()
     roots = np.cumsum(size) - size
@@ -445,10 +520,7 @@ def validate_regularity(forest, ts: TrainingSet) -> RegularityReport:
     n, gamma = ts.n, cfg.gamma
     b, s = forest.subsample_indices.shape
     pt = forest.subsample_indices.ravel()
-    # prediction points of each row, found by row-offset keys
-    offset = np.arange(b)[:, None] * n
-    is_pred = np.zeros(pt.size, dtype=bool)
-    is_pred[np.searchsorted((forest.subsample_indices + offset).ravel(), (forest.prediction_indices + offset).ravel())] = True
+    is_pred = row_members(forest.prediction_indices, forest.subsample_indices, n).ravel()
     node, tree_of = forest.roots, np.arange(b)
     at = np.repeat(tree_of, s)  # each point's position in the frontier
     splits, leaves = [], []

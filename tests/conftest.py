@@ -12,11 +12,13 @@ _PACKED = ("feature", "threshold", "value", "pred_index", "split_kind", "roots",
 
 
 def same_forest(a, b) -> bool:
-    """Every packed array of two forests is equal."""
-    return all(
-        (getattr(a, k) is None and getattr(b, k) is None) or np.array_equal(getattr(a, k), getattr(b, k))
-        for k in _PACKED
-    )
+    """Every packed array of two forests has the same dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    def same(x, y):
+        if x is None or y is None:
+            return x is None and y is None
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    return all(same(getattr(a, k), getattr(b, k)) for k in _PACKED)
 
 
 def one_tree_forest(ts, tree_cfg, subsample, prediction=None, *, feature, threshold, value,

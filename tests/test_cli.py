@@ -259,6 +259,20 @@ class TestModelFile:
         self._rewrite(path, "feature", edit)
         self._refused(path, tmp_path, capsys, r"2 \* splits \+ 1 nodes")
 
+    @pytest.mark.parametrize("saved", ["honest"], indirect=True)
+    def test_prediction_outside_subsample_refused(self, saved, tmp_path, capsys):
+        # tree 0's last prediction index moved to a point outside its
+        # subsample; the row stays sorted and distinct
+        fm, path = saved
+        sub, pred = fm.subsample_indices[0], fm.prediction_indices[0]
+        outside = np.setdiff1d(np.arange(pred[-2] + 1, fm.n), sub)[0]
+
+        def edit(prediction_indices):
+            prediction_indices[0, -1] = outside
+
+        self._rewrite(path, "prediction_indices", edit)
+        self._refused(path, tmp_path, capsys, "prediction indices must lie inside their tree's subsample")
+
     def test_version_1_json_model_refused(self, tmp_path, capsys):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"format_version": 1, "n": 40, "d": 2, "trees": []},

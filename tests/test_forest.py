@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 
@@ -74,18 +75,21 @@ class TestBlockGrowth:
     @pytest.mark.parametrize("mode", ["honest", "cart"])
     def test_block_size_does_not_change_trees(self, cosine_1k, monkeypatch, mode):
         cfg = ForestConfig(b=23, seed=14, tree=tree.TreeConfig(mode=mode))
-        # 23 trees fall into ranges of 6; a block of 256 holds a whole range
-        grown = {}
-        for block in (1, 7, 256):
-            monkeypatch.setattr(forest, "_TREE_BLOCK", block)
-            grown[block] = forest.train(cosine_1k, cfg)
-        # and all 23 in one block
-        resolved = grown[1].config
-        one_block = forest._pack(forest._fit_range((cosine_1k, tree.sorted_axes(cosine_1k), resolved, resolved.s, 0, 23)),
-                                 cosine_1k.n, resolved.s, cosine_1k.d, resolved)
-        assert same_forest(grown[1], grown[7])
-        assert same_forest(grown[1], grown[256])
-        assert same_forest(grown[1], one_block)
+        # the drawn labels, and the same with every positive label made -0.0,
+        # so that some CART leaves sum only -0.0 labels and must keep the sign
+        for ts in (cosine_1k, TrainingSet(cosine_1k.x, np.minimum(cosine_1k.y, -0.0))):
+            # 23 trees fall into ranges of 6; a block of 256 holds a whole range
+            grown = {}
+            for block in (1, 7, 256):
+                monkeypatch.setattr(forest, "_TREE_BLOCK", block)
+                grown[block] = forest.train(ts, cfg)
+            # and all 23 in one block
+            resolved = grown[1].config
+            one_block = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), resolved, resolved.s, 0, 23)),
+                                     ts.n, resolved.s, ts.d, resolved)
+            assert same_forest(grown[1], grown[7])
+            assert same_forest(grown[1], grown[256])
+            assert same_forest(grown[1], one_block)
 
     def test_trees_equal_one_tree_fits_on_the_same_stream(self, cosine_1k):
         axes = tree.sorted_axes(cosine_1k)
@@ -163,6 +167,31 @@ class TestBlockGrowth:
             assert np.array_equal(getattr(fm, name), getattr(fm2, name)), name
         leaves = fm2.feature < 0
         assert np.array_equal(fm2.value[leaves], y2[fm2.pred_index[leaves]])
+
+
+class TestGoldenTrees:
+    """Trees pinned by the sha256 of their packed arrays.
+
+    The training data use only uniform draws and arithmetic, so the digests
+    do not depend on a platform's transcendental functions.
+    """
+
+    DIGESTS = {
+        "honest": "c8bb2d2baf76e5803d1d73dfd8d88754adef1af2de5c7c995297ac6f05c45898",
+        "cart": "b6505eec963c4066d3f16337ced12209b2a1c1431c7c1a0bb4b2af912a88d9bd",
+    }
+
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_packed_arrays_digest(self, mode):
+        u = np.random.default_rng(2024).random((400, 4))
+        x = u[:, :3]
+        ts = TrainingSet(x, x[:, 0] - 2.0 * x[:, 1] * x[:, 2] + 0.25 * u[:, 3])
+        fm = forest.train(ts, ForestConfig(b=12, seed=31, tree=tree.TreeConfig(mode=mode)))
+        digest = hashlib.sha256()
+        for name in forest.PACKED_DTYPES:
+            if getattr(fm, name) is not None:
+                digest.update(getattr(fm, name).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[mode]
 
 
 class TestPredict:

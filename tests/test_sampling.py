@@ -141,6 +141,18 @@ class TestDrawBlock:
         assert pred[0].tolist() == [2, 3, 24, 28, 34, 48]
 
 
+class TestRowMembers:
+    def test_blocks_match_per_row_membership(self, monkeypatch):
+        # blocks of 3 rows: 10 rows take four tables
+        monkeypatch.setattr(sampling, "_MEMBER_ROWS", 3)
+        gen = np.random.default_rng(4)
+        rows = np.sort(np.stack([gen.choice(30, 8, replace=False) for _ in range(10)]), axis=1)
+        of = gen.integers(0, 30, (10, 5))
+        want = np.array([np.isin(o, r) for r, o in zip(rows, of)])
+        assert want.any() and not want.all()
+        assert np.array_equal(sampling.row_members(rows, of, 30), want)
+
+
 class TestDefaultSubsampleSize:
     @pytest.mark.parametrize("n,expect", [(200, 40), (1000, 125), (4, 2), (50, 15), (3200, 284)])
     def test_rule_values(self, n, expect):

@@ -144,6 +144,30 @@ class TestGrowBlock:
         assert block.feature[0] == 1 and block.threshold[0] == 0.5
         assert tree.SPLIT_KINDS[block.split_kind[0]] == "redrawn"
 
+    def test_prediction_points_count_left_at_or_below_the_threshold(self):
+        # a < b are adjacent doubles whose midpoint rounds onto b, so the
+        # structure candidate a|b has threshold b and routes every point at b
+        # left. Prediction point 0 ties structure point 1 at 0.0, and
+        # prediction point 7 ties structure point 3 at b: 7 sorts after 3
+        # (ties by training index), past the gap between the candidate's
+        # structure points, yet counts left since b <= b.
+        a = 1.0 + 2.0 ** -52
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        x = np.array([0.0, 0.0, a, b, 2.0, -2.0, -1.0, b, 3.0])[:, None]
+        ts = TrainingSet(x, np.array([100.0, 5.0, 0.0, 10.0, 10.0, 105.0, 106.0, 107.0, 108.0]))
+        cfg = TreeConfig(gamma=0.35, delta=0.01)  # greedy at every node (u = 0.5)
+        fm = grow_one(ts, cfg, [1, 2, 3, 4], [0, 5, 6, 7, 8], np.full((9, 5), 0.5))
+        # root: a|b would score best, but counting point 7 left leaves 3 of 9
+        # points right, below gamma, so 0|a wins. Its right child then splits
+        # at a|b, which is admissible only with point 7 on the left.
+        assert fm.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
+        assert fm.threshold[:4].tolist() == [0.5 * a, -0.5, b, -1.5]
+        assert [tree.SPLIT_KINDS[k] for k in fm.split_kind[:4]] == ["greedy", "fallback", "greedy", "fallback"]
+        assert fm.pred_index[4:].tolist() == [0, 7, 8, 5, 6]
+        assert np.array_equal(fm.value[4:], ts.y[[0, 7, 8, 5, 6]])
+        assert tree.validate_regularity(fm, ts).passed
+
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
         rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
         cfg = TreeConfig(mode="cart")
