@@ -12,11 +12,14 @@ naming the traversal that ran, and then ``jackknife.predict_with_variance``
 process which only loads the model and predicts.
 
 ``ru_maxrss`` is read after every stage: it is a process's peak so far, so
-each reading bounds that stage and all before it. Human-readable lines (the
-machine stamp: nproc, CPU, Python, numpy; then one line per stage) come
-first, the last line is one JSON object. ``--estimates PATH`` also writes ŷ
-and the plugin, corrected, truncated and C values to an ``.npz`` file, to
-compare two versions of the package on the same run.
+each reading bounds that stage and all before it. Next to it, each stage
+reports the minor page faults it took (the ``ru_minflt`` delta, training's
+pool workers included), which shows allocation churn: pages a stage keeps
+getting fresh from the kernel. Human-readable lines (the machine stamp:
+nproc, CPU, Python, numpy; then one line per stage) come first, the last
+line is one JSON object. ``--estimates PATH`` also writes ŷ and the plugin,
+corrected, truncated and C values to an ``.npz`` file, to compare two
+versions of the package on the same run.
 """
 
 import argparse
@@ -40,6 +43,19 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def minflt() -> int:
+    """Minor page faults of this process and of its reaped children (the training pool's workers)."""
+    return sum(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def mark(out: dict, stage: str, since: int) -> int:
+    """Record the peak RSS so far and the minor page faults since ``since`` for ``stage``; return the fault count now."""
+    now = minflt()
+    out[f"{stage}_peak_mb"] = peak_mb()
+    out[f"{stage}_minflt"] = now - since
+    return now
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -54,17 +70,18 @@ def cpu_model() -> str:
 def train_stage(args, model: str) -> dict:
     """Data, train, save."""
     out = {"start_peak_mb": peak_mb()}
+    faults = minflt()
     ts = dataset.gen_synthetic(SyntheticSpec("cosine", 2), args.n, args.seed)
-    out["data_peak_mb"] = peak_mb()
+    faults = mark(out, "data", faults)
     t0 = time.perf_counter()
     fm = forest.train(ts, ForestConfig(s=args.s, b=args.b, seed=args.seed), n_jobs=args.threads)
     out["train_s"] = time.perf_counter() - t0
     out["s"] = fm.s
-    out["train_peak_mb"] = peak_mb()
+    faults = mark(out, "train", faults)
     t0 = time.perf_counter()
     model_io.save_model(model, fm, ts)
     out["save_s"] = time.perf_counter() - t0
-    out["save_peak_mb"] = peak_mb()
+    mark(out, "save", faults)
     out["model_mb"] = os.path.getsize(model) / 2**20
     return out
 
@@ -72,10 +89,11 @@ def train_stage(args, model: str) -> dict:
 def predict_stage(args, model: str) -> dict:
     """Load, per-tree matrix, predict_with_variance."""
     out = {"start_peak_mb": peak_mb()}
+    faults = minflt()
     t0 = time.perf_counter()
     fm, _ = model_io.load_model(model)
     out["load_s"] = time.perf_counter() - t0
-    out["load_peak_mb"] = peak_mb()
+    faults = mark(out, "load", faults)
     xs = rng.stream(args.seed, rng.TEST_POINTS).random((args.k, fm.d))
     t0 = time.perf_counter()
     per_tree = forest.predict_per_tree(fm, xs)
@@ -83,11 +101,11 @@ def predict_stage(args, model: str) -> dict:
     out["traversal"] = forest._traversal(fm, args.k).__name__.lstrip("_")
     out["max_leaves"] = int(np.add.reduceat(fm.feature < 0, fm.roots).max())
     del per_tree
-    out["per_tree_peak_mb"] = peak_mb()
+    faults = mark(out, "per_tree", faults)
     t0 = time.perf_counter()
     yhat, ests = jackknife.predict_with_variance(fm, xs)
     out["predict_with_variance_s"] = time.perf_counter() - t0
-    out["predict_with_variance_peak_mb"] = peak_mb()
+    mark(out, "predict_with_variance", faults)
     if args.estimates:
         np.savez(args.estimates, yhat=yhat, c=np.column_stack([e.c for e in ests]),
                  **{f: np.array([getattr(e, f) for e in ests]) for f in ("plugin", "corrected", "truncated")})
@@ -134,14 +152,18 @@ def main() -> int:
     rec["s"] = trained.pop("s")
     rec.update({f"train.{k}": v for k, v in trained.items()})
     rec.update({f"predict.{k}": v for k, v in predicted.items()})
-    print(f"train: s={rec['s']} {trained['train_s']:.2f} s, peak {trained['train_peak_mb']:.0f} MB")
-    print(f"save: {trained['model_mb']:.0f} MB file in {trained['save_s']:.2f} s, peak {trained['save_peak_mb']:.0f} MB")
+    print(f"data: peak {trained['data_peak_mb']:.0f} MB, {trained['data_minflt']} minor faults")
+    print(f"train: s={rec['s']} {trained['train_s']:.2f} s, peak {trained['train_peak_mb']:.0f} MB, "
+          f"{trained['train_minflt']} minor faults")
+    print(f"save: {trained['model_mb']:.0f} MB file in {trained['save_s']:.2f} s, peak {trained['save_peak_mb']:.0f} MB, "
+          f"{trained['save_minflt']} minor faults")
     print(f"load: {predicted['load_s']:.2f} s, peak {predicted['load_peak_mb']:.0f} MB "
-          f"(a fresh process, {predicted['start_peak_mb']:.0f} MB after imports)")
+          f"(a fresh process, {predicted['start_peak_mb']:.0f} MB after imports), {predicted['load_minflt']} minor faults")
     print(f"per-tree matrix: {predicted['traversal']} (max {predicted['max_leaves']} leaves), "
-          f"{predicted['per_tree_s']:.3f} s, peak {predicted['per_tree_peak_mb']:.0f} MB")
+          f"{predicted['per_tree_s']:.3f} s, peak {predicted['per_tree_peak_mb']:.0f} MB, "
+          f"{predicted['per_tree_minflt']} minor faults")
     print(f"predict_with_variance: {predicted['predict_with_variance_s']:.2f} s, "
-          f"peak {predicted['predict_with_variance_peak_mb']:.0f} MB")
+          f"peak {predicted['predict_with_variance_peak_mb']:.0f} MB, {predicted['predict_with_variance_minflt']} minor faults")
     print(json.dumps({"machine": machine, **rec}))
     return 0
 

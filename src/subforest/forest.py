@@ -279,17 +279,17 @@ def _stream_draws(paths: list, lows: np.ndarray, highs: np.ndarray, n_pred: int)
     its ``split_uniforms`` table for ``n_pred`` prediction points (none when 0).
 
     One Philox generator is restarted on each stream (``rng.rekey``) rather
-    than built per stream.
+    than built per stream, and each table is drawn into its row of one array.
     """
     gen = rng.stream(0)  # any Philox generator: rekey restarts it
     js = np.empty((len(paths), lows.size), dtype=np.int64)
-    uniforms = []
+    uniforms = np.empty((len(paths), 2 * n_pred - 1, tree_mod.UNIFORMS)) if n_pred else None
     for t, path in enumerate(paths):
         rng.rekey(gen, *path)
         js[t] = gen.integers(lows, highs)
         if n_pred:
-            uniforms.append(tree_mod.split_uniforms(gen, n_pred))
-    return js, np.stack(uniforms) if n_pred else None
+            tree_mod.split_uniforms(gen, n_pred, out=uniforms[t])
+    return js, uniforms
 
 
 def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray,

@@ -13,7 +13,8 @@ Split rule, honest mode:
     otherwise the axis with the best structure-label variance reduction
     (ties going to the lowest axis);
   * candidate thresholds are midpoints between consecutive distinct sorted
-    structure coordinates on the axis;
+    structure coordinates a < b on the axis, or a where 0.5 * (a + b)
+    rounds onto b (adjacent doubles), so a routes left and b right;
   * a candidate is admissible iff each child keeps at least a ``gamma``
     fraction of the node's subsample points (child count / node count >=
     gamma, for both children) and at least one prediction point; the
@@ -57,22 +58,27 @@ grown alone or in a block with others, at any block size or worker count.
 Growth: ``grow_block`` fits a block of trees level by level. Each level
 handles every frontier node of every tree at once: per axis, the points are
 sorted by the int64 key ``(node << shift) + rank`` (ranks computed once per
-training set by ``sorted_axes``), label prefix sums are taken within each
-node's run by doubling steps, and the split choice is made by masks over
+training set by ``sorted_axes``), so every axis lays them out in the same
+node runs. What depends only on the runs is computed once per level and
+shared by the axes: each sorted slot's node and position in its run, the run
+starts that the doubling steps of the label prefix sums reset at, and the
+left and right counts of a cut after each slot. The sorted keys, coordinates
+and sums go into buffers the block allocates once, for its root level, the
+largest. The split choice is made over index arrays of candidates, then over
 (node, axis). A structure midpoint t counts the node's prediction points at
 or below it with no float search (``_at_or_below``): one integer search of
 the candidate's structure key among the prediction keys finds the points
 ranked below it, and a walk steps over the ones after it while x <= t, a
-prefix since they are sorted by x; it takes a few passes over the
-candidates still moving. The prediction-coordinate fallback counts
-structure points the same way. Routing a level's splits settles every child
-whose stop rule already holds (one prediction point in an honest tree, at
-most ``max_leaf_size`` points in a CART tree): it becomes a leaf at once
-and its points leave the frontier, so no later level sorts, sums or
-searches them. A node's decision reads only its own points, in an order the
-node fixes, and the prefix sums pad with -0.0, the exact additive identity,
-so the block a tree is grown in never changes it, down to the sign of a
-zero.
+prefix since they are sorted by x; it takes a few passes over the candidates
+still moving. The prediction-coordinate fallback counts structure points the
+same way, reading only the runs of the nodes that need it. Routing a level's
+splits settles every child whose stop rule already holds (one prediction
+point in an honest tree, at most ``max_leaf_size`` points in a CART tree):
+it becomes a leaf at once and its points leave the frontier, so no later
+level sorts, sums or searches them. A node's decision reads only its own
+points, in an order the node fixes, and the prefix sums pad with -0.0, the
+exact additive identity, so the block a tree is grown in never changes it,
+down to the sign of a zero.
 
 Routing is axis-aligned with ties at the threshold going left
 (x[axis] <= threshold).
@@ -92,7 +98,7 @@ HONEST = "honest"
 CART = "cart"
 
 # uniforms per node: branch, uniform axis, redrawn axis, fallback axis, fallback threshold
-_UNIFORMS = 5
+UNIFORMS = 5
 
 # split provenance, by split_kind code
 SPLIT_KINDS = ("greedy", "uniform", "redrawn", "fallback")
@@ -160,9 +166,9 @@ def sorted_axes(ts: TrainingSet) -> SortedAxes:
     return SortedAxes(np.take_along_axis(ts.x.T, order, axis=1), ts.y[order], rank)
 
 
-def split_uniforms(rng: np.random.Generator, n_pred: int) -> np.ndarray:
-    """An honest tree's split randomness: one row per node id it can have."""
-    return rng.random((2 * n_pred - 1, _UNIFORMS))
+def split_uniforms(rng: np.random.Generator, n_pred: int, out: np.ndarray | None = None) -> np.ndarray:
+    """An honest tree's split randomness: one row per node id it can have, drawn into ``out`` if given."""
+    return rng.random((2 * n_pred - 1, UNIFORMS), out=out)
 
 
 def _pick(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -180,31 +186,58 @@ def _balanced(left: np.ndarray, m: np.ndarray, gamma: float) -> np.ndarray:
     return np.minimum(left, m - left) / m >= gamma
 
 
-def _prefix_sums(values: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """Inclusive prefix sums within each run, by doubling steps inside the run.
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Threshold between sorted coordinates a < b: 0.5 * (a + b), or a where that rounds onto b.
 
-    ``pos`` is each entry's position within its run and ``width`` bounds the
-    run lengths; an entry's sum reads its own run only, in an order fixed by
-    its position, so it never depends on the runs around it.
+    Routing (x <= t) then sends a left and b right, as the counts assume.
     """
-    out = values.copy()
-    step = 1
-    while step < width:
-        # -0.0 is the exact additive identity (+0.0 would turn a -0.0 sum into +0.0)
-        out[step:] += np.where(pos[step:] >= step, out[:-step], -0.0)
-        step *= 2
-    return out
+    t = a + b
+    t *= 0.5
+    np.copyto(t, a, where=t == b)
+    return t
 
 
-def _axis_keys(node: np.ndarray, pt: np.ndarray, rank: np.ndarray, shift: int) -> np.ndarray:
-    """Sorted keys ``(node << shift) + rank`` of points on one axis (2**shift > n)."""
-    return np.sort((node << shift) + rank[pt])
+def _runs(count: np.ndarray):
+    """Run, position within the run, and run start of every entry, for runs of ``count`` entries laid end to end."""
+    start = np.cumsum(count) - count
+    run = np.repeat(np.arange(count.size), count)
+    return run, np.arange(run.size) - start[run], start
 
 
-def _decode(keys: np.ndarray, shift: int, start: np.ndarray):
-    """Node, rank and position within the node of sorted keys; ``start`` is where each node's run begins."""
-    node = keys >> shift
-    return node, keys & ((1 << shift) - 1), np.arange(keys.size) - start[node]
+def _resets(pos: np.ndarray, width: int) -> list:
+    """Per doubling step 2**k < ``width`` (the longest run), the entries of ``pos[2**k:]`` below 2**k."""
+    return [np.flatnonzero(pos[1 << k:] < 1 << k) for k in range((width - 1).bit_length())]
+
+
+def _prefix_sums(values: np.ndarray, resets: list, buf: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums within each run, in place, by doubling steps inside the run.
+
+    Step 2**k adds the partial sum 2**k entries back, or -0.0, the exact
+    additive identity, where that lies in an earlier run (``resets[k]``). An
+    entry's sum reads its own run only, in an order fixed by its position, so
+    it never depends on the runs around it. ``buf`` is scratch as long as ``values``.
+    """
+    for k, reset in enumerate(resets):
+        shifted = buf[:values.size - (1 << k)]
+        np.copyto(shifted, values[:-(1 << k)])
+        shifted[reset] = -0.0
+        values[1 << k:] += shifted
+    return values
+
+
+def _sort_axes(axes: SortedAxes, node: np.ndarray, pt: np.ndarray, shift: int, work, rank: np.ndarray) -> tuple:
+    """Per axis, the sorted keys ``(node << shift) + rank`` of points ``pt`` and their coordinates,
+    written into the (d, >= m) buffers ``work``; ``rank`` is (>= m,) int64 scratch."""
+    keys, x = (w[:, :pt.size] for w in work)
+    rank = rank[:pt.size]
+    base = node << shift
+    for a in range(keys.shape[0]):
+        # the indices are in range: "clip" only spares take a buffered copy
+        axes.rank[a].take(pt, out=keys[a], mode="clip")
+        keys[a] += base
+        keys[a].sort()
+        axes.x[a].take(np.bitwise_and(keys[a], (1 << shift) - 1, out=rank), out=x[a], mode="clip")
+    return keys, x
 
 
 def _first_max(g: np.ndarray, score: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -245,7 +278,7 @@ def _at_or_below(keys, x, end, at, g, t):
     return i
 
 
-def _level(ts, axes, cfg, n_nodes, points, u):
+def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
     """Split decisions for one level's frontier of ``n_nodes`` nodes.
 
     ``points`` holds (node, training index) arrays: structure points first,
@@ -259,44 +292,57 @@ def _level(ts, axes, cfg, n_nodes, points, u):
     every = np.arange(n_nodes)
     s_node, s_pt = points[0]
     s_count = np.bincount(s_node, minlength=n_nodes)
-    s_start = np.cumsum(s_count) - s_count
-    width = max(int(s_count.max()), 1)
+    # sorted by (node, rank), every axis lays the points out in the same node
+    # runs: what depends only on the runs is computed once per level
+    run, pos, s_start = _runs(s_count)
+    s_end = s_start + s_count
+    resets = _resets(pos, max(int(s_count.max()), 1))
+    same = run[:-1] == run[1:]
+    n_left = pos + 1.0
+    # a run's last entry is no candidate; 1 keeps its score finite
+    n_right = np.maximum(s_count[run] - n_left, 1.0)
+    # an empty node reads some other entry, but it has no candidates
+    last = np.maximum(s_end - 1, 0)
     if honest:
         p_node, p_pt = points[1]
         p_count = np.bincount(p_node, minlength=n_nodes)
-        p_start = np.cumsum(p_count) - p_count
+        p_run, p_pos, p_start = _runs(p_count)
+        p_end = p_start + p_count
         m = s_count + p_count
-        p_keys = [_axis_keys(p_node, p_pt, axes.rank[a], shift) for a in range(d)]
-        p_x = [axes.x[a, keys & ((1 << shift) - 1)] for a, keys in enumerate(p_keys)]
+        p_keys, p_x = _sort_axes(axes, p_node, p_pt, shift, work[1], rank)
     best = np.full((n_nodes, d), -np.inf)
     best_thr = np.zeros((n_nodes, d))
-    s_keys, s_x = [], []
-    for a in range(d):
-        keys = _axis_keys(s_node, s_pt, axes.rank[a], shift)
-        node, r, pos = _decode(keys, shift, s_start)
-        xs = axes.x[a, r]
-        s_keys.append(keys)
-        s_x.append(xs)
-        if not keys.size:
-            continue
-        csum = _prefix_sums(axes.y[a, r], pos, width)
-        # an empty node reads some other entry, but it has no candidates
-        total = csum[np.maximum(s_start + s_count - 1, 0)]
-        c = np.flatnonzero((xs[:-1] < xs[1:]) & (node[:-1] == node[1:]))
-        g, n_left = node[c], pos[c] + 1
+    s_keys, s_x = _sort_axes(axes, s_node, s_pt, shift, work[0], rank)
+    csum, buf, sq = sums[:, :s_pt.size]
+    r = rank[:s_pt.size]
+    for a in range(d if s_pt.size else 0):
+        xs = s_x[a]
+        np.bitwise_and(s_keys[a], (1 << shift) - 1, out=r)
+        _prefix_sums(axes.y[a].take(r, out=csum, mode="clip"), resets, buf)
+        total = csum[last]
+        # every entry's score as the last point left of a cut: lsum²/n_left + rsum²/n_right
+        rsum = np.take(total, run, out=buf)
+        rsum -= csum
+        rsum *= rsum
+        rsum /= n_right
+        score = np.multiply(csum, csum, out=sq)
+        score /= n_left
+        score += rsum
+        c = np.flatnonzero((xs[:-1] < xs[1:]) & same)
+        g = run[c]
         if honest:
-            t = 0.5 * (xs[c] + xs[c + 1])
-            left_p = _at_or_below(p_keys[a], p_x[a], p_start + p_count, keys[c], g, t) - p_start[g]
-            ok = (left_p >= 1) & (left_p < p_count[g]) & _balanced(n_left + left_p, m[g], cfg.gamma)
-            c, g, n_left = c[ok], g[ok], n_left[ok]
+            t = _midpoint(xs[c], xs[c + 1])
+            left_p = _at_or_below(p_keys[a], p_x[a], p_end, s_keys[a][c], g, t) - p_start[g]
+            ok = (left_p >= 1) & (left_p < p_count[g]) & _balanced(n_left[c] + left_p, m[g], cfg.gamma)
+            ok = np.flatnonzero(ok)
+            c, g = c[ok], g[ok]
         elif a == 0:
             node_total = total
-        lsum = csum[c]
-        rsum = total[g] - lsum
-        score = lsum * lsum / n_left + rsum * rsum / (s_count[g] - n_left)
+        score = score[c]
         w = _first_max(g, score, n_nodes)
+        c = c[w]
         best[g[w], a] = score[w]
-        best_thr[g[w], a] = 0.5 * (xs[c[w]] + xs[c[w] + 1])
+        best_thr[g[w], a] = _midpoint(xs[c], xs[c + 1])
     axis = best.argmax(axis=1)
 
     if not honest:
@@ -321,16 +367,19 @@ def _level(ts, axes, cfg, n_nodes, points, u):
     kind = np.where(uniform, np.where(has[every, drawn], 1, 2), 0).astype(np.uint8)
     need = ~split
     if need.any():
-        # prediction-coordinate fallback for the nodes no structure midpoint splits
+        # prediction-coordinate fallback for the nodes no structure midpoint
+        # splits, read over those nodes' runs only
+        sel = np.flatnonzero(need[p_run])
+        g_sel = p_run[sel]
+        same = g_sel[:-1] == g_sel[1:]
         fb_thr, fb_count = [], []
         for a in range(d):
-            node, _, pos = _decode(p_keys[a], shift, p_start)
-            xp = p_x[a]
-            c = np.flatnonzero((xp[:-1] < xp[1:]) & (node[:-1] == node[1:]) & need[node[:-1]])
-            g = node[c]
-            t = 0.5 * (xp[c] + xp[c + 1])
-            left_s = _at_or_below(s_keys[a], s_x[a], s_start + s_count, p_keys[a][c], g, t) - s_start[g]
-            ok = _balanced(pos[c] + 1 + left_s, m[g], cfg.gamma)
+            xp = p_x[a][sel]
+            j = np.flatnonzero((xp[:-1] < xp[1:]) & same)
+            c, g = sel[j], g_sel[j]
+            t = _midpoint(xp[j], xp[j + 1])
+            left_s = _at_or_below(s_keys[a], s_x[a], s_end, p_keys[a][c], g, t) - s_start[g]
+            ok = np.flatnonzero(_balanced(p_pos[c] + 1 + left_s, m[g], cfg.gamma))
             fb_thr.append(t[ok])
             fb_count.append(np.bincount(g[ok], minlength=n_nodes))
         # admissible midpoints run by (axis, node), thresholds increasing
@@ -369,13 +418,14 @@ def _decided(ts, axes, cfg, points, n_nodes):
         leaf_pred[node] = pt  # read only where the node has one point
         return done, ts.y[leaf_pred[done]], leaf_pred[done]
     done = count <= cfg.max_leaf_size
-    here = done[node]
+    here = np.flatnonzero(done[node])
     node = (np.cumsum(done) - 1)[node[here]]
     count = count[done]
-    start = np.cumsum(count) - count
+    _, pos, start = _runs(count)
     shift = ts.n.bit_length()
-    _, r, pos = _decode(_axis_keys(node, pt[here], axes.rank[0], shift), shift, start)
-    total = _prefix_sums(axes.y[0, r], pos, int(count.max(initial=1)))[start + count - 1]
+    keys = np.sort((node << shift) + axes.rank[0, pt[here]])
+    csum = axes.y[0].take(keys & ((1 << shift) - 1))
+    total = _prefix_sums(csum, _resets(pos, int(count.max(initial=1))), np.empty_like(csum))[start + count - 1]
     return done, total / count, -1
 
 
@@ -399,12 +449,17 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
 
     tree_of = np.arange(n_trees)
     node_id = np.zeros(n_trees, dtype=np.intp)
-    points = [(np.repeat(tree_of, rows.shape[1]), rows.ravel())
-              for rows in ((structure, prediction) if honest else (structure,))]
+    sets = (structure, prediction) if honest else (structure,)
+    points = [(np.repeat(tree_of, rows.shape[1]), rows.ravel()) for rows in sets]
+    # working arrays sized for the root level, the largest: every level writes
+    # into them rather than fault in fresh pages
+    work = [(np.empty((ts.d, rows.size), dtype=np.int64), np.empty((ts.d, rows.size))) for rows in sets]
+    sums = np.empty((3, structure.size))
+    rank = np.empty(max(rows.size for rows in sets), dtype=np.int64)
     while tree_of.size:
         slot = tree_of * cap + node_id
         u = uniforms[tree_of, node_id] if honest else None
-        split, axis, thr, kind, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u)
+        split, axis, thr, kind, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u, work, sums, rank)
         leaf = slot[~split]
         value[leaf] = leaf_value[~split]
         pred_index[leaf] = leaf_pred[~split]
@@ -423,7 +478,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
         new_node = np.cumsum(split) - 1
         moved = []
         for node, pt in points:
-            keep = split[node]
+            keep = np.flatnonzero(split[node])
             node, pt = node[keep], pt[keep]
             go_right = ~(ts.x[pt, axis[node]] <= thr[node])
             moved.append((2 * new_node[node] + go_right, pt))
@@ -436,7 +491,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
         renumber = np.cumsum(stay) - 1
         points = []
         for node, pt in moved:
-            keep = stay[node]
+            keep = np.flatnonzero(stay[node])
             points.append((renumber[node[keep]], pt[keep]))
         tree_of, node_id = tree_of[stay], node_id[stay]
 

@@ -169,6 +169,14 @@ class TestBlockGrowth:
         assert np.array_equal(fm2.value[leaves], y2[fm2.pred_index[leaves]])
 
 
+def _digest(fm) -> str:
+    digest = hashlib.sha256()
+    for name in forest.PACKED_DTYPES:
+        if getattr(fm, name) is not None:
+            digest.update(getattr(fm, name).tobytes())
+    return digest.hexdigest()
+
+
 class TestGoldenTrees:
     """Trees pinned by the sha256 of their packed arrays.
 
@@ -180,6 +188,12 @@ class TestGoldenTrees:
         "honest": "c8bb2d2baf76e5803d1d73dfd8d88754adef1af2de5c7c995297ac6f05c45898",
         "cart": "b6505eec963c4066d3f16337ced12209b2a1c1431c7c1a0bb4b2af912a88d9bd",
     }
+    # d=5 and 300 trees: five axes share each level's scan, and one range of
+    # the 300 trees grows as two blocks
+    DIGESTS_D5 = {
+        "honest": "1af2353f56521e5f12bbef94aa4492ecdbd18522c629f44ee9e21c40420d0289",
+        "cart": "7e889f2731dd96cad26a6a64c9375874a7a08e899a6dc526c0286d5cb514f750",
+    }
 
     @pytest.mark.parametrize("mode", ["honest", "cart"])
     def test_packed_arrays_digest(self, mode):
@@ -187,11 +201,20 @@ class TestGoldenTrees:
         x = u[:, :3]
         ts = TrainingSet(x, x[:, 0] - 2.0 * x[:, 1] * x[:, 2] + 0.25 * u[:, 3])
         fm = forest.train(ts, ForestConfig(b=12, seed=31, tree=tree.TreeConfig(mode=mode)))
-        digest = hashlib.sha256()
-        for name in forest.PACKED_DTYPES:
-            if getattr(fm, name) is not None:
-                digest.update(getattr(fm, name).tobytes())
-        assert digest.hexdigest() == self.DIGESTS[mode]
+        assert _digest(fm) == self.DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_d5_packed_arrays_digest_over_two_blocks(self, mode):
+        u = np.random.default_rng(2024).random((400, 6))
+        x = u[:, :5]
+        ts = TrainingSet(x, x[:, 0] - 2.0 * x[:, 1] * x[:, 2] + x[:, 3] * x[:, 4] + 0.25 * u[:, 5])
+        fm = forest.train(ts, ForestConfig(b=300, seed=31, tree=tree.TreeConfig(mode=mode)))
+        assert _digest(fm) == self.DIGESTS_D5[mode]
+        cfg = fm.config
+        assert cfg.b // forest._TREE_BLOCK == 1
+        one_range = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), cfg, cfg.s, 0, cfg.b)),
+                                 ts.n, cfg.s, ts.d, cfg)
+        assert same_forest(fm, one_range)
 
 
 class TestPredict:

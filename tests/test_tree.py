@@ -99,6 +99,19 @@ class TestFitHonest:
         assert model.pred_index[0] == 2
 
 
+def _routed_counts(fm, ts):
+    """Per node, the subsample points of its tree that reach it."""
+    s = fm.subsample_indices.shape[1]
+    pt = fm.subsample_indices.ravel()
+    node = np.repeat(fm.roots, s).astype(np.intp)
+    inner = np.flatnonzero(fm.feature[node] >= 0)
+    while inner.size:
+        at = node[inner]
+        node[inner] = fm.left[at] + (ts.x[pt[inner], fm.feature[at]] > fm.threshold[at])
+        inner = inner[fm.feature[node[inner]] >= 0]
+    return np.bincount(node, minlength=fm.feature.size)
+
+
 class TestGrowBlock:
     def test_mixed_block_matches_trees_grown_alone(self):
         # rows 0-5 share one feature vector; tree 0 is all duplicates (one
@@ -146,27 +159,50 @@ class TestGrowBlock:
 
     def test_prediction_points_count_left_at_or_below_the_threshold(self):
         # a < b are adjacent doubles whose midpoint rounds onto b, so the
-        # structure candidate a|b has threshold b and routes every point at b
-        # left. Prediction point 0 ties structure point 1 at 0.0, and
-        # prediction point 7 ties structure point 3 at b: 7 sorts after 3
-        # (ties by training index), past the gap between the candidate's
-        # structure points, yet counts left since b <= b.
+        # structure candidate a|b takes threshold a: it routes the points at a
+        # left and those at b right. Prediction point 0 ties structure point 1
+        # at 0.0, and prediction point 7 ties structure point 2 at a: 7 sorts
+        # after 2 (ties by training index), past the candidate's own
+        # structure key, yet counts left since a <= a.
         a = 1.0 + 2.0 ** -52
         b = np.nextafter(a, 2.0)
         assert 0.5 * (a + b) == b
-        x = np.array([0.0, 0.0, a, b, 2.0, -2.0, -1.0, b, 3.0])[:, None]
+        x = np.array([0.0, 0.0, a, b, 2.0, -2.0, -1.0, a, 3.0])[:, None]
         ts = TrainingSet(x, np.array([100.0, 5.0, 0.0, 10.0, 10.0, 105.0, 106.0, 107.0, 108.0]))
         cfg = TreeConfig(gamma=0.35, delta=0.01)  # greedy at every node (u = 0.5)
         fm = grow_one(ts, cfg, [1, 2, 3, 4], [0, 5, 6, 7, 8], np.full((9, 5), 0.5))
         # root: a|b would score best, but counting point 7 left leaves 3 of 9
         # points right, below gamma, so 0|a wins. Its right child then splits
-        # at a|b, which is admissible only with point 7 on the left.
+        # at a|b, which is admissible only with point 7 on the left; the
+        # structure point at b goes right with point 8.
         assert fm.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
-        assert fm.threshold[:4].tolist() == [0.5 * a, -0.5, b, -1.5]
+        assert fm.threshold[:4].tolist() == [0.5 * a, -0.5, a, -1.5]
         assert [tree.SPLIT_KINDS[k] for k in fm.split_kind[:4]] == ["greedy", "fallback", "greedy", "fallback"]
         assert fm.pred_index[4:].tolist() == [0, 7, 8, 5, 6]
         assert np.array_equal(fm.value[4:], ts.y[[0, 7, 8, 5, 6]])
         assert tree.validate_regularity(fm, ts).passed
+
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_midpoints_of_adjacent_doubles_separate_them(self, mode):
+        # quarter-grid coordinates nudged up by 0-2 ulps: neighbours are
+        # adjacent doubles, and the midpoint of some pairs rounds onto the
+        # upper one, so a threshold must fall back to the lower coordinate
+        gen = np.random.default_rng(12345)
+        for seed in range(6):
+            n, d = int(gen.integers(20, 201)), int(gen.integers(1, 4))
+            x = gen.integers(0, 8, (n, d)) / 4.0
+            for _ in range(2):
+                bump = gen.random((n, d)) < 0.5
+                x[bump] = np.nextafter(x[bump], np.inf)
+            ts = TrainingSet(x, gen.normal(size=n))
+            with np.errstate(divide="raise", invalid="raise"):
+                fm = forest.train(ts, ForestConfig(b=20, seed=seed, tree=TreeConfig(mode=mode)))
+            leaves = fm.feature < 0
+            if mode == "honest":
+                assert tree.validate_regularity(fm, ts).passed, seed
+            else:
+                assert np.all(_routed_counts(fm, ts)[leaves] >= 1), seed
+                assert np.all(np.isfinite(fm.value[leaves])), seed
 
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
         rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
