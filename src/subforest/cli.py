@@ -67,13 +67,40 @@ def _default_threads() -> int:
     if not env:
         return usable_cores()
     try:
-        return max(1, int(env))
+        threads = int(env)
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads} (from {THREADS_ENV})")
+    return threads
+
+
+def _threads(cfg: dict) -> int:
+    """Workers: the resolved threads value, else ``_default_threads()``; never fewer than 1."""
+    if cfg["threads"] is None:
+        return _default_threads()
+    if cfg["threads"] < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
+    return cfg["threads"]
+
+
+# each config key's value type where it is not an int; labels, a list, is set
+# only in a config file and has no flag
+_KEY_TYPES = {
+    **dict.fromkeys(["kind", "mode", "learner", "data", "target", "model", "out", "levels"], str),
+    **dict.fromkeys(["noise_sd", "alpha", "p", "gamma", "delta", "s_exponent", "level"], float),
+    "labels": list,
+}
+# what a config file's value for an int or float key must be
+_NUMBERS = {int: ("an integer", (int,)), float: ("a number", (int, float))}
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override --config file values, which override defaults."""
+    """Flags override --config file values, which override defaults.
+
+    A file value for an int flag must be a JSON integer (not a bool), and one
+    for a float flag a JSON number; null stands for a flag whose default is unset.
+    """
     resolved = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -81,6 +108,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, v in file_cfg.items():
+            want = _NUMBERS.get(_KEY_TYPES.get(key, int))
+            if want and type(v) not in want[1] and not (v is None and defaults[key] is None):
+                raise ValueError(f"config key {key!r} must be {want[0]}, got {v!r}")
         resolved.update(file_cfg)
     for key in defaults:
         v = getattr(args, key, None)
@@ -159,7 +190,7 @@ def _cmd_train(args) -> int:
     cfg = _merge_config(args, _TRAIN_DEFAULTS)
     if cfg["data"] is None or cfg["out"] is None:
         raise ValueError("train: --data and --out are required")
-    threads = cfg["threads"] if cfg["threads"] is not None else _default_threads()
+    threads = _threads(cfg)
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     fcfg = _forest_config(cfg)
     start = time.perf_counter()
@@ -256,7 +287,7 @@ def _experiment_spec(cfg: dict) -> ExperimentSpec:
     if cfg["d"] is None:
         cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
     source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
-    threads = cfg["threads"] if cfg["threads"] is not None else _default_threads()
+    threads = _threads(cfg)
     fcfg = _forest_config(cfg)
     cfg["s"], cfg["b"] = fcfg.resolve(cfg["n"])  # echo resolved sizes, not the rule
     cfg["threads"] = threads
@@ -351,8 +382,7 @@ def _cmd_sim_bias_grid(args) -> int:
     cfg = _merge_config(args, _SIM_GRID)
     if cfg["out"] is None:
         raise ValueError("simulate bias-grid: --out is required")
-    threads = cfg["threads"] if cfg["threads"] is not None else _default_threads()
-    cfg["threads"] = threads
+    threads = cfg["threads"] = _threads(cfg)
     grid = run_bias_grid(
         n=cfg["n"], s=cfg["s"], mode=cfg["mode"], grid_resolution=cfg["resolution"],
         r_replicates=cfg["r"], b=cfg["b"], seed=cfg["seed"], p=cfg["p"], n_jobs=threads,
@@ -380,7 +410,7 @@ def _cmd_sim_bootstrap(args) -> int:
     cfg = _merge_config(args, _SIM_BOOTSTRAP)
     if cfg["data"] is None or cfg["out"] is None:
         raise ValueError("simulate bootstrap: --data and --out are required")
-    threads = cfg["threads"] if cfg["threads"] is not None else _default_threads()
+    threads = _threads(cfg)
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     n = cfg["n"] if cfg["n"] is not None else ts.n
     fcfg = _forest_config(cfg)
@@ -453,86 +483,37 @@ def _cmd_oracle_check(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_config_opt(p):
+def _command(sub, name: str, defaults: dict, func, **kw):
+    """A subcommand taking --config and one flag per key of its ``defaults``."""
+    choices = {"kind": sorted(ARITY), "mode": ["honest", "cart"], "learner": sorted(_LEARNERS)}
+    p = sub.add_parser(name, **kw)
     p.add_argument("--config", help="JSON config file; flags override its values")
+    for key in defaults:
+        kind = _KEY_TYPES.get(key, int)
+        if kind is not list:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices.get(key),
+                           type=None if kind is str else kind)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="subforest", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    _add_config_opt(p)
-    p.add_argument("--kind", choices=sorted(ARITY))
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("train", help="train a forest on a CSV dataset")
-    _add_config_opt(p)
-    p.add_argument("--data")
-    p.add_argument("--target")
-    p.add_argument("--mode", choices=["honest", "cart"])
-    p.add_argument("--s", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--s-exponent", dest="s_exponent", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--max-leaf-size", dest="max_leaf_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("predict", help="predict with intervals from a model file")
-    _add_config_opt(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--level", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_predict)
+    _command(sub, "gen", _GEN_DEFAULTS, _cmd_gen, help="generate a synthetic dataset CSV")
+    _command(sub, "train", _TRAIN_DEFAULTS, _cmd_train, help="train a forest on a CSV dataset")
+    _command(sub, "predict", _PREDICT_DEFAULTS, _cmd_predict, help="predict with intervals from a model file")
 
     sim = sub.add_parser("simulate", help="run a simulation experiment")
     simsub = sim.add_subparsers(dest="subcommand", required=True)
-
-    def sim_parser(name, defaults, func, extra=()):
-        sp = simsub.add_parser(name)
-        _add_config_opt(sp)
-        for key in defaults:
-            flag = "--" + key.replace("_", "-")
-            if key in ("kind",):
-                sp.add_argument(flag, choices=sorted(ARITY), dest=key)
-            elif key in ("mode",):
-                sp.add_argument(flag, choices=["honest", "cart"], dest=key)
-            elif key in ("data", "target", "out", "levels"):
-                sp.add_argument(flag, dest=key)
-            elif key in ("noise_sd", "alpha", "p", "gamma", "delta", "s_exponent"):
-                sp.add_argument(flag, type=float, dest=key)
-            else:
-                sp.add_argument(flag, type=int, dest=key)
-        sp.set_defaults(func=func)
-        return sp
-
-    sim_parser("metrics", _SIM_COMMON, _cmd_sim_metrics)
-    sim_parser("normality", _SIM_NORMALITY, _cmd_sim_normality)
-    sim_parser("coverage", _SIM_COVERAGE, _cmd_sim_coverage)
-    sim_parser("bias-grid", _SIM_GRID, _cmd_sim_bias_grid)
-    sim_parser("bootstrap", _SIM_BOOTSTRAP, _cmd_sim_bootstrap)
-
-    p = sub.add_parser("oracle-check", help="exact enumeration checks; exit 2 on violation")
-    _add_config_opt(p)
-    p.add_argument("--learner", choices=sorted(_LEARNERS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--mc-b", dest="mc_b", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_oracle_check)
-
+    _command(simsub, "metrics", _SIM_COMMON, _cmd_sim_metrics)
+    _command(simsub, "normality", _SIM_NORMALITY, _cmd_sim_normality)
+    _command(simsub, "coverage", _SIM_COVERAGE, _cmd_sim_coverage)
+    _command(simsub, "bias-grid", _SIM_GRID, _cmd_sim_bias_grid)
+    _command(simsub, "bootstrap", _SIM_BOOTSTRAP, _cmd_sim_bootstrap)
+    _command(sub, "oracle-check", _ORACLE_DEFAULTS, _cmd_oracle_check,
+             help="exact enumeration checks; exit 2 on violation")
     return parser
 
 

@@ -19,9 +19,13 @@ part of the model.
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate, the regularity
 audit and the model file all read those arrays, in the dtypes
-``PACKED_DTYPES`` declares for memory and file alike. Tree b owns the nodes
-``roots[b]`` up to the next root, numbered breadth-first, so child ids are
-not stored: ``tree.left_children`` derives them once, when the
+``PACKED_DTYPES`` declares for memory and file alike. A node is 13 bytes:
+its split axis (-1 at a leaf), one float64 ``value`` that is a split's
+threshold or a leaf's prediction, and one byte of split provenance. Which
+prediction point an honest leaf holds is not stored: routing the tree's
+subsample recovers it (``tree.validate_regularity``). Tree b owns the
+nodes ``roots[b]`` up to the next root, numbered breadth-first, so child
+ids are not stored: ``tree.left_children`` derives them once, when the
 construction check reads them, and ``ForestModel.left`` keeps them for
 traversal and the audit. The check makes the derivation safe for any
 input: each tree has 2 * splits + 1 nodes, and each split's left child lies
@@ -117,9 +121,7 @@ def _sorted_rows(rows: np.ndarray, n: int) -> bool:
 # every packed array's dtype, in memory and in the model file, in file order
 PACKED_DTYPES = {
     "feature": "<i4",
-    "threshold": "<f8",
     "value": "<f8",
-    "pred_index": "<i4",
     "split_kind": "|u1",
     "roots": "<i4",
     "subsample_indices": "<i4",
@@ -138,9 +140,7 @@ class ForestModel:
     """
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
-    threshold: np.ndarray  # (N,) float64
-    value: np.ndarray  # (N,) float64 leaf predictions
-    pred_index: np.ndarray  # (N,) int32 training index behind a leaf, -1 for CART
+    value: np.ndarray  # (N,) float64 a split's threshold (x <= it goes left), a leaf's prediction
     split_kind: np.ndarray  # (N,) uint8 split provenance, index into tree.SPLIT_KINDS
     roots: np.ndarray  # (B,) int32 root id of each tree, increasing from 0
     subsample_indices: np.ndarray  # (B, s) int32, row b = sorted subsample of tree b
@@ -167,7 +167,7 @@ class ForestModel:
         if self.d < 1 or not 2 <= self.s <= self.n:
             raise ValueError(f"need d >= 1 and 2 <= s <= n, got d={self.d}, s={self.s}, n={self.n}")
         n_nodes = self.feature.size
-        for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
+        for name in ("feature", "value", "split_kind"):
             if getattr(self, name).shape != (n_nodes,):
                 raise ValueError(f"{name} shape {getattr(self, name).shape} does not match {n_nodes} nodes")
         if self.b < 1 or self.roots.shape != (self.b,) or self.roots[0] != 0:
@@ -185,10 +185,8 @@ class ForestModel:
             raise ValueError("every tree needs 2 * splits + 1 nodes")
         if np.any(split & (self.left <= np.arange(n_nodes))):
             raise ValueError("every split's children must lie after it inside its tree")
-        if not np.all(np.isfinite(self.threshold) | ~split):
+        if not np.all(np.isfinite(self.value) | ~split):
             raise ValueError("split thresholds must be finite")
-        if self.pred_index.min() < -1 or self.pred_index.max() >= self.n:
-            raise ValueError(f"leaf training indices must lie in [-1, {self.n})")
         if self.subsample_indices.shape != (self.b, self.s) or not _sorted_rows(self.subsample_indices, self.n):
             raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")
         pred = self.prediction_indices
@@ -219,9 +217,7 @@ def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestMode
 
     return ForestModel(
         feature=cat("feature"),
-        threshold=cat("threshold"),
         value=cat("value"),
-        pred_index=cat("pred_index"),
         split_kind=cat("split_kind"),
         roots=np.concatenate([g.roots + off for g, off in zip(grown, offsets)]),
         subsample_indices=np.vstack(subs),
@@ -356,7 +352,7 @@ def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     """(B, K) leaf values by walking blocks of (tree, query) pairs level by level."""
     k = xs.shape[0]
     x_flat = xs.reshape(-1)
-    left, feature, threshold = forest.left, forest.feature, forest.threshold
+    left, feature, value = forest.left, forest.feature, forest.value
     total = forest.b * k
     out = np.empty(total)
     # pairs are b-major, so `out` reshapes to (B, K); each block walks its
@@ -370,13 +366,13 @@ def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
             live = feat >= 0
             n_live = np.count_nonzero(live)
             if 2 * n_live < node.size:
-                out[pair] = forest.value[node]
+                out[pair] = value[node]
                 if not n_live:
                     break
                 node, base, pair, feat, live = node[live], base[live], pair[live], feat[live], live[live]
             # ties go left and NaN goes right; a pair at a leaf reads some
             # coordinate (feature -1) but stays put, as it never goes right
-            node = left[node] + (live & ~(x_flat[base + feat] <= threshold[node]))
+            node = left[node] + (live & ~(x_flat[base + feat] <= value[node]))
     return out.reshape(forest.b, k)
 
 
@@ -421,8 +417,8 @@ def _bitmask(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     feat = forest.feature[inner]
     # each feature's nodes in threshold order, so a chunk ranks them by a merge
     by_feat = [np.flatnonzero(feat == j) for j in range(d)]
-    by_feat = [nodes[np.argsort(forest.threshold[inner[nodes]])] for nodes in by_feat]
-    thresholds = [forest.threshold[inner[nodes]] for nodes in by_feat]
+    by_feat = [nodes[np.argsort(forest.value[inner[nodes]])] for nodes in by_feat]
+    thresholds = [forest.value[inner[nodes]] for nodes in by_feat]
     chunk = max(1, min(_QUERY_CHUNK, _TABLE_WORDS // d - 1))
     out = np.empty((forest.b, k))
     for q_lo in range(0, k, chunk):
@@ -479,11 +475,6 @@ def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:
         raise ValueError(f"expected {forest.d} features, got {xs.shape[1]}")
     values = _traversal(forest, xs.shape[0])(forest, xs)
     return values[:, 0] if single else values
-
-
-def predict(forest: ForestModel, xq) -> float:
-    """Forest prediction: arithmetic mean of the per-tree predictions."""
-    return float(np.mean(predict_per_tree(forest, np.asarray(xq, dtype=np.float64).reshape(-1))))
 
 
 def predict_batch(forest: ForestModel, xs) -> np.ndarray:

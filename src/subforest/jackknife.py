@@ -151,11 +151,6 @@ def v_ij(outputs, subsamples, n: int) -> VarianceEstimate:
     return _estimates(centered, rows, n)[0]
 
 
-def c_weights(outputs, subsamples, n: int) -> np.ndarray:
-    """Per-example weights C_i from tree outputs and sorted (B, s) subsample index rows."""
-    return v_ij(outputs, subsamples, n).c
-
-
 def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[VarianceEstimate]]:
     """Forest predictions for each row of ``xs`` and their estimates, from one traversal.
 

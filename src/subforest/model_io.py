@@ -12,7 +12,9 @@ any worker count.
 
 Child ids are not stored: nodes are numbered breadth-first within each
 tree, so the forest derives them from the split pattern (see ``forest``).
-Split provenance is one byte per node, a ``tree.SPLIT_KINDS`` code.
+A node is 13 bytes: its split axis (int32), one float64 that is a split's
+threshold or a leaf's prediction, and its split provenance, one byte, a
+``tree.SPLIT_KINDS`` code.
 
 Loading reads no pickle and trusts nothing: the header must list exactly the
 expected arrays with the expected dtypes and shapes, laid out back to back
@@ -23,8 +25,11 @@ built from them re-checks its structure (feature range, node count and split
 positions of every tree, index ranges). A file that fails any check,
 including a version-1 JSON model whose single line parses as a header of the
 wrong version, is refused with ``ValueError``. Version 4 dropped version 3's
-stored child table and its 0/1 provenance flag; files of any other version
-are refused.
+stored child table and its 0/1 provenance flag. Version 5 dropped version
+4's per-leaf training index (``pred_index``), which routing recovers, and
+merged its threshold array (read only at splits) and value array (read only
+at leaves) into one float64 per node: 25 bytes per node became 13. Files of
+any other version are refused.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .dataset import TrainingSet
 from .forest import PACKED_DTYPES, ForestConfig, ForestModel
 from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def dataset_fingerprint(ts: TrainingSet) -> str:
@@ -84,17 +89,15 @@ def _config_from_record(c: dict) -> ForestConfig:
 
 def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
     """Header entries of the arrays, in file order and back to back."""
-    shapes = {
-        "feature": [n_nodes], "threshold": [n_nodes], "value": [n_nodes],
-        "pred_index": [n_nodes], "split_kind": [n_nodes], "roots": [b],
-        "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)],
-    }
+    # every other array holds one entry per node
+    shapes = {"roots": [b], "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)]}
     entries, offset = [], 0
     for name, dtype in PACKED_DTYPES.items():
         if name == "prediction_indices" and not honest:
             continue
-        entries.append({"name": name, "dtype": dtype, "shape": shapes[name], "offset": offset})
-        offset += int(np.prod(shapes[name])) * np.dtype(dtype).itemsize
+        shape = shapes.get(name, [n_nodes])
+        entries.append({"name": name, "dtype": dtype, "shape": shape, "offset": offset})
+        offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
     return entries
 
 
@@ -177,17 +180,7 @@ def load_model(path) -> tuple[ForestModel, dict]:
             n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
             if (cfg.s, cfg.b, cfg.tree.mode) != (s, b, header["mode"]):
                 raise ValueError("config does not match the header's s, b and mode")
-            forest = ForestModel(
-                feature=arrays["feature"],
-                threshold=arrays["threshold"],
-                value=arrays["value"],
-                pred_index=arrays["pred_index"],
-                split_kind=arrays["split_kind"],
-                roots=arrays["roots"],
-                subsample_indices=arrays["subsample_indices"],
-                prediction_indices=arrays.get("prediction_indices"),
-                n=n, d=d, s=s, b=b, config=cfg,
-            )
+            forest = ForestModel(**{name: arrays.get(name) for name in PACKED_DTYPES}, n=n, d=d, s=s, b=b, config=cfg)
             meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
         except (KeyError, TypeError, IndexError) as e:
             raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None

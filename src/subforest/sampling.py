@@ -143,13 +143,6 @@ def draw_subsample(n: int, s: int, rng: np.random.Generator) -> SubsampleDraw:
     return SubsampleDraw(draw_block(n, s, swap_targets(rng, s, n)[None])[0], n)
 
 
-def counts_vector(draw: SubsampleDraw) -> np.ndarray:
-    """Length-n inclusion counts N with N_i = 1 iff i is in the draw."""
-    counts = np.zeros(draw.n, dtype=np.int64)
-    counts[draw.indices] = 1
-    return counts
-
-
 def honesty_partition(draw: SubsampleDraw, rng: np.random.Generator) -> HonestyPartition:
     """Uniform split of a draw into ceil(s/2) prediction + rest structure points."""
     if draw.s < 2:

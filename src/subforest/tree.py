@@ -24,17 +24,20 @@ Split rule, honest mode:
     uniformly among axes that do; if no axis does but the prediction points
     differ, the node is split at a uniformly chosen admissible midpoint of
     the prediction coordinates, on a uniformly chosen axis that has one;
-  * a node that no admissible midpoint splits is a leaf holding its lowest
-    prediction index: it has one prediction point, duplicate feature
-    vectors, or (rarely, about one tree in 10^4) prediction points whose
-    every separating midpoint breaks the gamma floor. ``validate_regularity``
-    accepts such a multi-point leaf only after checking that no structure or
-    prediction-coordinate midpoint on any axis is admissible for it.
+  * a node that no admissible midpoint splits is a leaf predicting the
+    label of its lowest-indexed prediction point: it has one prediction
+    point, duplicate feature vectors, or (rarely, about one tree in 10^4)
+    prediction points whose every separating midpoint breaks the gamma
+    floor. The leaf stores only that label; routing recovers the point.
+    ``validate_regularity`` accepts such a multi-point leaf only after
+    checking that no structure or prediction-coordinate midpoint on any axis
+    is admissible for it.
 
 Every split records where its axis came from in ``split_kind``, indexed
 into ``SPLIT_KINDS``: 0 greedy (the best axis; every CART split), 1 the
 uniform axis, 2 the redrawn axis, 3 the prediction-coordinate fallback.
-Leaves record 0.
+Leaves record 0. Each node stores one float, ``value``: a split's
+threshold or a leaf's prediction, since no node reads both.
 
 The greedy CART mode uses all subsample labels for both splitting and leaf
 means, stopping at ``max_leaf_size``; it exists as the dishonest baseline.
@@ -126,9 +129,7 @@ class GrownBlock(NamedTuple):
     """Packed node arrays of a block of trees, each tree contiguous and breadth-first."""
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
-    threshold: np.ndarray  # (N,) float64
-    value: np.ndarray  # (N,) float64
-    pred_index: np.ndarray  # (N,) int32, -1 for CART
+    value: np.ndarray  # (N,) float64 a split's threshold, a leaf's prediction
     split_kind: np.ndarray  # (N,) uint8 index into SPLIT_KINDS, 0 at leaves
     roots: np.ndarray  # (T,) intp
 
@@ -283,8 +284,8 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
 
     ``points`` holds (node, training index) arrays: structure points first,
     then, for honest trees, prediction points. Returns per node whether it
-    splits, the axis, threshold and split kind of a split, and the value
-    and training index of a leaf.
+    splits, the axis and split kind of a split, and its value: a split's
+    threshold or a leaf's prediction.
     """
     n, d = ts.x.shape
     shift = n.bit_length()
@@ -352,8 +353,8 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
         np.minimum.at(lo, s_node, labels)
         np.maximum.at(hi, s_node, labels)
         split = (s_count > cfg.max_leaf_size) & (lo < hi) & (best[every, axis] > node_total ** 2 / s_count)
-        no_pred = np.full(n_nodes, -1)
-        return split, axis, best_thr[every, axis], np.zeros(n_nodes, dtype=np.uint8), node_total / s_count, no_pred
+        value = np.where(split, best_thr[every, axis], node_total / s_count)
+        return split, axis, np.zeros(n_nodes, dtype=np.uint8), value
 
     has = best > -np.inf
     uniform = u[:, 0] < cfg.delta
@@ -396,18 +397,20 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
         axis[fb] = fb_axis
         kind[fb] = 3
         split[fb] = True
+    # a leaf predicts the label of its lowest-indexed prediction point
     leaf_pred = np.full(n_nodes, n)
     np.minimum.at(leaf_pred, p_node, p_pt)
-    return split, axis, thr, kind, ts.y[leaf_pred], leaf_pred
+    np.copyto(thr, ts.y[leaf_pred], where=~split)
+    return split, axis, kind, thr
 
 
 def _decided(ts, axes, cfg, points, n_nodes):
-    """Routed children whose stop rule already holds, with their leaf values and training indices.
+    """Routed children whose stop rule already holds, with their leaf values.
 
     An honest child with exactly one prediction point holds that point's
-    label and index. A CART child with at most ``max_leaf_size`` points
-    holds their label mean, its sum taken like ``_level``'s node totals:
-    prefix sums within the node in axis-0 key order. ``points`` are the
+    label. A CART child with at most ``max_leaf_size`` points holds their
+    label mean, its sum taken like ``_level``'s node totals: prefix sums
+    within the node in axis-0 key order. ``points`` are the
     children's (node, training index) arrays, as ``_level`` takes them.
     """
     node, pt = points[-1]
@@ -416,7 +419,7 @@ def _decided(ts, axes, cfg, points, n_nodes):
         done = count == 1
         leaf_pred = np.empty(n_nodes, dtype=pt.dtype)
         leaf_pred[node] = pt  # read only where the node has one point
-        return done, ts.y[leaf_pred[done]], leaf_pred[done]
+        return done, ts.y[leaf_pred[done]]
     done = count <= cfg.max_leaf_size
     here = np.flatnonzero(done[node])
     node = (np.cumsum(done) - 1)[node[here]]
@@ -426,7 +429,7 @@ def _decided(ts, axes, cfg, points, n_nodes):
     keys = np.sort((node << shift) + axes.rank[0, pt[here]])
     csum = axes.y[0].take(keys & ((1 << shift) - 1))
     total = _prefix_sums(csum, _resets(pos, int(count.max(initial=1))), np.empty_like(csum))[start + count - 1]
-    return done, total / count, -1
+    return done, total / count
 
 
 def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np.ndarray,
@@ -441,9 +444,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
     n_trees = structure.shape[0]
     cap = 2 * (prediction if honest else structure).shape[1] - 1
     feature = np.full(n_trees * cap, -1, dtype=np.int32)
-    threshold = np.zeros(n_trees * cap)
-    value = np.zeros(n_trees * cap)
-    pred_index = np.full(n_trees * cap, -1, dtype=np.int32)
+    value = np.empty(n_trees * cap)
     split_kind = np.zeros(n_trees * cap, dtype=np.uint8)
     size = np.ones(n_trees, dtype=np.intp)
 
@@ -459,13 +460,10 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
     while tree_of.size:
         slot = tree_of * cap + node_id
         u = uniforms[tree_of, node_id] if honest else None
-        split, axis, thr, kind, leaf_value, leaf_pred = _level(ts, axes, cfg, tree_of.size, points, u, work, sums, rank)
-        leaf = slot[~split]
-        value[leaf] = leaf_value[~split]
-        pred_index[leaf] = leaf_pred[~split]
+        split, axis, kind, node_value = _level(ts, axes, cfg, tree_of.size, points, u, work, sums, rank)
+        value[slot] = node_value
         inner = slot[split]
         feature[inner] = axis[split]
-        threshold[inner] = thr[split]
         split_kind[inner] = kind[split]
         # a tree's new nodes follow its existing ones, in the order of their parents
         parent_tree = tree_of[split]
@@ -480,13 +478,11 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
         for node, pt in points:
             keep = np.flatnonzero(split[node])
             node, pt = node[keep], pt[keep]
-            go_right = ~(ts.x[pt, axis[node]] <= thr[node])
+            go_right = ~(ts.x[pt, axis[node]] <= node_value[node])
             moved.append((2 * new_node[node] + go_right, pt))
         # a child whose stop rule already holds is a leaf now, and leaves the frontier
-        done, leaf_value, leaf_pred = _decided(ts, axes, cfg, moved, tree_of.size)
-        leaf = (tree_of * cap + node_id)[done]
-        value[leaf] = leaf_value
-        pred_index[leaf] = leaf_pred
+        done, leaf_value = _decided(ts, axes, cfg, moved, tree_of.size)
+        value[(tree_of * cap + node_id)[done]] = leaf_value
         stay = ~done
         renumber = np.cumsum(stay) - 1
         points = []
@@ -497,26 +493,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
 
     kept = (np.arange(cap) < size[:, None]).ravel()
     roots = np.cumsum(size) - size
-    return GrownBlock(feature[kept], threshold[kept], value[kept], pred_index[kept], split_kind[kept], roots)
-
-
-def is_pnn(xq, i: int, candidates, ts: TrainingSet) -> bool:
-    """True iff no other candidate lies in the closed rectangle spanned by xq and X_i."""
-    xq = np.asarray(xq, dtype=np.float64).reshape(-1)
-    if xq.size != ts.d:
-        raise ValueError(f"expected {ts.d} features, got {xq.size}")
-    candidates = np.asarray(list(candidates), dtype=np.int64)
-    if i not in candidates:
-        raise ValueError(f"index {i} not among the candidates")
-    xi = ts.x[i]
-    lo = np.minimum(xq, xi)
-    hi = np.maximum(xq, xi)
-    others = candidates[candidates != i]
-    if others.size == 0:
-        return True
-    pts = ts.x[others]
-    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-    return not bool(inside.any())
+    return GrownBlock(feature[kept], value[kept], split_kind[kept], roots)
 
 
 @dataclass(frozen=True)
@@ -564,8 +541,8 @@ def validate_regularity(forest, ts: TrainingSet) -> RegularityReport:
 
     Routes every tree's subsample down its tree level by level, all trees at
     once. A split passes when both children keep at least a gamma fraction
-    of its points. A leaf passes when its value and training index are those
-    of its lowest prediction point, and it holds exactly one prediction point
+    of its points. A leaf passes when its value is the label of the lowest
+    prediction point routed to it, and it holds exactly one prediction point
     or, failing that, at least two that no admissible midpoint could separate
     (the split rule in the module docstring).
     """
@@ -588,7 +565,7 @@ def validate_regularity(forest, ts: TrainingSet) -> RegularityReport:
         np.minimum.at(lowest, at[is_pred], pt[is_pred])
         leaf_at = np.flatnonzero(~inner)
         leaf, p_leaf, low = node[leaf_at], p_count[leaf_at], lowest[leaf_at]
-        ok = (p_leaf >= 1) & (forest.pred_index[leaf] == low) & (forest.value[leaf] == ts.y[np.minimum(low, n - 1)])
+        ok = (p_leaf >= 1) & (forest.value[leaf] == ts.y[np.minimum(low, n - 1)])
         for j in np.flatnonzero(ok & (p_leaf >= 2)):
             mine = at == leaf_at[j]
             ok[j] = not _splittable(ts.x[pt[mine & ~is_pred]], ts.x[pt[mine & is_pred]], gamma)
@@ -596,7 +573,7 @@ def validate_regularity(forest, ts: TrainingSet) -> RegularityReport:
 
         keep = inner[at]
         at, pt, is_pred = at[keep], pt[keep], is_pred[keep]
-        go_right = ~(ts.x[pt, feat[at]] <= forest.threshold[node[at]])
+        go_right = ~(ts.x[pt, feat[at]] <= forest.value[node[at]])
         m = count[inner]
         n_left = m - np.bincount(at[go_right], minlength=node.size)[inner]
         splits.append((tree_of[inner], feat[inner], forest.split_kind[node[inner]],

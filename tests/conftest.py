@@ -7,10 +7,6 @@ import pytest
 from subforest import dataset, forest, tree
 
 
-_PACKED = ("feature", "threshold", "value", "pred_index", "split_kind", "roots",
-           "subsample_indices", "prediction_indices")
-
-
 def same_forest(a, b) -> bool:
     """Every packed array of two forests has the same dtype, shape and bytes (so -0.0 differs from 0.0)."""
     def same(x, y):
@@ -18,19 +14,23 @@ def same_forest(a, b) -> bool:
             return x is None and y is None
         return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    return all(same(getattr(a, k), getattr(b, k)) for k in _PACKED)
+    return all(same(getattr(a, k), getattr(b, k)) for k in forest.PACKED_DTYPES)
 
 
-def one_tree_forest(ts, tree_cfg, subsample, prediction=None, *, feature, threshold, value,
-                    pred_index=None, split_kind=None):
-    """A one-tree ``ForestModel`` over ``ts`` from breadth-first node arrays."""
+def one_tree_forest(ts, tree_cfg, subsample, prediction=None, *, feature, value, threshold=None, split_kind=None):
+    """A one-tree ``ForestModel`` over ``ts`` from breadth-first node arrays.
+
+    Given ``threshold``, a split's value is its threshold and a leaf's its
+    entry of ``value``; otherwise ``value`` is already the forest's one
+    float per node.
+    """
     feature = np.asarray(feature)
+    if threshold is not None:
+        value = np.where(feature >= 0, threshold, value)
     s = len(subsample)
     return forest.ForestModel(
         feature=feature,
-        threshold=threshold,
         value=value,
-        pred_index=np.full(feature.size, -1) if pred_index is None else pred_index,
         split_kind=np.zeros(feature.size) if split_kind is None else split_kind,
         roots=[0],
         subsample_indices=[subsample],
@@ -68,14 +68,17 @@ def reference_children(fm, b: int) -> dict:
     return left
 
 
-def reference_leaf(fm, b: int, xq) -> int:
-    """Global id of tree b's leaf holding xq, by a scalar walk (ties go left, NaN right)."""
+def reference_leaf(fm, b: int, xq, left=None) -> int:
+    """Global id of tree b's leaf holding xq, by a scalar walk (ties go left, NaN right).
+
+    ``left`` is tree b's ``reference_children``, computed here when not given.
+    """
     xq = np.asarray(xq, dtype=np.float64)
-    left = reference_children(fm, b)
+    left = reference_children(fm, b) if left is None else left
     hi = int(fm.roots[b + 1]) if b + 1 < fm.b else fm.feature.size
     nid = int(fm.roots[b])
     while fm.feature[nid] >= 0:
-        nxt = left[nid] if xq[fm.feature[nid]] <= fm.threshold[nid] else left[nid] + 1
+        nxt = left[nid] if xq[fm.feature[nid]] <= fm.value[nid] else left[nid] + 1
         assert nid < nxt < hi, f"malformed tree {b}: node {nid} leads to {nxt}"
         nid = nxt
     return nid
@@ -83,6 +86,54 @@ def reference_leaf(fm, b: int, xq) -> int:
 
 def reference_predict(fm, b: int, xq) -> float:
     return float(fm.value[reference_leaf(fm, b, xq)])
+
+
+def leaf_training_index(fm, ts) -> np.ndarray:
+    """(N,) training index behind each honest leaf: the lowest prediction point that
+    a scalar walk routes to it; -1 at splits, at leaves no prediction point
+    reaches, and everywhere in a CART forest."""
+    index = np.full(fm.feature.size, -1, dtype=np.int32)
+    if fm.prediction_indices is None:
+        return index
+    for b in range(fm.b):
+        left = reference_children(fm, b)
+        # in decreasing order, so the lowest point routed to a leaf is written last
+        for p in fm.prediction_indices[b][::-1]:
+            index[reference_leaf(fm, b, ts.x[p], left)] = p
+    return index
+
+
+def format4_arrays(fm, ts) -> dict:
+    """The model-format-4 packed arrays of a forest, in that format's order and dtypes.
+
+    Format 4 stored a split's threshold and a leaf's value in separate
+    arrays, each +0.0 where unused, and each honest leaf's training index.
+    """
+    split = fm.feature >= 0
+    return {
+        "feature": fm.feature,
+        "threshold": np.where(split, fm.value, 0.0),
+        "value": np.where(split, 0.0, fm.value),
+        "pred_index": leaf_training_index(fm, ts),
+        "split_kind": fm.split_kind,
+        "roots": fm.roots,
+        "subsample_indices": fm.subsample_indices,
+        "prediction_indices": fm.prediction_indices,
+    }
+
+
+def is_pnn(xq, i: int, candidates, ts) -> bool:
+    """True iff no other candidate lies in the closed rectangle spanned by xq and X_i."""
+    xq = np.asarray(xq, dtype=np.float64).reshape(-1)
+    if xq.size != ts.d:
+        raise ValueError(f"expected {ts.d} features, got {xq.size}")
+    candidates = np.asarray(list(candidates), dtype=np.int64)
+    if i not in candidates:
+        raise ValueError(f"index {i} not among the candidates")
+    lo = np.minimum(xq, ts.x[i])
+    hi = np.maximum(xq, ts.x[i])
+    others = ts.x[candidates[candidates != i]]
+    return not bool(np.all((others >= lo) & (others <= hi), axis=1).any())
 
 
 @contextlib.contextmanager

@@ -162,10 +162,6 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 1
 
 
-_ARRAYS = ("feature", "threshold", "value", "pred_index", "split_kind", "roots",
-           "subsample_indices", "prediction_indices")
-
-
 class TestModelFile:
     @pytest.fixture(params=["honest", "cart"])
     def saved(self, request, tmp_path, cosine_1k):
@@ -199,7 +195,7 @@ class TestModelFile:
         loaded, meta = load_model(path)
         assert meta["mode"] == fm.config.tree.mode
         assert (loaded.n, loaded.d, loaded.s, loaded.b, loaded.config) == (fm.n, fm.d, fm.s, fm.b, fm.config)
-        for name in _ARRAYS:
+        for name in forest.PACKED_DTYPES:
             a, b = getattr(fm, name), getattr(loaded, name)
             assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
         for name in ("roots", "subsample_indices", "prediction_indices"):
@@ -240,13 +236,15 @@ class TestModelFile:
         self._refused(path, tmp_path, capsys, "split features")
 
     def test_non_finite_threshold_refused(self, saved, tmp_path, capsys):
-        # the walk would send every query right at a NaN threshold, the bitmask left
-        _, path = saved
+        # the walk would send every query right at a NaN threshold, the bitmask
+        # left; the root's value is its threshold
+        fm, path = saved
+        assert fm.feature[0] >= 0
 
-        def edit(threshold):
-            threshold[0] = np.nan
+        def edit(value):
+            value[0] = np.nan
 
-        self._rewrite(path, "threshold", edit)
+        self._rewrite(path, "value", edit)
         self._refused(path, tmp_path, capsys, "split thresholds must be finite")
 
     def test_wrong_node_count_refused(self, saved, tmp_path, capsys):
@@ -290,13 +288,19 @@ class TestModelFile:
         # older grower: the header's version alone refuses it
         _, path = saved
         self._set_version(path, 2)
-        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 4")
+        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 5")
 
     def test_version_3_model_refused(self, saved, tmp_path, capsys):
         # version 3 stored a child table and a 0/1 provenance flag
         _, path = saved
         self._set_version(path, 3)
-        self._refused(path, tmp_path, capsys, "format version 3 does not match supported version 4")
+        self._refused(path, tmp_path, capsys, "format version 3 does not match supported version 5")
+
+    def test_version_4_model_refused(self, saved, tmp_path, capsys):
+        # version 4 stored separate threshold and value arrays and each leaf's training index
+        _, path = saved
+        self._set_version(path, 4)
+        self._refused(path, tmp_path, capsys, "format version 4 does not match supported version 5")
 
     def test_split_kind_out_of_range_refused(self, saved, tmp_path, capsys):
         _, path = saved
@@ -453,6 +457,78 @@ class TestThreadsEnv:
         assert main(["train", "--data", str(data), "--b", "6", "--seed", "1",
                      "--out", str(m2)]) == 0
         assert _sha(m1) == _sha(m2)
+
+
+class TestBadWorkerCounts:
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_train_refuses_threads_below_one(self, tmp_path, capsys, threads):
+        data = _gen(tmp_path)
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(data), "--b", "6", "--threads", threads, "--out", str(model)]) == 1
+        assert f"error: threads must be >= 1, got {threads}\n" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_config_file_threads_refused(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"data": str(data), "b": 6, "threads": 0}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")]) == 1
+        assert "error: threads must be >= 1, got 0\n" in capsys.readouterr().err
+
+    def test_env_zero_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        from subforest import cli
+
+        data = _gen(tmp_path)
+        monkeypatch.setenv(cli.THREADS_ENV, "0")
+        assert main(["train", "--data", str(data), "--b", "6", "--out", str(tmp_path / "m.bin")]) == 1
+        assert "error: threads must be >= 1, got 0 (from SUBFOREST_THREADS)\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["metrics", "normality", "coverage", "bias-grid", "bootstrap"])
+    def test_simulate_refuses_threads_below_one(self, tmp_path, monkeypatch, capsys, command, source):
+        from subforest import cli
+
+        argv = ["simulate", command, "--n", "50", "--b", "5", "--out", str(tmp_path / "out")]
+        if command == "bootstrap":
+            argv += ["--data", str(_gen(tmp_path))]
+        if source == "flag":
+            argv += ["--threads", "0"]
+            want = "error: threads must be >= 1, got 0\n"
+        else:
+            monkeypatch.setenv(cli.THREADS_ENV, "0")
+            want = "error: threads must be >= 1, got 0 (from SUBFOREST_THREADS)\n"
+        with time_limit(60):
+            assert main(argv) == 1
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("doc, message", [
+        ({"b": "8"}, "config key 'b' must be an integer, got '8'"),
+        ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+        ({"b": True}, "config key 'b' must be an integer, got True"),
+        ({"seed": None}, "config key 'seed' must be an integer, got None"),
+        ({"gamma": "0.1"}, "config key 'gamma' must be a number, got '0.1'"),
+    ])
+    def test_mistyped_value_exits_one(self, tmp_path, capsys, doc, message):
+        data = _gen(tmp_path)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"data": str(data), **doc}))
+        assert main(["train", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "m.bin")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "Traceback" not in err
+
+    def test_numbers_and_nulls_for_unset_flags_accepted(self, tmp_path):
+        # a JSON integer is a number for a float flag, and null leaves s to its rule
+        data = _gen(tmp_path)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"data": str(data), "b": 4, "s": None, "s_exponent": 1, "gamma": 0.2}))
+        model = tmp_path / "m.bin"
+        assert main(["train", "--config", str(cfg), "--threads", "1", "--out", str(model)]) == 0
+        fm, _ = load_model(model)
+        assert (fm.b, fm.s, fm.config.tree.gamma) == (4, 40, 0.2)
 
 
 def _exit_worker(args):

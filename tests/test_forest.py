@@ -10,7 +10,7 @@ from subforest import dataset, forest, rng, sampling, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 
-from conftest import reference_children, reference_leaf, reference_predict, same_forest, time_limit
+from conftest import format4_arrays, reference_children, reference_leaf, reference_predict, same_forest, time_limit
 
 
 class TestConfig:
@@ -31,7 +31,7 @@ class TestTrain:
     def test_single_tree_forest_equals_tree(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=1, seed=2))
         xq = [0.3, 0.6]
-        assert forest.predict(fm, xq) == reference_predict(fm, 0, xq)
+        assert forest.predict_batch(fm, [xq])[0] == reference_predict(fm, 0, xq)
 
     def test_constant_labels_constant_prediction(self):
         gen = np.random.default_rng(0)
@@ -39,7 +39,7 @@ class TestTrain:
         for mode in ("honest", "cart"):
             fm = forest.train(ts, ForestConfig(b=20, seed=1, tree=tree.TreeConfig(mode=mode)))
             for xq in gen.random((5, 2)):
-                assert forest.predict(fm, xq) == pytest.approx(3.25, rel=1e-12)
+                assert forest.predict_batch(fm, [xq])[0] == pytest.approx(3.25, rel=1e-12)
 
     def test_records_match_trees(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=10, seed=3))
@@ -57,8 +57,9 @@ class TestTrain:
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))
         small = forest.train(cosine_1k, ForestConfig(b=5, seed=4))
         end = big.roots[5]
+        old_small, old_big = format4_arrays(small, cosine_1k), format4_arrays(big, cosine_1k)
         for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
-            assert np.array_equal(getattr(small, name), getattr(big, name)[:end]), name
+            assert np.array_equal(old_small[name], old_big[name][:end]), name
         assert np.array_equal(small.roots, big.roots[:5])
         assert np.array_equal(small.subsample_indices, big.subsample_indices[:5])
         assert np.array_equal(small.prediction_indices, big.prediction_indices[:5])
@@ -109,7 +110,8 @@ class TestBlockGrowth:
                 else:
                     alone = tree.grow_block(cosine_1k, axes, cfg.tree, draw.indices[None])
                 assert np.array_equal(fm.subsample_indices[b], draw.indices)
-                for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
+                # one value per node: each split's threshold and each leaf's value
+                for name in ("feature", "value", "split_kind"):
                     assert np.array_equal(getattr(fm, name)[fm.roots[b]:ends[b]], getattr(alone, name)), (mode, b, name)
 
     def test_draws_match_per_tree_sampling(self, cosine_1k):
@@ -163,22 +165,24 @@ class TestBlockGrowth:
         assert not np.array_equal(y2, cosine_1k.y)
         ts2 = TrainingSet(cosine_1k.x, y2)
         fm2 = forest.train(ts2, cfg)
+        old, old2 = format4_arrays(fm, cosine_1k), format4_arrays(fm2, ts2)
         for name in ("feature", "threshold", "split_kind", "pred_index"):
-            assert np.array_equal(getattr(fm, name), getattr(fm2, name)), name
+            assert np.array_equal(old[name], old2[name]), name
         leaves = fm2.feature < 0
-        assert np.array_equal(fm2.value[leaves], y2[fm2.pred_index[leaves]])
+        assert np.array_equal(old2["value"][leaves], y2[old2["pred_index"][leaves]])
 
 
-def _digest(fm) -> str:
+def _digest(fm, ts) -> str:
+    """sha256 of the forest's arrays rebuilt in model format 4, the format the digests were pinned in."""
     digest = hashlib.sha256()
-    for name in forest.PACKED_DTYPES:
-        if getattr(fm, name) is not None:
-            digest.update(getattr(fm, name).tobytes())
+    for arr in format4_arrays(fm, ts).values():
+        if arr is not None:
+            digest.update(arr.tobytes())
     return digest.hexdigest()
 
 
 class TestGoldenTrees:
-    """Trees pinned by the sha256 of their packed arrays.
+    """Trees pinned by the sha256 of their packed arrays, rebuilt in model format 4.
 
     The training data use only uniform draws and arithmetic, so the digests
     do not depend on a platform's transcendental functions.
@@ -201,7 +205,7 @@ class TestGoldenTrees:
         x = u[:, :3]
         ts = TrainingSet(x, x[:, 0] - 2.0 * x[:, 1] * x[:, 2] + 0.25 * u[:, 3])
         fm = forest.train(ts, ForestConfig(b=12, seed=31, tree=tree.TreeConfig(mode=mode)))
-        assert _digest(fm) == self.DIGESTS[mode]
+        assert _digest(fm, ts) == self.DIGESTS[mode]
 
     @pytest.mark.parametrize("mode", ["honest", "cart"])
     def test_d5_packed_arrays_digest_over_two_blocks(self, mode):
@@ -209,7 +213,7 @@ class TestGoldenTrees:
         x = u[:, :5]
         ts = TrainingSet(x, x[:, 0] - 2.0 * x[:, 1] * x[:, 2] + x[:, 3] * x[:, 4] + 0.25 * u[:, 5])
         fm = forest.train(ts, ForestConfig(b=300, seed=31, tree=tree.TreeConfig(mode=mode)))
-        assert _digest(fm) == self.DIGESTS_D5[mode]
+        assert _digest(fm, ts) == self.DIGESTS_D5[mode]
         cfg = fm.config
         assert cfg.b // forest._TREE_BLOCK == 1
         one_range = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), cfg, cfg.s, 0, cfg.b)),
@@ -223,7 +227,7 @@ class TestPredict:
         xq = [0.4, 0.4]
         per = forest.predict_per_tree(fm, np.asarray(xq))
         assert per.shape == (2,)
-        assert forest.predict(fm, xq) == pytest.approx(per.mean(), rel=1e-15)
+        assert forest.predict_batch(fm, [xq])[0] == pytest.approx(per.mean(), rel=1e-15)
 
     def test_per_tree_matrix_shape_and_mean(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=9, seed=7))
@@ -270,9 +274,7 @@ class TestPredict:
         # two stumps on x1 at 0.5 and 0.25: leaf values 1/2 and 3/4
         fm = forest.ForestModel(
             feature=[0, -1, -1, 0, -1, -1],
-            threshold=[0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
-            value=[0.0, 1.0, 2.0, 0.0, 3.0, 4.0],
-            pred_index=[-1] * 6,
+            value=[0.5, 1.0, 2.0, 0.25, 3.0, 4.0],
             split_kind=[0] * 6,
             roots=[0, 3],
             subsample_indices=[[0, 1], [1, 2]],
@@ -298,7 +300,7 @@ class TestPredict:
         xs[1, 0], xs[2, 0], xs[3, -1] = np.inf, -np.inf, np.nan
         inner = np.flatnonzero(fm.feature >= 0)
         for row, node in zip(range(4, 24), inner[:: max(1, inner.size // 20)]):
-            xs[row, fm.feature[node]] = fm.threshold[node]
+            xs[row, fm.feature[node]] = fm.value[node]
         xs[24:30] = xs[4:10]
         return xs
 
@@ -335,9 +337,7 @@ class TestPredict:
         # a one-leaf tree next to a stump on x2 at 0.5
         fm = forest.ForestModel(
             feature=[-1, 1, -1, -1],
-            threshold=[0.0, 0.5, 0.0, 0.0],
-            value=[7.0, 0.0, 1.0, 2.0],
-            pred_index=[-1] * 4,
+            value=[7.0, 0.5, 1.0, 2.0],
             split_kind=[0] * 4,
             roots=[0, 1],
             subsample_indices=[[0, 1], [1, 2]],
@@ -413,9 +413,7 @@ class TestDerivedStructure:
         try:
             fm = forest.ForestModel(
                 feature=np.where(flags, axes, -1),
-                threshold=thresholds,
-                value=np.arange(flags.size, dtype=float),
-                pred_index=np.full(flags.size, -1),
+                value=np.where(flags, thresholds, np.arange(flags.size, dtype=float)),
                 split_kind=np.zeros(flags.size),
                 roots=np.cumsum([0] + sizes[:-1]),
                 subsample_indices=[[0, 1]] * b,
@@ -485,5 +483,5 @@ class TestConsistencySanity:
         spec = SyntheticSpec("cosine", 2, noise_sd=0.0)
         ts = dataset.gen_synthetic(spec, 2000, seed=17)
         fm = forest.train(ts, ForestConfig(b=1000, seed=17), n_jobs=2)
-        pred = forest.predict(fm, [0.5, 0.5])
+        pred = forest.predict_batch(fm, [[0.5, 0.5]])[0]
         assert abs(pred - (-3.0)) < 0.5

@@ -16,23 +16,23 @@ class TestCWeights:
         # n=2, s=1, B=2, subsamples {0}, {1}: C_0 = (t0 - t1)/4
         t0, t1 = 3.0, 7.0
         rows = np.array([[0], [1]])
-        c = jackknife.c_weights([t0, t1], rows, 2)
+        c = jackknife.v_ij([t0, t1], rows, 2).c
         assert c[0] == pytest.approx((t0 - t1) / 4, rel=1e-15)
         assert c[1] == pytest.approx((t1 - t0) / 4, rel=1e-15)
 
     def test_equal_outputs_zero(self):
         rows = _random_rows(6, 10, 3)
-        assert np.array_equal(jackknife.c_weights(np.full(6, 2.5), rows, 10), np.zeros(10))
+        assert np.array_equal(jackknife.v_ij(np.full(6, 2.5), rows, 10).c, np.zeros(10))
 
     def test_constant_inclusion_gives_zero_weight(self):
         # if N_bi is the same for all b, C_i = 0 because sum_b (T_b - Tbar) = 0
         rows = np.tile(np.arange(4), (5, 1))  # s = 4 = n: every row full
-        c = jackknife.c_weights(np.arange(5.0), rows, 4)
+        c = jackknife.v_ij(np.arange(5.0), rows, 4).c
         assert np.allclose(c, 0.0, atol=1e-12)
 
     def test_b_below_two_rejected(self):
         with pytest.raises(ValueError, match="B >= 2"):
-            jackknife.c_weights(np.array([1.0]), np.array([[0]]), 2)
+            jackknife.v_ij(np.array([1.0]), np.array([[0]]), 2)
 
     @pytest.mark.parametrize("rows, n", [
         ([[1, 0], [0, 2], [1, 2]], 3),  # an unsorted row

@@ -53,7 +53,7 @@ class TestDrawSubsample:
         g = _stream(4)
         counts = np.zeros((reps, n))
         for r in range(reps):
-            counts[r] = sampling.counts_vector(sampling.draw_subsample(n, s, g))
+            counts[r, sampling.draw_subsample(n, s, g).indices] = 1  # N_i = 1 iff i is drawn
         mean_se = math.sqrt((s / n) * (1 - s / n) / reps)
         assert abs(counts[:, 0].mean() - s / n) < 3 * mean_se
         prod = (counts[:, 0] - s / n) * (counts[:, 1] - s / n)
@@ -61,21 +61,15 @@ class TestDrawSubsample:
         se = prod.std(ddof=1) / math.sqrt(reps)
         assert abs(prod.mean() - expected) < 3 * se
 
-
-class TestCountsVector:
-    def test_indicator_layout(self):
-        d = sampling.SubsampleDraw(np.array([0, 2]), 4)
-        assert np.array_equal(sampling.counts_vector(d), [1, 0, 1, 0])
-
-    def test_empty_draw_rejected_upstream(self):
+    def test_empty_draw_rejected(self):
         with pytest.raises(ValueError):
             sampling.SubsampleDraw(np.array([], dtype=np.int64), 3)
 
-    def test_sums_to_s(self):
+    def test_draw_holds_s_distinct_indices(self):
         g = _stream(5)
         for _ in range(50):
             d = sampling.draw_subsample(30, 11, g)
-            assert sampling.counts_vector(d).sum() == 11
+            assert np.unique(d.indices).size == d.s == 11
 
 
 class TestHonestyPartition:

@@ -6,7 +6,8 @@ from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 from subforest.tree import TreeConfig
 
-from conftest import grow_one, one_tree_forest, reference_children, reference_leaf, same_forest
+from conftest import (format4_arrays, grow_one, is_pnn, leaf_training_index, one_tree_forest, reference_children,
+                      reference_leaf, same_forest)
 
 
 def _stream(i=0):
@@ -28,6 +29,11 @@ def _fit_cart(ts, rows, cfg=None):
     return grow_one(ts, cfg or TreeConfig(mode="cart"), rows)
 
 
+def _predict(fm, xq) -> float:
+    """The forest's prediction at one point."""
+    return float(forest.predict_batch(fm, np.atleast_2d(np.asarray(xq, dtype=np.float64)))[0])
+
+
 class TestConfig:
     def test_gamma_bounds(self):
         with pytest.raises(ValueError):
@@ -47,19 +53,20 @@ class TestFitHonest:
         ts = TrainingSet(np.array([[0.2], [0.8]]), np.array([1.0, 9.0]))
         model = _fit_honest(ts, [0], [1], gen=_stream())
         assert model.feature.size == 1
-        assert forest.predict(model, [0.5]) == 9.0
-        assert model.pred_index[0] == 1
+        assert _predict(model, [0.5]) == 9.0
+        assert leaf_training_index(model, ts)[0] == 1
 
     def test_d1_threshold_between_prediction_points(self):
         # structure at 0.2, 0.8; prediction at 0.1, 0.9: the only candidate
         # midpoint 0.5 keeps one prediction point per side
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
+        threshold = format4_arrays(model, ts)["threshold"]
         assert model.feature[0] == 0
-        assert model.threshold[0] == pytest.approx(0.5)
-        assert 0.1 < model.threshold[0] < 0.9
-        assert forest.predict(model, [0.0]) == 5.0
-        assert forest.predict(model, [1.0]) == 7.0
+        assert threshold[0] == pytest.approx(0.5)
+        assert 0.1 < threshold[0] < 0.9
+        assert _predict(model, [0.0]) == 5.0
+        assert _predict(model, [1.0]) == 7.0
 
     def test_honesty_label_permutation_preserves_structure(self, cosine_1k):
         ts = cosine_1k
@@ -70,12 +77,13 @@ class TestFitHonest:
         y2[prediction] = ts.y[np.random.default_rng(0).permutation(prediction)]
         ts2 = TrainingSet(ts.x, y2)
         model2 = _fit_cosine_honest(ts2, seed=5)
+        old, old2 = format4_arrays(model, ts), format4_arrays(model2, ts2)
         assert np.array_equal(model.feature, model2.feature)
-        assert np.array_equal(model.threshold, model2.threshold)
+        assert np.array_equal(old["threshold"], old2["threshold"])
         assert np.array_equal(model.split_kind, model2.split_kind)
         # leaf values follow the permuted labels
-        assert np.array_equal(model2.value[model2.feature < 0],
-                              ts2.y[model2.pred_index[model2.feature < 0]])
+        leaves = model2.feature < 0
+        assert np.array_equal(old2["value"][leaves], ts2.y[old2["pred_index"][leaves]])
 
     def test_fully_grown_leaf_count(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=6)
@@ -83,9 +91,10 @@ class TestFitHonest:
 
     def test_leaf_values_are_prediction_labels(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=7)
+        old = format4_arrays(model, cosine_1k)
         leaves = model.feature < 0
-        assert np.all(np.isin(model.pred_index[leaves], model.prediction_indices[0]))
-        assert np.array_equal(model.value[leaves], cosine_1k.y[model.pred_index[leaves]])
+        assert np.all(np.isin(old["pred_index"][leaves], model.prediction_indices[0]))
+        assert np.array_equal(old["value"][leaves], cosine_1k.y[old["pred_index"][leaves]])
 
     def test_empty_prediction_set_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +105,7 @@ class TestFitHonest:
         ts = TrainingSet(x, np.array([1.0, 2.0, 3.0, 4.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(2))
         assert model.feature.size == 1
-        assert model.pred_index[0] == 2
+        assert leaf_training_index(model, ts)[0] == 2
 
 
 def _routed_counts(fm, ts):
@@ -107,7 +116,7 @@ def _routed_counts(fm, ts):
     inner = np.flatnonzero(fm.feature[node] >= 0)
     while inner.size:
         at = node[inner]
-        node[inner] = fm.left[at] + (ts.x[pt[inner], fm.feature[at]] > fm.threshold[at])
+        node[inner] = fm.left[at] + (ts.x[pt[inner], fm.feature[at]] > fm.value[at])
         inner = inner[fm.feature[node[inner]] >= 0]
     return np.bincount(node, minlength=fm.feature.size)
 
@@ -136,13 +145,15 @@ class TestGrowBlock:
             alone = tree.grow_block(ts, axes, cfg, structure[t:t + 1], prediction[t:t + 1], uniforms[t:t + 1])
             lo = block.roots[t]
             hi = block.roots[t + 1] if t < 5 else block.feature.size
-            for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
+            for name in ("feature", "value", "split_kind"):
                 assert np.array_equal(getattr(block, name)[lo:hi], getattr(alone, name)), (t, name)
-        assert block.feature[0] == -1 and block.pred_index[0] == 3
+        tree0 = grow_one(ts, cfg, structure[0], prediction[0], uniforms[0])
+        assert block.feature[0] == -1 and leaf_training_index(tree0, ts)[0] == 3
         root1 = block.roots[1]
         assert block.feature[root1] >= 0 and tree.SPLIT_KINDS[block.split_kind[root1]] == "fallback"
         px = np.sort(x[prediction[1], block.feature[root1]])
-        assert block.threshold[root1] in 0.5 * (px[:-1] + px[1:])
+        tree1 = grow_one(ts, cfg, structure[1], prediction[1], uniforms[1])
+        assert format4_arrays(tree1, ts)["threshold"][0] in 0.5 * (px[:-1] + px[1:])
 
     def test_redrawn_axis_is_recorded(self):
         # the uniform branch draws axis 0, where every structure point sits at
@@ -154,7 +165,7 @@ class TestGrowBlock:
         uniforms[0, :2] = 0.0  # uniform branch, axis 0
         block = tree.grow_block(ts, tree.sorted_axes(ts), TreeConfig(), np.array([[0, 1, 2, 3]]),
                                 np.array([[4, 5, 6, 7]]), uniforms[None])
-        assert block.feature[0] == 1 and block.threshold[0] == 0.5
+        assert block.feature[0] == 1 and block.value[0] == 0.5  # a split's value is its threshold
         assert tree.SPLIT_KINDS[block.split_kind[0]] == "redrawn"
 
     def test_prediction_points_count_left_at_or_below_the_threshold(self):
@@ -175,11 +186,12 @@ class TestGrowBlock:
         # points right, below gamma, so 0|a wins. Its right child then splits
         # at a|b, which is admissible only with point 7 on the left; the
         # structure point at b goes right with point 8.
+        old = format4_arrays(fm, ts)
         assert fm.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
-        assert fm.threshold[:4].tolist() == [0.5 * a, -0.5, a, -1.5]
+        assert old["threshold"][:4].tolist() == [0.5 * a, -0.5, a, -1.5]
         assert [tree.SPLIT_KINDS[k] for k in fm.split_kind[:4]] == ["greedy", "fallback", "greedy", "fallback"]
-        assert fm.pred_index[4:].tolist() == [0, 7, 8, 5, 6]
-        assert np.array_equal(fm.value[4:], ts.y[[0, 7, 8, 5, 6]])
+        assert old["pred_index"][4:].tolist() == [0, 7, 8, 5, 6]
+        assert np.array_equal(old["value"][4:], ts.y[[0, 7, 8, 5, 6]])
         assert tree.validate_regularity(fm, ts).passed
 
     @pytest.mark.parametrize("mode", ["honest", "cart"])
@@ -202,7 +214,7 @@ class TestGrowBlock:
                 assert tree.validate_regularity(fm, ts).passed, seed
             else:
                 assert np.all(_routed_counts(fm, ts)[leaves] >= 1), seed
-                assert np.all(np.isfinite(fm.value[leaves])), seed
+                assert np.all(np.isfinite(format4_arrays(fm, ts)["value"][leaves])), seed
 
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
         rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
@@ -213,8 +225,8 @@ class TestGrowBlock:
         for t in range(5):
             alone = tree.grow_block(cosine_1k, axes, cfg, rows[t:t + 1])
             lo, hi = block.roots[t], ends[t]
+            # one value per node: each leaf's value and each split's threshold
             assert np.array_equal(block.value[lo:hi], alone.value)
-            assert np.array_equal(block.threshold[lo:hi], alone.threshold)
             assert np.array_equal(block.feature[lo:hi], alone.feature)
 
 
@@ -222,7 +234,7 @@ class TestFitGreedyCart:
     def test_constant_labels_single_leaf(self):
         ts = TrainingSet(np.random.default_rng(0).random((20, 2)), np.full(20, 4.5))
         model = _fit_cart(ts, np.arange(20))
-        assert np.all(model.value[model.feature < 0] == 4.5)
+        assert np.all(format4_arrays(model, ts)["value"][model.feature < 0] == 4.5)
 
     def test_single_point(self):
         ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
@@ -233,9 +245,9 @@ class TestFitGreedyCart:
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
         model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
         assert model.feature[0] == 0
-        assert model.threshold[0] == pytest.approx(0.5)
-        assert forest.predict(model, [0.15]) == 0.0
-        assert forest.predict(model, [0.85]) == 10.0
+        assert format4_arrays(model, ts)["threshold"][0] == pytest.approx(0.5)
+        assert _predict(model, [0.15]) == 0.0
+        assert _predict(model, [0.85]) == 10.0
 
     def test_leaf_means(self, cosine_1k):
         g = rng.stream(1, rng.TREE, 1)
@@ -243,9 +255,10 @@ class TestFitGreedyCart:
         model = _fit_cart(cosine_1k, idx)
         # verify each leaf's value is the mean of the training labels routed to it
         leaf_ids = np.array([reference_leaf(model, 0, cosine_1k.x[i]) for i in idx])
+        value = format4_arrays(model, cosine_1k)["value"]
         for leaf in np.unique(leaf_ids):
             members = idx[leaf_ids == leaf]
-            assert model.value[leaf] == pytest.approx(cosine_1k.y[members].mean(), rel=1e-12)
+            assert value[leaf] == pytest.approx(cosine_1k.y[members].mean(), rel=1e-12)
 
 
 class TestPredict:
@@ -254,13 +267,13 @@ class TestPredict:
         model = _fit_cart(ts, np.arange(2))
         assert model.feature.size == 1
         for v in (0.0, 0.3, 1.0):
-            assert forest.predict(model, [v]) == 2.5
+            assert _predict(model, [v]) == 2.5
 
     def test_tie_at_threshold_routes_left(self):
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
         model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
-        thr = model.threshold[0]
-        assert forest.predict(model, [thr]) == 0.0  # exactly at the threshold: left
+        thr = format4_arrays(model, ts)["threshold"][0]
+        assert _predict(model, [thr]) == 0.0  # exactly at the threshold: left
 
     def test_dimension_mismatch(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k)
@@ -273,21 +286,22 @@ class TestPredict:
         model = forest.train(ts, ForestConfig(b=1, seed=3))
         assert model.s == 66
         for p in model.prediction_indices[0, :10]:
-            assert forest.predict(model, ts.x[p]) == ts.y[p]
+            assert _predict(model, ts.x[p]) == ts.y[p]
 
     def test_monotone_routing_constant_on_leaf_cell(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=9)
+        old = format4_arrays(model, cosine_1k)
         left = reference_children(model, 0)
         gen = np.random.default_rng(0)
         for _ in range(20):
             xq = gen.random(2)
             leaf = reference_leaf(model, 0, xq)
-            assert forest.predict(model, xq) == model.value[leaf]
+            assert _predict(model, xq) == old["value"][leaf]
             # walk the cell bounds by descending with the recorded routing
             lo, hi = np.zeros(2), np.ones(2)
             nid = 0
             while model.feature[nid] >= 0:
-                a, t = model.feature[nid], model.threshold[nid]
+                a, t = model.feature[nid], old["threshold"][nid]
                 if xq[a] <= t:
                     hi[a] = min(hi[a], t)
                     nid = left[nid]
@@ -304,18 +318,20 @@ class TestSelectedIndex:
     # i*(x), the training index behind a leaf prediction, read at the reference walk's leaf
     def test_piecewise_constant_and_matches_leaf(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=10)
+        pred_index = leaf_training_index(model, cosine_1k)
         gen = np.random.default_rng(1)
         for _ in range(10):
             xq = gen.random(2)
-            i_star = model.pred_index[reference_leaf(model, 0, xq)]
+            i_star = pred_index[reference_leaf(model, 0, xq)]
             assert i_star in model.prediction_indices[0]
-            assert forest.predict(model, xq) == cosine_1k.y[i_star]
+            assert _predict(model, xq) == cosine_1k.y[i_star]
 
     def test_at_prediction_point(self):
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
-        assert model.pred_index[reference_leaf(model, 0, [0.1])] == 2
-        assert model.pred_index[reference_leaf(model, 0, [0.9])] == 3
+        pred_index = leaf_training_index(model, ts)
+        assert pred_index[reference_leaf(model, 0, [0.1])] == 2
+        assert pred_index[reference_leaf(model, 0, [0.9])] == 3
 
 
 class TestIsPnn:
@@ -327,29 +343,30 @@ class TestIsPnn:
 
     def test_interval_containment_1d(self):
         ts = self._ts([0.4, 0.6, 0.9])
-        assert tree.is_pnn([0.5], 2, [0, 1, 2], ts) is False  # 0.6 inside [0.5, 0.9]
-        assert tree.is_pnn([0.5], 1, [0, 1, 2], ts) is True
+        assert is_pnn([0.5], 2, [0, 1, 2], ts) is False  # 0.6 inside [0.5, 0.9]
+        assert is_pnn([0.5], 1, [0, 1, 2], ts) is True
 
     def test_single_candidate_always_true(self):
         ts = self._ts([0.9])
-        assert tree.is_pnn([0.1], 0, [0], ts) is True
+        assert is_pnn([0.1], 0, [0], ts) is True
 
     def test_2d_escape(self):
         ts = self._ts([[0.5, 0.5], [0.2, 0.8]])
-        assert tree.is_pnn([0.0, 0.0], 0, [0, 1], ts) is True  # (0.2, 0.8) exits the box
+        assert is_pnn([0.0, 0.0], 0, [0, 1], ts) is True  # (0.2, 0.8) exits the box
 
     def test_boundary_counts_inside(self):
         ts = self._ts([[0.5, 0.5], [0.5, 0.2]])
         # (0.5, 0.2) sits on the boundary of the box spanned by (0,0) and (0.5, 0.5)
-        assert tree.is_pnn([0.0, 0.0], 0, [0, 1], ts) is False
+        assert is_pnn([0.0, 0.0], 0, [0, 1], ts) is False
 
     def test_prediction_is_pnn_of_leaf(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=11)
+        pred_index = leaf_training_index(model, cosine_1k)
         gen = np.random.default_rng(2)
         for _ in range(10):
             xq = gen.random(2)
-            i_star = int(model.pred_index[reference_leaf(model, 0, xq)])
-            assert tree.is_pnn(xq, i_star, [i_star], cosine_1k)
+            i_star = int(pred_index[reference_leaf(model, 0, xq)])
+            assert is_pnn(xq, i_star, [i_star], cosine_1k)
 
 
 class TestValidateRegularity:
@@ -364,14 +381,14 @@ class TestValidateRegularity:
 
     def test_handbuilt_zero_prediction_leaf_fails(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=13)
-        # swap a leaf's recorded index for a structure point: leaf check must fail
-        bad = model.pred_index.copy()
+        # a leaf's value swapped for a structure point's label: leaf check must fail
+        bad = model.value.copy()
         leaves = np.nonzero(model.feature < 0)[0]
-        bad[leaves[0]] = np.setdiff1d(model.subsample_indices[0], model.prediction_indices[0])[0]
+        bad[leaves[0]] = cosine_1k.y[np.setdiff1d(model.subsample_indices[0], model.prediction_indices[0])[0]]
+        assert bad[leaves[0]] != model.value[leaves[0]]
         broken = one_tree_forest(
             cosine_1k, model.config.tree, model.subsample_indices[0], model.prediction_indices[0],
-            feature=model.feature, threshold=model.threshold, value=model.value, pred_index=bad,
-            split_kind=model.split_kind,
+            feature=model.feature, value=bad, split_kind=model.split_kind,
         )
         rep = tree.validate_regularity(broken, cosine_1k)
         assert not rep.passed
@@ -386,7 +403,7 @@ class TestValidateRegularity:
         model = one_tree_forest(
             ts, TreeConfig(), np.arange(100), np.arange(50, 100),
             feature=[0, -1, -1], threshold=[thr, 0.0, 0.0],
-            value=[0.0, ts.y[50], ts.y[51]], pred_index=[-1, 50, 51],
+            value=[0.0, ts.y[50], ts.y[51]],
         )
         rep = tree.validate_regularity(model, ts)
         assert not rep.passed
@@ -400,7 +417,7 @@ class TestValidateRegularity:
         model = one_tree_forest(
             ts, TreeConfig(gamma=0.1), np.arange(m), np.r_[0, np.arange(m // 2 + 1, m)],
             feature=[0, -1, -1], threshold=[0.5 * (x[-2, 0] + x[-1, 0]), 0.0, 0.0],
-            value=np.zeros(3), pred_index=[-1, 0, m - 1],
+            value=np.zeros(3),
         )
         rep = tree.validate_regularity(model, ts)
         assert rep.split_min_fraction[0] == 1 / m
@@ -414,7 +431,7 @@ class TestValidateRegularity:
         ts = TrainingSet(x, (x[:, 0] == 18).astype(float))
         model = _fit_honest(ts, np.arange(9, 19), np.r_[0:9, 19], TreeConfig(gamma=0.1), _stream(3))
         assert model.feature[0] == 0
-        assert model.threshold[0] == 17.5
+        assert format4_arrays(model, ts)["threshold"][0] == 17.5
         rep = tree.validate_regularity(model, ts)
         assert rep.split_min_fraction[0] == 0.1
         assert rep.splits_ok[0]
@@ -431,13 +448,13 @@ class TestValidateRegularity:
     def test_unsplittable_leaf_is_accepted(self):
         ts, structure, prediction = self._one_separating_midpoint()
         model = _fit_honest(ts, structure, prediction, TreeConfig(gamma=0.1), _stream(4))
-        assert model.feature.size == 1 and model.pred_index[0] == 10
+        assert model.feature.size == 1 and leaf_training_index(model, ts)[0] == 10
         rep = tree.validate_regularity(model, ts)
         assert rep.passed and rep.unsplittable_leaves == 1
         assert rep.leaf_pred_counts.tolist() == [10]
         # at gamma = 0.05 the midpoint is admissible, so the same leaf fails
         loose = one_tree_forest(ts, TreeConfig(gamma=0.05), np.arange(20), prediction, feature=model.feature,
-                                threshold=model.threshold, value=model.value, pred_index=model.pred_index)
+                                value=model.value)
         rep = tree.validate_regularity(loose, ts)
         assert not rep.passed and rep.unsplittable_leaves == 0
         # and the grower splits there
@@ -446,7 +463,7 @@ class TestValidateRegularity:
     def test_unsplittable_leaf_keeps_its_lowest_prediction_index(self):
         ts, _, prediction = self._one_separating_midpoint()
         model = one_tree_forest(ts, TreeConfig(gamma=0.1), np.arange(20), prediction, feature=[-1],
-                                threshold=[0.0], value=[ts.y[11]], pred_index=[11])
+                                threshold=[0.0], value=[ts.y[11]])
         assert not tree.validate_regularity(model, ts).passed
 
     def test_cart_rejected(self):
