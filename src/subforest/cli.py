@@ -24,8 +24,10 @@ from .dataset import (
     ARITY,
     SyntheticSpec,
     TrainingSet,
+    csv_columns,
     gen_synthetic,
     load_csv,
+    read_csv,
 )
 from .experiments import (
     ExperimentSpec,
@@ -91,15 +93,18 @@ _KEY_TYPES = {
     **dict.fromkeys(["noise_sd", "alpha", "p", "gamma", "delta", "s_exponent", "level"], float),
     "labels": list,
 }
-# what a config file's value for an int or float key must be
-_NUMBERS = {int: ("an integer", (int,)), float: ("a number", (int, float))}
+# what a config file's value for an int, float or string key must be
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)), str: ("a string", (str,))}
+# levels, a comma-separated list of numbers, may also be one JSON number
+_LEVELS_TYPE = ("a string or a number", (str, int, float))
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Flags override --config file values, which override defaults.
 
-    A file value for an int flag must be a JSON integer (not a bool), and one
-    for a float flag a JSON number; null stands for a flag whose default is unset.
+    A file value for an int flag must be a JSON integer (not a bool), one for
+    a float flag a JSON number and one for a string flag a JSON string; null
+    stands for a flag whose default is unset.
     """
     resolved = dict(defaults)
     if getattr(args, "config", None):
@@ -109,7 +114,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, v in file_cfg.items():
-            want = _NUMBERS.get(_KEY_TYPES.get(key, int))
+            want = _LEVELS_TYPE if key == "levels" else _JSON_TYPES.get(_KEY_TYPES.get(key, int))
             if want and type(v) not in want[1] and not (v is None and defaults[key] is None):
                 raise ValueError(f"config key {key!r} must be {want[0]}, got {v!r}")
         resolved.update(file_cfg)
@@ -210,20 +215,8 @@ _PREDICT_DEFAULTS = {"model": None, "data": None, "level": 0.95, "out": None}
 
 
 def _load_query(path, feature_names, d) -> np.ndarray:
-    """Feature-only CSV matching the model's columns (by name when known)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            header = [h.strip() for h in row]
-            break
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty dataset (header only)")
+    """Feature-only CSV matching the model's columns (by name when known); nan and inf are read."""
+    header, rows = read_csv(path)
     if feature_names:
         missing = [c for c in feature_names if c not in header]
         if missing:
@@ -233,19 +226,7 @@ def _load_query(path, feature_names, d) -> np.ndarray:
         if len(header) < d:
             raise ValueError(f"{path}: expected at least {d} feature columns, got {len(header)}")
         cols = list(range(d))
-    out = np.empty((len(rows), len(cols)))
-    for r, row in enumerate(rows):
-        row_no = r + 2
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-        for j, c in enumerate(cols):
-            try:
-                out[r, j] = float(row[c])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_no}, column {header[c]!r}: not numeric: {row[c]!r}"
-                ) from None
-    return out
+    return csv_columns(path, header, rows, cols)
 
 
 def _cmd_predict(args) -> int:

@@ -1,4 +1,4 @@
-"""Training data: synthetic generators, CSV ingestion, train/test splitting.
+"""Training data: synthetic generators and CSV ingestion.
 
 Synthetic label rules (features uniform on [0,1]^d, standard Gaussian noise):
 
@@ -90,10 +90,6 @@ def true_mean_batch(spec: SyntheticSpec, x: np.ndarray) -> np.ndarray:
     return 10.0 * a.astype(np.float64)
 
 
-def true_mean(spec: SyntheticSpec, x) -> float:
-    return float(true_mean_batch(spec, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
 def sample_synthetic(spec: SyntheticSpec, n: int, gen: np.random.Generator) -> TrainingSet:
     """Draw ``n`` examples from ``spec`` using an explicit stream."""
     if n < 1:
@@ -110,67 +106,68 @@ def gen_synthetic(spec: SyntheticSpec, n: int, seed: int) -> TrainingSet:
     return sample_synthetic(spec, n, rng.stream(seed, rng.DATASET))
 
 
-def load_csv(path, target_column=None, feature_columns=None) -> TrainingSet:
-    """Read a headered numeric CSV into a TrainingSet, preserving row order.
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a headered CSV, in file order.
 
-    ``target_column`` is a header name or 0-based index (default: last
-    column). ``feature_columns`` optionally restricts/reorders the features.
+    Leading '# key=value' provenance lines and blank rows are skipped. The
+    file needs a header and a data row, and every row as many cells as the
+    header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None
-        for row in reader:  # tolerate leading '# key=value' provenance lines
+        for row in reader:
             if row and row[0].lstrip().startswith("#"):
                 continue
-            header = row
+            header = [h.strip() for h in row]
             break
         if header is None:
             raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{path}: empty dataset (header only)")
-
-    def col_index(col, what):
-        if isinstance(col, int):
-            if not 0 <= col < len(header):
-                raise ValueError(f"{path}: {what} index {col} out of range for {len(header)} columns")
-            return col
-        if col not in header:
-            raise ValueError(f"{path}: {what} {col!r} not in header {header}")
-        return header.index(col)
-
-    target = col_index(target_column if target_column is not None else len(header) - 1, "target column")
-    if feature_columns is None:
-        feat_idx = [i for i in range(len(header)) if i != target]
-    else:
-        feat_idx = [col_index(c, "feature column") for c in feature_columns]
-        if target in feat_idx:
-            raise ValueError(f"{path}: target column {header[target]!r} also selected as a feature")
-    if not feat_idx:
-        raise ValueError(f"{path}: no feature columns")
-
-    def parse(cell, row_no, col):
-        text = cell.strip()
-        try:
-            v = float(text)
-        except ValueError:
-            raise ValueError(f"{path}: row {row_no}, column {header[col]!r}: not numeric: {cell!r}") from None
-        if not math.isfinite(v):
-            raise ValueError(f"{path}: row {row_no}, column {header[col]!r}: non-finite value {cell!r}")
-        return v
-
-    x = np.empty((len(rows), len(feat_idx)), dtype=np.float64)
-    y = np.empty(len(rows), dtype=np.float64)
     for r, row in enumerate(rows):
-        row_no = r + 2  # 1-based, after the header line
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-        for j, c in enumerate(feat_idx):
-            x[r, j] = parse(row[c], row_no, c)
-        y[r] = parse(row[target], row_no, target)
-    names = tuple(header[c] for c in feat_idx)
-    return TrainingSet(x, y, feature_names=names)
+            raise ValueError(f"{path}: row {r + 2}: expected {len(header)} cells, got {len(row)}")
+    return header, rows
+
+
+def csv_columns(path, header: list[str], rows: list[list[str]], cols: list[int]) -> np.ndarray:
+    """(rows, len(cols)) float64 of ``read_csv`` rows' columns ``cols``, in that order.
+
+    Each cell is read by ``float``, so nan and inf are numbers here; row
+    numbers in messages count from 2, the first row after the header.
+    """
+    out = np.empty((len(rows), len(cols)))
+    for r, row in enumerate(rows):
+        for j, c in enumerate(cols):
+            try:
+                out[r, j] = float(row[c])
+            except ValueError:
+                raise ValueError(f"{path}: row {r + 2}, column {header[c]!r}: not numeric: {row[c]!r}") from None
+    return out
+
+
+def load_csv(path, target_column: str | None = None) -> TrainingSet:
+    """Read a headered numeric CSV into a TrainingSet, preserving row order.
+
+    ``target_column`` is a header name (default: the last column); every
+    other column is a feature. Every cell must be a finite number.
+    """
+    header, rows = read_csv(path)
+    if target_column is not None and target_column not in header:
+        raise ValueError(f"{path}: target column {target_column!r} not in header {header}")
+    target = len(header) - 1 if target_column is None else header.index(target_column)
+    cols = [i for i in range(len(header)) if i != target]
+    if not cols:
+        raise ValueError(f"{path}: no feature columns")
+    cols.append(target)
+    values = csv_columns(path, header, rows, cols)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0][0], cols[bad[0][1]]
+        raise ValueError(f"{path}: row {r + 2}, column {header[c]!r}: non-finite value {rows[r][c]!r}")
+    return TrainingSet(values[:, :-1], values[:, -1], feature_names=tuple(header[c] for c in cols[:-1]))
 
 
 def save_csv(ts: TrainingSet, path) -> None:
@@ -181,20 +178,3 @@ def save_csv(ts: TrainingSet, path) -> None:
         writer.writerow(list(names) + ["y"])
         for i in range(ts.n):
             writer.writerow([repr(float(v)) for v in ts.x[i]] + [repr(float(ts.y[i]))])
-
-
-def split_train_test(ts: TrainingSet, test_fraction: float, seed: int) -> tuple[TrainingSet, TrainingSet]:
-    """Disjoint uniform random split; test size is floor(n * test_fraction)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n_test = int(math.floor(ts.n * test_fraction))
-    if n_test < 1 or ts.n - n_test < 1:
-        raise ValueError(f"split of n={ts.n} at fraction {test_fraction} leaves an empty side")
-    perm = rng.stream(seed, rng.DATASET, 1).permutation(ts.n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    names = ts.feature_names
-    return (
-        TrainingSet(ts.x[train_idx], ts.y[train_idx], feature_names=names),
-        TrainingSet(ts.x[test_idx], ts.y[test_idx], feature_names=names),
-    )

@@ -73,8 +73,8 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import default_subsample_size, draw_block, partition_block, row_members
-from .tree import HONEST, TreeConfig
+from .sampling import default_subsample_size, draw_block, partition_block, prediction_size, row_members
+from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
 # (tree, point) pairs walked together: bounds the traversal's working set
 # independently of B and K
@@ -144,7 +144,7 @@ class ForestModel:
     split_kind: np.ndarray  # (N,) uint8 split provenance, index into tree.SPLIT_KINDS
     roots: np.ndarray  # (B,) int32 root id of each tree, increasing from 0
     subsample_indices: np.ndarray  # (B, s) int32, row b = sorted subsample of tree b
-    prediction_indices: np.ndarray | None  # (B, ceil(s/2)) int32 honest prediction sets; None for CART
+    prediction_indices: np.ndarray | None  # (B, prediction_size(s)) int32 honest prediction sets; None for CART
     n: int
     d: int
     s: int
@@ -157,7 +157,7 @@ class ForestModel:
             if arr is None:
                 continue
             arr = np.asarray(arr)
-            if arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, dtype):
+            if arr.size and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, dtype):
                 info = np.iinfo(dtype)
                 if arr.min() < info.min or arr.max() > info.max:
                     raise ValueError(f"{name} holds values outside the range of {dtype}")
@@ -177,6 +177,8 @@ class ForestModel:
             raise ValueError("tree roots must increase and every tree needs a node")
         if self.feature.min() < -1 or self.feature.max() >= self.d:
             raise ValueError(f"split features must lie in [-1, {self.d})")
+        if self.split_kind.max() >= len(SPLIT_KINDS):
+            raise ValueError(f"split kinds must lie in [0, {len(SPLIT_KINDS)})")
         # the derived children lie inside each tree and make it one binary tree
         # (see the module docstring); a threshold orders against every query
         # as the walk reads it
@@ -193,7 +195,7 @@ class ForestModel:
         if (pred is None) != (self.config.tree.mode != HONEST):
             raise ValueError("honest forests, and only they, carry prediction indices")
         if pred is not None:
-            if pred.shape != (self.b, -(-self.s // 2)) or not _sorted_rows(pred, self.n):
+            if pred.shape != (self.b, prediction_size(self.s)) or not _sorted_rows(pred, self.n):
                 raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
             if not row_members(self.subsample_indices, pred, self.n).all():
                 raise ValueError("prediction indices must lie inside their tree's subsample")
@@ -239,7 +241,9 @@ def usable_cores() -> int:
 
 
 def worker_count(requested: int, tasks: int, cores: int) -> int:
-    """Worker processes for a fan-out: min(requested, tasks, cores), at least 1."""
+    """Worker processes for a fan-out: min(requested, tasks, cores), at least 1; a request below 1 is refused."""
+    if requested < 1:
+        raise ValueError(f"worker count must be >= 1, got {requested}")
     return max(1, min(requested, tasks, cores))
 
 
@@ -306,7 +310,7 @@ def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np
 
 def _fit_range(args) -> list:
     ts, axes, cfg, s, b_lo, b_hi = args
-    k = -(-s // 2) if cfg.tree.mode == HONEST else 0
+    k = prediction_size(s) if cfg.tree.mode == HONEST else 0
     # tree b's stream draws its subsample's swap targets, then its
     # partition's, then its uniform table; one integers call over both
     # target ranges draws the values of the two separate calls
@@ -343,7 +347,7 @@ def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, paths: l
     ``cfg`` must carry s and b matching ``sub``.
     """
     s = sub.shape[1]
-    k = -(-s // 2) if cfg.tree.mode == HONEST else 0
+    k = prediction_size(s) if cfg.tree.mode == HONEST else 0
     js, uniforms = _stream_draws(paths, np.arange(k), np.full(k, s), k)
     return _pack([_grow(ts, tree_mod.sorted_axes(ts), cfg, sub, js, uniforms)], ts.n, s, ts.d, cfg)
 

@@ -21,10 +21,10 @@ expected arrays with the expected dtypes and shapes, laid out back to back
 up to the end of the file (checked against the file's size before any array
 is allocated; each array is then read straight into its own buffer, which
 the forest keeps, so the file's bytes are never held twice), and the forest
-built from them re-checks its structure (feature range, node count and split
-positions of every tree, index ranges). A file that fails any check,
-including a version-1 JSON model whose single line parses as a header of the
-wrong version, is refused with ``ValueError``. Version 4 dropped version 3's
+built from them re-checks its structure (feature range, split kinds, node
+count and split positions of every tree, index ranges). A file that fails
+any check, including a version-1 JSON model whose single line parses as a
+header of the wrong version, is refused with ``ValueError``. Version 4 dropped version 3's
 stored child table and its 0/1 provenance flag. Version 5 dropped version
 4's per-leaf training index (``pred_index``), which routing recovers, and
 merged its threshold array (read only at splits) and value array (read only
@@ -43,7 +43,8 @@ import numpy as np
 from . import __version__
 from .dataset import TrainingSet
 from .forest import PACKED_DTYPES, ForestConfig, ForestModel
-from .tree import HONEST, SPLIT_KINDS, TreeConfig
+from .sampling import prediction_size
+from .tree import HONEST, TreeConfig
 
 FORMAT_VERSION = 5
 
@@ -90,7 +91,7 @@ def _config_from_record(c: dict) -> ForestConfig:
 def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
     """Header entries of the arrays, in file order and back to back."""
     # every other array holds one entry per node
-    shapes = {"roots": [b], "subsample_indices": [b, s], "prediction_indices": [b, -(-s // 2)]}
+    shapes = {"roots": [b], "subsample_indices": [b, s], "prediction_indices": [b, prediction_size(s)]}
     entries, offset = [], 0
     for name, dtype in PACKED_DTYPES.items():
         if name == "prediction_indices" and not honest:
@@ -153,8 +154,6 @@ def _read_arrays(header: dict, fh, body_size: int, honest: bool) -> dict:
         if fh.readinto(arr) != arr.nbytes:  # the file shrank after its size was read
             raise ValueError(f"file is truncated: {e['name']} ends early")
         out[e["name"]] = arr
-    if out["split_kind"].max() >= len(SPLIT_KINDS):
-        raise ValueError(f"split kinds must lie in [0, {len(SPLIT_KINDS)})")
     return out
 
 

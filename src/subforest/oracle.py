@@ -165,12 +165,6 @@ def enumerate_subsamples(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP):
     return subsets, values
 
 
-def exact_forest_value(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP) -> float:
-    """B -> infinity forest output: the mean of T over all C(n, s) subsamples."""
-    _, values = enumerate_subsamples(ts, learner, s, cap)
-    return float(values.mean())
-
-
 def exact_vij(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP) -> float:
     """Exact sum_i Cov(T, N_i)^2 over the uniform subsampling measure."""
     subsets, values = enumerate_subsamples(ts, learner, s, cap)
@@ -238,7 +232,7 @@ def hajek_projection_stats(
 
 @dataclass(frozen=True)
 class OracleReport:
-    exact_forest_value: float
+    expected_forest_value: float  # E[RF] over the n-tuples of atoms
     hajek_variance: float
     base_variance: float
     incrementality_ratio: float
@@ -297,7 +291,7 @@ def anova_bound_check(
         f"ANOVA bound violated: E[(RF - proj)^2] = {lhs!r} > (s/n)^2 Var(T) = {rhs!r}"
     )
     return OracleReport(
-        exact_forest_value=e_rf,
+        expected_forest_value=e_rf,
         hajek_variance=stats.hajek_variance,
         base_variance=stats.base_variance,
         incrementality_ratio=stats.ratio,

@@ -1,21 +1,21 @@
-"""Subsample draws without replacement and the honesty partition.
+"""Subsample draws without replacement and the honesty partition, a block of trees at a time.
 
 Subsets are drawn by partial Fisher-Yates over an index array, which makes
 every size-s subset exactly equally likely. The inclusion counts N_i of a
 draw satisfy E[N_i] = s/n and Cov(N_i, N_j) = -s(n-s) / (n^2 (n-1)) for
 i != j.
 
-``draw_block`` and ``partition_block`` draw the subsamples and partitions of
-a block of trees from each tree's swap targets, the values ``swap_targets``
-draws, and run each swap loop once over all the block's rows;
-``draw_subsample`` and ``honesty_partition`` are their one-row cases. Their
-index rows are checked by the forest that stores them, once per forest
-rather than once per tree.
+A partial Fisher-Yates of k out of m items takes k swap targets, j_i
+uniform on [i, m) for i = 0, ..., k-1, which one
+``g.integers(np.arange(k), m)`` call draws. ``draw_block`` and
+``partition_block`` take one row of swap targets per tree and run each swap
+loop once over all the block's rows: a tree's subsample takes s targets on
+[0, n), its honesty partition ``prediction_size(s)`` targets on its s
+subsample points. The forest that stores their index rows checks them, once
+per forest rather than once per tree.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,52 +24,6 @@ _POOL_ENTRIES = 1 << 20
 
 # rows of the (rows, n) bool table one ``row_members`` block builds
 _MEMBER_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class SubsampleDraw:
-    """A sorted set of s distinct training indices out of n."""
-
-    indices: np.ndarray  # sorted int64, distinct, in [0, n)
-    n: int
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
-        if idx.ndim != 1 or idx.size < 1:
-            raise ValueError("a subsample holds at least one index")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be sorted and distinct")
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise ValueError(f"indices out of range [0, {self.n})")
-        object.__setattr__(self, "indices", idx)
-        idx.setflags(write=False)
-
-    @property
-    def s(self) -> int:
-        return self.indices.size
-
-
-@dataclass(frozen=True)
-class HonestyPartition:
-    """Split of a subsample into structure and prediction index sets."""
-
-    structure: np.ndarray  # sorted int64
-    prediction: np.ndarray  # sorted int64, size >= ceil(s / 2)
-
-    def __post_init__(self):
-        st = np.ascontiguousarray(np.asarray(self.structure, dtype=np.int64))
-        pr = np.ascontiguousarray(np.asarray(self.prediction, dtype=np.int64))
-        if pr.size < 1:
-            raise ValueError("prediction set must be non-empty")
-        if np.intersect1d(st, pr).size:
-            raise ValueError("structure and prediction sets overlap")
-        s = st.size + pr.size
-        if pr.size < -(-s // 2):
-            raise ValueError("prediction set must hold at least half the subsample")
-        object.__setattr__(self, "structure", st)
-        object.__setattr__(self, "prediction", pr)
-        st.setflags(write=False)
-        pr.setflags(write=False)
 
 
 def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -87,17 +41,12 @@ def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:
     return arr
 
 
-def swap_targets(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """The k partial Fisher-Yates swap targets, j_i uniform on [i, n), in one vectorized draw."""
-    return rng.integers(np.arange(k), n)
-
-
 def draw_block(n: int, s: int, js: np.ndarray) -> np.ndarray:
-    """Sorted (T, s) subsample rows from (T, s) swap targets ``swap_targets(g, s, n)``.
+    """Sorted (T, s) subsample rows from (T, s) swap targets, row t drawn as ``integers(np.arange(s), n)``.
 
-    Row t equals ``draw_subsample(n, s, g)`` on the generator that drew
-    ``js[t]``. The swap loop runs once over all rows, in chunks whose
-    (rows, n) index pool stays within ``_POOL_ENTRIES``.
+    Row t is the uniform size-s subset of [0, n) that a partial Fisher-Yates
+    with swap targets ``js[t]`` selects. The swap loop runs once over all
+    rows, in chunks whose (rows, n) index pool stays within ``_POOL_ENTRIES``.
     """
     chunk = max(1, _POOL_ENTRIES // n)
     rows = []
@@ -111,9 +60,9 @@ def draw_block(n: int, s: int, js: np.ndarray) -> np.ndarray:
 def partition_block(subsamples: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (structure, prediction) rows of honesty partitions, one per subsample row.
 
-    ``js`` holds each row's ceil(s/2) swap targets ``swap_targets(g, ceil(s/2), s)``;
-    row t equals ``honesty_partition`` of subsample row t on the generator
-    that drew ``js[t]``: ceil(s/2) prediction points, the rest structure.
+    ``js`` holds each row's ``prediction_size(s)`` swap targets, drawn as
+    ``integers(np.arange(prediction_size(s)), s)``; the points they select
+    from subsample row t are its prediction points, the rest its structure.
     """
     k = js.shape[1]
     split = _fisher_yates(subsamples, js)
@@ -136,19 +85,9 @@ def row_members(rows: np.ndarray, of: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def draw_subsample(n: int, s: int, rng: np.random.Generator) -> SubsampleDraw:
-    """Uniform draw of s out of n indices without replacement."""
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return SubsampleDraw(draw_block(n, s, swap_targets(rng, s, n)[None])[0], n)
-
-
-def honesty_partition(draw: SubsampleDraw, rng: np.random.Generator) -> HonestyPartition:
-    """Uniform split of a draw into ceil(s/2) prediction + rest structure points."""
-    if draw.s < 2:
-        raise ValueError(f"cannot partition a subsample of size {draw.s}")
-    structure, prediction = partition_block(draw.indices[None], swap_targets(rng, -(-draw.s // 2), draw.s)[None])
-    return HonestyPartition(structure=structure[0], prediction=prediction[0])
+def prediction_size(s: int) -> int:
+    """Prediction points of an honest partition of s subsample points: ceil(s/2)."""
+    return -(-s // 2)
 
 
 def default_subsample_size(n: int, exponent: float = 0.7) -> int:

@@ -122,6 +122,30 @@ def format4_arrays(fm, ts) -> dict:
     }
 
 
+def _fisher_yates_front(g, pool, k: int) -> list:
+    """The first k items of ``pool`` after k plain-Python partial Fisher-Yates swaps.
+
+    Slot i swaps with slot j_i, for swap targets j_i uniform on
+    [i, len(pool)) that one ``g.integers(np.arange(k), len(pool))`` call draws.
+    """
+    pool = [int(v) for v in pool]
+    for i, j in enumerate(g.integers(np.arange(k), len(pool)).tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def reference_subsample(g, n: int, s: int) -> np.ndarray:
+    """Sorted uniform size-s subset of [0, n) that tree stream ``g`` draws first."""
+    return np.array(sorted(_fisher_yates_front(g, range(n), s)))
+
+
+def reference_partition(g, subsample) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (structure, prediction) honesty split of a sorted subsample that
+    tree stream ``g`` draws after it: ceil(s/2) prediction points, the rest structure."""
+    prediction = _fisher_yates_front(g, subsample, (len(subsample) + 1) // 2)
+    return np.setdiff1d(subsample, prediction), np.array(sorted(prediction))
+
+
 def is_pnn(xq, i: int, candidates, ts) -> bool:
     """True iff no other candidate lies in the closed rectangle spanned by xq and X_i."""
     xq = np.asarray(xq, dtype=np.float64).reshape(-1)

@@ -154,6 +154,19 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 1
 
+    def test_nan_and_inf_query_cells_are_predicted(self, tmp_path):
+        # NaN compares false against every threshold and goes right, as in the library
+        _, model = self._model(tmp_path)
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2\nnan,0.5\n0.25,inf\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)]) == 0
+        got = [float(l.split(",")[0]) for l in out.read_text().splitlines()
+               if l and not l.startswith("#") and not l.startswith("y_hat")]
+        fm, _ = load_model(model)
+        want = forest.predict_batch(fm, [[np.nan, 0.5], [0.25, np.inf]])
+        assert np.all(np.isfinite(want)) and np.array_equal(np.array(got), want)
+
     def test_missing_feature_column(self, tmp_path):
         data, model = self._model(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -510,15 +523,26 @@ class TestConfigValueTypes:
         ({"b": True}, "config key 'b' must be an integer, got True"),
         ({"seed": None}, "config key 'seed' must be an integer, got None"),
         ({"gamma": "0.1"}, "config key 'gamma' must be a number, got '0.1'"),
+        ({"out": 1}, "config key 'out' must be a string, got 1"),
+        ({"target": 2}, "config key 'target' must be a string, got 2"),
     ])
-    def test_mistyped_value_exits_one(self, tmp_path, capsys, doc, message):
+    def test_mistyped_value_exits_one(self, tmp_path, capfd, doc, message):
         data = _gen(tmp_path)
+        capfd.readouterr()
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"data": str(data), **doc}))
-        assert main(["train", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "m.bin")]) == 1
-        err = capsys.readouterr().err
+        assert main(["train", "--config", str(cfg), "--threads", "1"]) == 1
+        out, err = capfd.readouterr()
         assert f"error: {message}\n" in err
         assert "Traceback" not in err
+        assert out == ""  # nothing reaches file descriptor 1
+
+    def test_levels_may_be_a_number(self, tmp_path):
+        cfg = tmp_path / "coverage.json"
+        cfg.write_text(json.dumps({"levels": 0.9, "n": 30, "k": 2, "r": 50, "b": 10, "threads": 1}))
+        out = tmp_path / "cov.json"
+        assert main(["simulate", "coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["levels"] == [0.9]
 
     def test_numbers_and_nulls_for_unset_flags_accepted(self, tmp_path):
         # a JSON integer is a number for a float flag, and null leaves s to its rule

@@ -12,30 +12,30 @@ class TestSyntheticFormulas:
     def test_cosine_center(self):
         spec = SyntheticSpec("cosine", 2, noise_sd=0.0)
         ts = dataset.gen_synthetic(spec, 1, seed=0)
-        assert dataset.true_mean(spec, [0.5, 0.5]) == pytest.approx(-3.0)
+        assert dataset.true_mean_batch(spec, [[0.5, 0.5]])[0] == pytest.approx(-3.0)
 
     def test_cosine_origin(self):
-        assert dataset.true_mean(SyntheticSpec("cosine", 2), [0.0, 0.0]) == pytest.approx(3.0)
+        assert dataset.true_mean_batch(SyntheticSpec("cosine", 2), [[0.0, 0.0]])[0] == pytest.approx(3.0)
 
     def test_xor_single_term(self):
-        assert dataset.true_mean(SyntheticSpec("xor", 4), [0.7, 0.5, 0.7, 0.7]) == pytest.approx(5.0)
+        assert dataset.true_mean_batch(SyntheticSpec("xor", 4), [[0.7, 0.5, 0.7, 0.7]])[0] == pytest.approx(5.0)
 
     def test_xor_both_terms(self):
-        assert dataset.true_mean(SyntheticSpec("xor", 4), [0.7, 0.5, 0.7, 0.5]) == pytest.approx(10.0)
+        assert dataset.true_mean_batch(SyntheticSpec("xor", 4), [[0.7, 0.5, 0.7, 0.5]])[0] == pytest.approx(10.0)
 
     def test_and_all_above(self):
-        assert dataset.true_mean(SyntheticSpec("and", 4), [0.4, 0.9, 0.31, 0.99]) == pytest.approx(10.0)
+        assert dataset.true_mean_batch(SyntheticSpec("and", 4), [[0.4, 0.9, 0.31, 0.99]])[0] == pytest.approx(10.0)
 
     def test_and_conjunct_fails(self):
-        assert dataset.true_mean(SyntheticSpec("and", 4), [0.2, 0.9, 0.9, 0.9]) == 0.0
+        assert dataset.true_mean_batch(SyntheticSpec("and", 4), [[0.2, 0.9, 0.9, 0.9]])[0] == 0.0
 
     def test_strict_inequality_at_cutoffs(self):
-        assert dataset.true_mean(SyntheticSpec("and", 4), [0.3, 0.9, 0.9, 0.9]) == 0.0
-        assert dataset.true_mean(SyntheticSpec("xor", 4), [0.6, 0.7, 0.5, 0.5]) == pytest.approx(5.0)
+        assert dataset.true_mean_batch(SyntheticSpec("and", 4), [[0.3, 0.9, 0.9, 0.9]])[0] == 0.0
+        assert dataset.true_mean_batch(SyntheticSpec("xor", 4), [[0.6, 0.7, 0.5, 0.5]])[0] == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="features"):
-            dataset.true_mean(SyntheticSpec("cosine", 2), [0.1, 0.2, 0.3])
+            dataset.true_mean_batch(SyntheticSpec("cosine", 2), [[0.1, 0.2, 0.3]])
 
 
 class TestSpecValidation:
@@ -125,6 +125,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 3"):
             dataset.load_csv(p, target_column="y")
 
+    def test_non_finite_cell_names_row_and_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,2\n3,4\nNaN,5\n")
+        with pytest.raises(ValueError, match="row 4, column 'a': non-finite value 'NaN'"):
+            dataset.load_csv(p)
+
     def test_header_only_is_empty_dataset(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y\n")
@@ -141,12 +147,6 @@ class TestCsv:
         with pytest.raises(ValueError, match="target"):
             dataset.load_csv(p, target_column="z")
 
-    def test_feature_subset(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("a,b,c,y\n1,2,3,4\n")
-        ts = dataset.load_csv(p, target_column="y", feature_columns=["c", "a"])
-        assert np.array_equal(ts.x, [[3.0, 1.0]])
-
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = SyntheticSpec("cosine", 2)
         ts = dataset.gen_synthetic(spec, 25, seed=13)
@@ -161,30 +161,3 @@ class TestCsv:
         p.write_text("# tool=x\n# seed=1\na,y\n1,2\n")
         ts = dataset.load_csv(p)
         assert ts.n == 1
-
-
-class TestSplit:
-    def _ts(self, n):
-        return TrainingSet(np.arange(n, dtype=float).reshape(-1, 1), np.arange(n, dtype=float))
-
-    def test_sizes_floor_rule(self):
-        train, test = dataset.split_train_test(self._ts(10), 0.3, seed=0)
-        assert (train.n, test.n) == (7, 3)
-
-    def test_two_points(self):
-        train, test = dataset.split_train_test(self._ts(2), 0.5, seed=0)
-        assert (train.n, test.n) == (1, 1)
-
-    def test_deterministic(self):
-        a = dataset.split_train_test(self._ts(20), 0.25, seed=9)
-        b = dataset.split_train_test(self._ts(20), 0.25, seed=9)
-        assert np.array_equal(a[0].x, b[0].x) and np.array_equal(a[1].x, b[1].x)
-
-    def test_disjoint_and_complete(self):
-        train, test = dataset.split_train_test(self._ts(20), 0.25, seed=9)
-        merged = np.sort(np.concatenate([train.x[:, 0], test.x[:, 0]]))
-        assert np.array_equal(merged, np.arange(20, dtype=float))
-
-    def test_empty_side_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            dataset.split_train_test(self._ts(3), 0.1, seed=0)

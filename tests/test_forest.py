@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subforest import dataset, forest, rng, sampling, tree
+from subforest import dataset, forest, rng, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 
-from conftest import format4_arrays, reference_children, reference_leaf, reference_predict, same_forest, time_limit
+from conftest import (format4_arrays, reference_children, reference_leaf, reference_partition, reference_predict,
+                      reference_subsample, same_forest, time_limit)
 
 
 class TestConfig:
@@ -52,6 +53,13 @@ class TestTrain:
         rows[0, 0] += 2**32
         with pytest.raises(ValueError, match="subsample_indices holds values outside the range of <i4"):
             replace(fm, subsample_indices=rows)
+
+    def test_split_kind_out_of_range_refused_in_memory(self, cosine_1k):
+        fm = forest.train(cosine_1k, ForestConfig(b=4, seed=3))
+        kinds = fm.split_kind.copy()
+        kinds[0] = len(tree.SPLIT_KINDS)
+        with pytest.raises(ValueError, match=r"split kinds must lie in \[0, 4\)"):
+            replace(fm, split_kind=kinds)
 
     def test_prefix_property_in_b(self, cosine_1k):
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))
@@ -100,16 +108,16 @@ class TestBlockGrowth:
             ends = np.append(fm.roots[1:], fm.feature.size)
             for b in range(6):
                 g = rng.stream(15, rng.TREE, b)
-                draw = sampling.draw_subsample(cosine_1k.n, fm.s, g)
+                sub = reference_subsample(g, cosine_1k.n, fm.s)
                 if mode == "honest":
-                    part = sampling.honesty_partition(draw, g)
-                    uniforms = tree.split_uniforms(g, part.prediction.size)
-                    alone = tree.grow_block(cosine_1k, axes, cfg.tree, part.structure[None],
-                                            part.prediction[None], uniforms[None])
-                    assert np.array_equal(fm.prediction_indices[b], part.prediction)
+                    structure, prediction = reference_partition(g, sub)
+                    uniforms = tree.split_uniforms(g, prediction.size)
+                    alone = tree.grow_block(cosine_1k, axes, cfg.tree, structure[None],
+                                            prediction[None], uniforms[None])
+                    assert np.array_equal(fm.prediction_indices[b], prediction)
                 else:
-                    alone = tree.grow_block(cosine_1k, axes, cfg.tree, draw.indices[None])
-                assert np.array_equal(fm.subsample_indices[b], draw.indices)
+                    alone = tree.grow_block(cosine_1k, axes, cfg.tree, sub[None])
+                assert np.array_equal(fm.subsample_indices[b], sub)
                 # one value per node: each split's threshold and each leaf's value
                 for name in ("feature", "value", "split_kind"):
                     assert np.array_equal(getattr(fm, name)[fm.roots[b]:ends[b]], getattr(alone, name)), (mode, b, name)
@@ -118,10 +126,10 @@ class TestBlockGrowth:
         fm = forest.train(cosine_1k, ForestConfig(b=30, s=40, seed=16))
         for b in range(30):
             g = rng.stream(16, rng.TREE, b)
-            draw = sampling.draw_subsample(cosine_1k.n, 40, g)
-            part = sampling.honesty_partition(draw, g)
-            assert np.array_equal(fm.subsample_indices[b], draw.indices)
-            assert np.array_equal(fm.prediction_indices[b], part.prediction)
+            sub = reference_subsample(g, cosine_1k.n, 40)
+            _, prediction = reference_partition(g, sub)
+            assert np.array_equal(fm.subsample_indices[b], sub)
+            assert np.array_equal(fm.prediction_indices[b], prediction)
 
     def test_breadth_first_node_order(self, cosine_1k):
         for mode in ("honest", "cart"):
@@ -436,10 +444,19 @@ class TestDerivedStructure:
 class TestWorkers:
     @pytest.mark.parametrize(
         "requested, tasks, cores, want",
-        [(1000, 8, 2, 2), (1000, 1, 64, 1), (3, 10, 8, 3), (0, 5, 4, 1), (-2, 5, 4, 1), (4, 0, 4, 1)],
+        [(1000, 8, 2, 2), (1000, 1, 64, 1), (3, 10, 8, 3), (4, 0, 4, 1)],
     )
     def test_worker_count_clamp(self, requested, tasks, cores, want):
         assert forest.worker_count(requested, tasks, cores) == want
+
+    @pytest.mark.parametrize("requested, tasks, cores", [(0, 5, 4), (-2, 5, 4)])
+    def test_worker_count_below_one_refused(self, requested, tasks, cores):
+        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {requested}"):
+            forest.worker_count(requested, tasks, cores)
+
+    def test_train_refuses_zero_workers(self, cosine_1k):
+        with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+            forest.train(cosine_1k, ForestConfig(b=2), n_jobs=0)
 
     def test_fan_out_pool_is_clamped(self, monkeypatch):
         # a stand-in pool records its size and maps serially: no process starts

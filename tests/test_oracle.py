@@ -132,7 +132,7 @@ class TestAnovaBound:
         rep = oracle.anova_bound_check(dist, SubsampleMax(), 3, 2)
         tuples = list(product([0.0, 1.0], repeat=3))
         rf_vals = [np.mean([max(t[i], t[j]) for i, j in combinations(range(3), 2)]) for t in tuples]
-        assert rep.exact_forest_value == pytest.approx(np.mean(rf_vals), rel=1e-12)
+        assert rep.expected_forest_value == pytest.approx(np.mean(rf_vals), rel=1e-12)
 
 
 class TestHonestTreeLearner:

@@ -1,0 +1,43 @@
+"""The library's public surface: every public top-level function and class has a use.
+
+A name counts as used when some line of the library, the scripts, the
+benchmark or the packaging names it, outside the name's own definition. A
+name that only tests use is deleted, or moved into the tests, rather than
+kept here.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "subforest"
+
+
+def _reference_files() -> list:
+    files = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    return files + [ROOT / "pyproject.toml"]
+
+
+def _public_definitions():
+    """(module path, name, first line, last line) of each public top-level def or class."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield path, node.name, first, node.end_lineno
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    definitions = list(_public_definitions())
+    assert {"train", "ForestModel", "load_csv", "draw_block"} <= {name for _, name, _, _ in definitions}
+    lines = {path: path.read_text().splitlines() for path in _reference_files()}
+    unused = []
+    for module, name, first, last in definitions:
+        word = re.compile(rf"\b{name}\b")
+        # every reference file, with the definition's own lines left out of its module
+        texts = (text[:first - 1] + text[last:] if path == module else text for path, text in lines.items())
+        if not any(word.search("\n".join(text)) for text in texts):
+            unused.append(f"{module.relative_to(ROOT)}: {name}")
+    assert not unused, f"public names only the tests use: {unused}"
+

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from subforest import dataset, forest, rng, sampling, tree
+from subforest import dataset, forest, rng, tree
 from subforest.dataset import SyntheticSpec, TrainingSet
 from subforest.forest import ForestConfig
 from subforest.tree import TreeConfig
 
 from conftest import (format4_arrays, grow_one, is_pnn, leaf_training_index, one_tree_forest, reference_children,
-                      reference_leaf, same_forest)
+                      reference_leaf, reference_subsample, same_forest)
 
 
 def _stream(i=0):
@@ -97,8 +97,10 @@ class TestFitHonest:
         assert np.array_equal(old["value"][leaves], cosine_1k.y[old["pred_index"][leaves]])
 
     def test_empty_prediction_set_rejected(self):
-        with pytest.raises(ValueError):
-            sampling.HonestyPartition(structure=np.array([0, 1]), prediction=np.array([], dtype=np.int64))
+        # an honest tree of two subsample points carries one prediction point, never none
+        ts = TrainingSet(np.array([[0.1], [0.9]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="prediction indices"):
+            one_tree_forest(ts, TreeConfig(), [0, 1], np.empty(0, dtype=np.int64), feature=[-1], value=[1.0])
 
     def test_duplicate_points_collapse_to_lowest_index(self):
         x = np.full((4, 2), 0.5)
@@ -217,7 +219,7 @@ class TestGrowBlock:
                 assert np.all(np.isfinite(format4_arrays(fm, ts)["value"][leaves])), seed
 
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
-        rows = np.array([sampling.draw_subsample(1000, 60, rng.stream(9, rng.TREE, b)).indices for b in range(5)])
+        rows = np.array([reference_subsample(rng.stream(9, rng.TREE, b), 1000, 60) for b in range(5)])
         cfg = TreeConfig(mode="cart")
         axes = tree.sorted_axes(cosine_1k)
         block = tree.grow_block(cosine_1k, axes, cfg, rows)
@@ -251,7 +253,7 @@ class TestFitGreedyCart:
 
     def test_leaf_means(self, cosine_1k):
         g = rng.stream(1, rng.TREE, 1)
-        idx = sampling.draw_subsample(1000, 60, g).indices
+        idx = reference_subsample(g, 1000, 60)
         model = _fit_cart(cosine_1k, idx)
         # verify each leaf's value is the mean of the training labels routed to it
         leaf_ids = np.array([reference_leaf(model, 0, cosine_1k.x[i]) for i in idx])
