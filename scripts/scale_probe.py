@@ -3,12 +3,14 @@
 
     PYTHONPATH=src python scripts/scale_probe.py --n 5000 --b 25000 --k 200 --threads 2
 
-Two stages, each in a fresh interpreter. The first generates cosine d=2
-training data (n rows, seed --seed), trains an honest forest (s defaults to
-floor(n^0.7)) and saves the model to a temporary directory. The second
-reloads it, times the per-tree (B, K) matrix for K uniform query points,
-naming the traversal that ran, and then ``jackknife.predict_with_variance``
-(which traverses once more). So the second stage's peak RSS is that of a
+First ``import_s``: a fresh interpreter's import of ``subforest.cli``,
+timed after an untimed ``import numpy``, the start-up every ``subforest``
+command pays. Then two stages, each in a fresh interpreter. The first
+generates cosine d=2 training data (n rows, seed --seed), trains an honest
+forest (s defaults to floor(n^0.7)) and saves the model to a temporary
+directory. The second reloads it, times the per-tree (B, K) matrix for K
+uniform query points, naming the traversal that ran, and then
+``jackknife.predict_with_variance`` (which traverses once more). So the second stage's peak RSS is that of a
 process which only loads the model and predicts.
 
 ``ru_maxrss`` is read after every stage: it is a process's peak so far, so
@@ -16,7 +18,7 @@ each reading bounds that stage and all before it. Next to it, each stage
 reports the minor page faults it took (the ``ru_minflt`` delta, training's
 pool workers included), which shows allocation churn: pages a stage keeps
 getting fresh from the kernel. Human-readable lines (the machine stamp:
-nproc, CPU, Python, numpy; then one line per stage) come first, the last
+nproc, CPU, Python, numpy; the import time; then one line per stage) come first, the last
 line is one JSON object. ``--estimates PATH`` also writes ŷ and the plugin,
 corrected, truncated and C values to an ``.npz`` file, to compare two
 versions of the package on the same run.
@@ -112,6 +114,14 @@ def predict_stage(args, model: str) -> dict:
     return out
 
 
+def import_seconds() -> float:
+    """Seconds a fresh interpreter takes to import ``subforest.cli`` once numpy is loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataset.__file__)))
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); import numpy; t = time.perf_counter(); "
+            "import subforest.cli; print(repr(time.perf_counter() - t))")
+    return float(subprocess.run([sys.executable, "-c", code, src], check=True, stdout=subprocess.PIPE, text=True).stdout)
+
+
 def run_stage(stage: str, model: str) -> dict:
     """One stage in a fresh interpreter, started from this small one.
 
@@ -144,7 +154,9 @@ def main() -> int:
     machine = {"nproc": forest.usable_cores(), "cpu": cpu_model(),
                "python": platform.python_version(), "numpy": np.__version__}
     print(f"machine: nproc={machine['nproc']} cpu={machine['cpu']} python={machine['python']} numpy={machine['numpy']}")
-    rec = {"n": args.n, "b": args.b, "k": args.k, "threads": args.threads, "seed": args.seed}
+    rec = {"n": args.n, "b": args.b, "k": args.k, "threads": args.threads, "seed": args.seed,
+           "import_s": import_seconds()}
+    print(f"import: subforest.cli in {rec['import_s'] * 1000:.1f} ms (fresh interpreter, numpy already loaded)")
     with tempfile.TemporaryDirectory() as tmp:
         model = os.path.join(tmp, "model.bin")
         trained = run_stage("train", model)

@@ -6,6 +6,11 @@ config file (--config); explicit flags override file values, and the fully
 resolved configuration is echoed into every output file next to the tool
 version. Exit codes: 0 success, 1 usage or configuration error, 2 oracle or
 acceptance assertion failure.
+
+Start-up loads only what a command runs: the simulation harness and the
+enumeration oracle load inside simulate and oracle-check, and the process
+pool on the first fan-out over more than one worker, so predict and
+train --threads 1 never load multiprocessing.
 """
 
 from __future__ import annotations
@@ -28,29 +33,11 @@ from .dataset import (
     gen_synthetic,
     load_csv,
     read_csv,
-)
-from .experiments import (
-    ExperimentSpec,
-    SyntheticSource,
-    parametric_bootstrap_source,
-    run_bias_grid,
-    run_coverage,
-    run_metrics,
-    run_normality,
+    save_csv,
 )
 from .forest import ForestConfig, WorkerError, train, usable_cores
 from .jackknife import interval, predict_with_variance, v_ij
 from .model_io import load_model, save_model
-from .oracle import (
-    FiniteSupportDistribution,
-    LabelSum,
-    SubsampleMax,
-    SubsampleMean,
-    anova_bound_check,
-    enumerate_subsamples,
-    exact_vij,
-    hajek_projection_stats,
-)
 from .tree import TreeConfig
 
 TOOL = f"subforest {__version__}"
@@ -171,13 +158,7 @@ def _cmd_gen(args) -> int:
         cfg["d"] = ARITY.get(cfg["kind"])
     spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
     ts = gen_synthetic(spec, cfg["n"], cfg["seed"])
-    with open(cfg["out"], "w", newline="") as fh:
-        for line in _preamble("gen", cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(ts.d)] + ["y"])
-        for i in range(ts.n):
-            writer.writerow([repr(float(v)) for v in ts.x[i]] + [repr(float(ts.y[i]))])
+    save_csv(ts, cfg["out"], _preamble("gen", cfg))
     print(f"wrote {ts.n} rows ({ts.d} features) to {cfg['out']}")
     return 0
 
@@ -216,7 +197,7 @@ _PREDICT_DEFAULTS = {"model": None, "data": None, "level": 0.95, "out": None}
 
 def _load_query(path, feature_names, d) -> np.ndarray:
     """Feature-only CSV matching the model's columns (by name when known); nan and inf are read."""
-    header, rows = read_csv(path)
+    header, rows, lines = read_csv(path)
     if feature_names:
         missing = [c for c in feature_names if c not in header]
         if missing:
@@ -226,7 +207,7 @@ def _load_query(path, feature_names, d) -> np.ndarray:
         if len(header) < d:
             raise ValueError(f"{path}: expected at least {d} feature columns, got {len(header)}")
         cols = list(range(d))
-    return csv_columns(path, header, rows, cols)
+    return csv_columns(path, header, rows, lines, cols)
 
 
 def _cmd_predict(args) -> int:
@@ -264,7 +245,9 @@ _SIM_COMMON = {
 }
 
 
-def _experiment_spec(cfg: dict) -> ExperimentSpec:
+def _experiment_spec(cfg: dict):
+    from .experiments import ExperimentSpec, SyntheticSource
+
     if cfg["d"] is None:
         cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
     source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
@@ -302,6 +285,8 @@ def _cmd_sim_metrics(args) -> int:
     cfg = _merge_config(args, _SIM_COMMON)
     if cfg["out"] is None:
         raise ValueError("simulate metrics: --out is required")
+    from .experiments import run_metrics
+
     rep = run_metrics(_experiment_spec(cfg))
     _write_metrics_csv(cfg["out"], "simulate-metrics", cfg, cfg["kind"], cfg["d"], cfg["n"], rep)
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
@@ -315,6 +300,8 @@ def _cmd_sim_normality(args) -> int:
     cfg = _merge_config(args, _SIM_NORMALITY)
     if cfg["out"] is None:
         raise ValueError("simulate normality: --out is required")
+    from .experiments import run_normality
+
     rep = run_normality(_experiment_spec(cfg), cfg["alpha"])
     _write_json(cfg["out"], {
         "tool": TOOL,
@@ -337,6 +324,8 @@ def _cmd_sim_coverage(args) -> int:
     cfg = _merge_config(args, _SIM_COVERAGE)
     if cfg["out"] is None:
         raise ValueError("simulate coverage: --out is required")
+    from .experiments import run_coverage
+
     levels = tuple(float(v) for v in str(cfg["levels"]).split(","))
     rep = run_coverage(_experiment_spec(cfg), levels)
     _write_json(cfg["out"], {
@@ -363,6 +352,8 @@ def _cmd_sim_bias_grid(args) -> int:
     cfg = _merge_config(args, _SIM_GRID)
     if cfg["out"] is None:
         raise ValueError("simulate bias-grid: --out is required")
+    from .experiments import run_bias_grid
+
     threads = cfg["threads"] = _threads(cfg)
     grid = run_bias_grid(
         n=cfg["n"], s=cfg["s"], mode=cfg["mode"], grid_resolution=cfg["resolution"],
@@ -391,6 +382,8 @@ def _cmd_sim_bootstrap(args) -> int:
     cfg = _merge_config(args, _SIM_BOOTSTRAP)
     if cfg["data"] is None or cfg["out"] is None:
         raise ValueError("simulate bootstrap: --data and --out are required")
+    from .experiments import ExperimentSpec, parametric_bootstrap_source, run_metrics
+
     threads = _threads(cfg)
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     n = cfg["n"] if cfg["n"] is not None else ts.n
@@ -414,35 +407,38 @@ _ORACLE_DEFAULTS = {
     "learner": "mean", "n": 6, "s": 2, "labels": None, "mc_b": 100000, "seed": 0, "out": None,
 }
 
-_LEARNERS = {"mean": SubsampleMean, "max": SubsampleMax, "sum": LabelSum}
+# learner name -> ``oracle`` class name; the module loads only when the command runs
+_LEARNERS = {"mean": "SubsampleMean", "max": "SubsampleMax", "sum": "LabelSum"}
 
 
 def _cmd_oracle_check(args) -> int:
     cfg = _merge_config(args, _ORACLE_DEFAULTS)
     if cfg["learner"] not in _LEARNERS:
         raise ValueError(f"learner must be one of {sorted(_LEARNERS)}, got {cfg['learner']!r}")
-    learner = _LEARNERS[cfg["learner"]]()
+    from . import oracle
+
+    learner = getattr(oracle, _LEARNERS[cfg["learner"]])()
     n, s = cfg["n"], cfg["s"]
     labels = cfg["labels"] if cfg["labels"] is not None else list(range(1, n + 1))
     labels = [float(v) for v in labels]
 
     # exact V_IJ on the fixed labels vs a bias-corrected Monte Carlo run
     ts = TrainingSet(np.arange(n, dtype=np.float64).reshape(-1, 1) / n, np.asarray(labels))
-    exact = exact_vij(ts, learner, s)
-    subsets, values = enumerate_subsamples(ts, learner, s)
+    exact = oracle.exact_vij(ts, learner, s)
+    subsets, values = oracle.enumerate_subsamples(ts, learner, s)
     gen = rng.stream(cfg["seed"], rng.SUBSAMPLE)
     ids = gen.integers(0, subsets.shape[0], size=cfg["mc_b"])
     mc = v_ij(values[ids], subsets[ids], n)
 
     # Hajek projection and ANOVA bound on the label support (uniform atoms)
     support = sorted(set(labels))
-    dist = FiniteSupportDistribution(
+    dist = oracle.FiniteSupportDistribution(
         np.asarray(support, dtype=np.float64).reshape(-1, 1),
         np.asarray(support, dtype=np.float64),
         np.full(len(support), 1.0 / len(support)),
     )
-    hajek = hajek_projection_stats(dist, learner, s)
-    anova = anova_bound_check(dist, learner, n, s)
+    hajek = oracle.hajek_projection_stats(dist, learner, s)
+    anova = oracle.anova_bound_check(dist, learner, n, s)
 
     doc = {
         "tool": TOOL,

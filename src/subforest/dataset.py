@@ -106,37 +106,42 @@ def gen_synthetic(spec: SyntheticSpec, n: int, seed: int) -> TrainingSet:
     return sample_synthetic(spec, n, rng.stream(seed, rng.DATASET))
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a headered CSV, in file order.
+def read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header, data rows and each data row's line in the file (from 1), in file order.
 
-    Leading '# key=value' provenance lines and blank rows are skipped. The
-    file needs a header and a data row, and every row as many cells as the
-    header.
+    '# key=value' provenance lines before the header and blank rows anywhere
+    are skipped, but they count as lines, so a message's "row N" is line N
+    of the file. The file needs a header and a data row, and every row as
+    many cells as the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None
         for row in reader:
-            if row and row[0].lstrip().startswith("#"):
+            if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
                 continue
             header = [h.strip() for h in row]
             break
         if header is None:
             raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows, lines = [], []
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: empty dataset (header only)")
-    for r, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {r + 2}: expected {len(header)} cells, got {len(row)}")
-    return header, rows
+            raise ValueError(f"{path}: row {line}: expected {len(header)} cells, got {len(row)}")
+    return header, rows, lines
 
 
-def csv_columns(path, header: list[str], rows: list[list[str]], cols: list[int]) -> np.ndarray:
+def csv_columns(path, header: list[str], rows: list[list[str]], lines: list[int], cols: list[int]) -> np.ndarray:
     """(rows, len(cols)) float64 of ``read_csv`` rows' columns ``cols``, in that order.
 
-    Each cell is read by ``float``, so nan and inf are numbers here; row
-    numbers in messages count from 2, the first row after the header.
+    Each cell is read by ``float``, so nan and inf are numbers here; a
+    message names the cell's line in the file.
     """
     out = np.empty((len(rows), len(cols)))
     for r, row in enumerate(rows):
@@ -144,7 +149,7 @@ def csv_columns(path, header: list[str], rows: list[list[str]], cols: list[int])
             try:
                 out[r, j] = float(row[c])
             except ValueError:
-                raise ValueError(f"{path}: row {r + 2}, column {header[c]!r}: not numeric: {row[c]!r}") from None
+                raise ValueError(f"{path}: row {lines[r]}, column {header[c]!r}: not numeric: {row[c]!r}") from None
     return out
 
 
@@ -154,7 +159,7 @@ def load_csv(path, target_column: str | None = None) -> TrainingSet:
     ``target_column`` is a header name (default: the last column); every
     other column is a feature. Every cell must be a finite number.
     """
-    header, rows = read_csv(path)
+    header, rows, lines = read_csv(path)
     if target_column is not None and target_column not in header:
         raise ValueError(f"{path}: target column {target_column!r} not in header {header}")
     target = len(header) - 1 if target_column is None else header.index(target_column)
@@ -162,19 +167,25 @@ def load_csv(path, target_column: str | None = None) -> TrainingSet:
     if not cols:
         raise ValueError(f"{path}: no feature columns")
     cols.append(target)
-    values = csv_columns(path, header, rows, cols)
+    values = csv_columns(path, header, rows, lines, cols)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0][0], cols[bad[0][1]]
-        raise ValueError(f"{path}: row {r + 2}, column {header[c]!r}: non-finite value {rows[r][c]!r}")
+        raise ValueError(f"{path}: row {lines[r]}, column {header[c]!r}: non-finite value {rows[r][c]!r}")
     return TrainingSet(values[:, :-1], values[:, -1], feature_names=tuple(header[c] for c in cols[:-1]))
 
 
-def save_csv(ts: TrainingSet, path) -> None:
-    """Write a TrainingSet as CSV with header x1..xd,y (bit round-trips)."""
+def save_csv(ts: TrainingSet, path, preamble=()) -> None:
+    """Write a TrainingSet as CSV with header x1..xd,y (bit round-trips).
+
+    The ``preamble`` lines, '# key=value' provenance that ``read_csv``
+    skips, come first.
+    """
     names = ts.feature_names or tuple(f"x{j + 1}" for j in range(ts.d))
     with open(path, "w", newline="") as fh:
+        for line in preamble:
+            fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(list(names) + ["y"])
-        for i in range(ts.n):
-            writer.writerow([repr(float(v)) for v in ts.x[i]] + [repr(float(ts.y[i]))])
+        # csv writes a float as its repr, which round-trips it
+        writer.writerows(np.column_stack([ts.x, ts.y]).tolist())

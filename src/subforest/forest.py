@@ -14,7 +14,12 @@ block's subsamples and partitions are then built together
 (``sampling.draw_block`` and ``partition_block``, one swap loop over all
 rows), and ``tree.grow_block`` grows the block level by level. A tree does
 not depend on its block, so blocks and worker ranges are a schedule, not
-part of the model.
+part of the model. Worker ranges go out through ``fan_out``, which imports
+the process pool (``concurrent.futures`` and ``multiprocessing``, 12-19 ms)
+only on its first call with more than one worker: the module attribute
+``ProcessPoolExecutor`` is resolved on first use by a PEP 562 module
+``__getattr__``. So a serial ``train``, a prediction and an import of the
+CLI never load it.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate, the regularity
@@ -64,8 +69,6 @@ takes twice as long.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -251,6 +254,20 @@ class WorkerError(RuntimeError):
     """A worker process died before it returned its jobs' results."""
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562; see the module docstring).
+
+    The class is then cached as a module global: the one attribute
+    ``fan_out`` reads and a test may patch.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     """``[fn(job) for job in jobs]``, over a process pool when more than one worker is usable.
 
@@ -258,13 +275,16 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     its workers up front, so an unclamped large request would fork that many.
     A worker that dies (killed, out of memory) breaks the pool; that raises
     ``WorkerError`` naming, by ``name(job)``, every job from the first one
-    whose result did not arrive.
+    whose result did not arrive. A serial fan-out never imports the pool.
     """
     workers = worker_count(n_jobs, len(jobs), usable_cores())
     if workers == 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     results = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with pool_class(max_workers=workers) as pool:
         try:
             for out in pool.map(fn, jobs):
                 results.append(out)

@@ -34,7 +34,6 @@ any other version are refused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -51,6 +50,8 @@ FORMAT_VERSION = 5
 
 def dataset_fingerprint(ts: TrainingSet) -> str:
     """Content hash of a training set (shape plus raw float64 bytes)."""
+    import hashlib  # loads OpenSSL; only saving a model hashes
+
     h = hashlib.sha256()
     h.update(f"{ts.n},{ts.d};".encode())
     h.update(np.ascontiguousarray(ts.x).tobytes())

@@ -13,8 +13,6 @@ bijective 64-bit mixer, folded over the path elements.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -74,4 +72,6 @@ def rekey(gen: np.random.Generator, seed: int, *path: int) -> np.random.Generato
 
 def stable_hash64(data: bytes) -> int:
     """Platform-stable 64-bit hash (BLAKE2b digest prefix)."""
+    import hashlib  # loads OpenSSL; only the oracle's learners hash
+
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")

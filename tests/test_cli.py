@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subforest
 from subforest import dataset, forest, tree
 from subforest.cli import main
 from subforest.forest import ForestConfig
@@ -39,6 +43,11 @@ class TestGen:
 
     def test_arity_validation_exit_one(self, tmp_path):
         assert main(["gen", "--kind", "xor", "--d", "3", "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_bytes_pinned(self, tmp_path):
+        out = tmp_path / "xor.csv"
+        assert main(["gen", "--kind", "xor", "--d", "5", "--n", "1000", "--seed", "4", "--out", str(out)]) == 0
+        assert _sha(out) == "79c2499743b39564c61108df7e928c386aeb268dd07ea3fd9117af603d026902"
 
     def test_embeds_tool_and_config(self, tmp_path):
         out = _gen(tmp_path)
@@ -425,6 +434,46 @@ class TestOracleCheck:
         code = main(["oracle-check", "--n", "40", "--s", "15", "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "cap" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: prints the modules of WATCHED loaded after
+# importing the CLI, then after each command line given as an argument
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "subforest.experiments", "subforest.oracle")
+loaded = lambda: [m for m in WATCHED if m in sys.modules]
+from subforest.cli import main
+steps = [("import", loaded())]
+for argv in sys.argv[2:]:
+    argv = json.loads(argv)
+    assert main(argv) == 0, argv
+    steps.append((argv[0], loaded()))
+print(json.dumps(steps))
+"""
+
+
+class TestImports:
+    """The CLI loads the simulation harness, the oracle and the process pool only when a command needs them."""
+
+    def _probe(self, *argvs):
+        src = str(pathlib.Path(subforest.__file__).resolve().parent.parent)
+        cmd = [sys.executable, "-c", _IMPORT_PROBE, src, *(json.dumps(a) for a in argvs)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return dict(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_import_loads_no_pool_hash_simulation_or_oracle(self):
+        assert self._probe() == {"import": []}
+
+    def test_train_one_thread_and_predict_load_no_pool(self, tmp_path):
+        data, model, out = _gen(tmp_path), tmp_path / "m.bin", tmp_path / "p.csv"
+        steps = self._probe(
+            ["train", "--data", str(data), "--threads", "1", "--b", "8", "--out", str(model)],
+            ["predict", "--model", str(model), "--data", str(data), "--out", str(out)],
+        )
+        for command in ("train", "predict"):
+            assert not {"concurrent.futures", "multiprocessing"} & set(steps[command]), command
 
 
 class TestVersionFlag:

@@ -131,6 +131,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 4, column 'a': non-finite value 'NaN'"):
             dataset.load_csv(p)
 
+    def test_row_number_is_the_files_line(self, tmp_path):
+        # provenance lines, the header and blank lines all count
+        p = tmp_path / "t.csv"
+        p.write_text("# tool=x\n# seed=1\na,y\n1,2\n\n3,oops\n")
+        with pytest.raises(ValueError, match="row 6, column 'y': not numeric: 'oops'"):
+            dataset.load_csv(p)
+
     def test_header_only_is_empty_dataset(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y\n")
@@ -158,6 +165,8 @@ class TestCsv:
 
     def test_skips_provenance_comments(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("# tool=x\n# seed=1\na,y\n1,2\n")
-        ts = dataset.load_csv(p)
-        assert ts.n == 1
+        # a blank line between the provenance lines and the header is skipped too
+        for text in ("# tool=x\n# seed=1\na,y\n1,2\n", "# tool=x\n\na,y\n1,2\n"):
+            p.write_text(text)
+            ts = dataset.load_csv(p)
+            assert ts.n == 1
