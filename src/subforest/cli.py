@@ -16,7 +16,6 @@ train --threads 1 never load multiprocessing.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .dataset import (
     load_csv,
     read_csv,
     save_csv,
+    write_csv,
 )
 from .forest import ForestConfig, WorkerError, train, usable_cores
 from .jackknife import interval, predict_with_variance, v_ij
@@ -123,20 +123,22 @@ def _preamble(command: str, cfg: dict) -> list[str]:
 
 def _forest_config(cfg: dict) -> ForestConfig:
     return ForestConfig(
-        s=cfg.get("s"),
-        b=cfg.get("b"),
-        s_exponent=cfg.get("s_exponent", 0.7),
+        s=cfg["s"],
+        b=cfg["b"],
+        s_exponent=cfg["s_exponent"],
         seed=cfg["seed"],
         tree=TreeConfig(
-            gamma=cfg.get("gamma", 0.10),
-            delta=cfg.get("delta", 0.5),
-            mode=cfg.get("mode", "honest"),
-            max_leaf_size=cfg.get("max_leaf_size", 5),
+            gamma=cfg["gamma"],
+            delta=cfg["delta"],
+            mode=cfg["mode"],
+            max_leaf_size=cfg["max_leaf_size"],
         ),
     )
 
 
-def _write_json(path, doc: dict) -> None:
+def _write_json(path, command: str, cfg: dict, fields: dict) -> None:
+    """The ``fields`` with the tool, the command and its resolved config, as sorted JSON."""
+    doc = {"tool": TOOL, "command": command, "config": cfg, **fields}
     text = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -217,21 +219,11 @@ def _cmd_predict(args) -> int:
     fm, meta = load_model(cfg["model"])
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
     yhat, ests = predict_with_variance(fm, xs)
-    level = cfg["level"]
-    with open(cfg["out"], "w", newline="") as fh:
-        for line in _preamble("predict", {**cfg, "model_tool": meta["tool"], "b": fm.b, "s": fm.s}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["y_hat", "vij_plugin", "vij_corrected", "vij_truncated",
-             "interval_lo", "interval_hi", "degenerate"]
-        )
-        for i, est in enumerate(ests):
-            ci = interval(float(yhat[i]), est, level)
-            writer.writerow(
-                [repr(float(yhat[i])), repr(est.plugin), repr(est.corrected),
-                 repr(est.truncated), repr(ci.lo), repr(ci.hi), int(ci.degenerate)]
-            )
+    rows = [["y_hat", "vij_plugin", "vij_corrected", "vij_truncated", "interval_lo", "interval_hi", "degenerate"]]
+    for y, est in zip(yhat.tolist(), ests):
+        ci = interval(y, est, cfg["level"])
+        rows.append([y, est.plugin, est.corrected, est.truncated, ci.lo, ci.hi, int(ci.degenerate)])
+    write_csv(cfg["out"], _preamble("predict", {**cfg, "model_tool": meta["tool"], "b": fm.b, "s": fm.s}), rows)
     print(f"wrote {xs.shape[0]} prediction records to {cfg['out']}")
     return 0
 
@@ -267,18 +259,10 @@ def _experiment_spec(cfg: dict):
 
 
 def _write_metrics_csv(path, command, cfg, kind, d, n, rep) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _preamble(command, cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["Distr", "d", "n", "rel_bias2", "rel_var", "rel_mse",
-             "abs_bias2", "abs_var", "abs_mse"]
-        )
-        writer.writerow(
-            [kind, d, n, repr(rep.rel_bias2), repr(rep.rel_variance), repr(rep.rel_mse),
-             repr(rep.abs_bias2), repr(rep.abs_variance), repr(rep.abs_mse)]
-        )
+    write_csv(path, _preamble(command, cfg), [
+        ["Distr", "d", "n", "rel_bias2", "rel_var", "rel_mse", "abs_bias2", "abs_var", "abs_mse"],
+        [kind, d, n, rep.rel_bias2, rep.rel_variance, rep.rel_mse, rep.abs_bias2, rep.abs_variance, rep.abs_mse],
+    ])
 
 
 def _cmd_sim_metrics(args) -> int:
@@ -303,10 +287,7 @@ def _cmd_sim_normality(args) -> int:
     from .experiments import run_normality
 
     rep = run_normality(_experiment_spec(cfg), cfg["alpha"])
-    _write_json(cfg["out"], {
-        "tool": TOOL,
-        "command": "simulate-normality",
-        "config": cfg,
+    _write_json(cfg["out"], "simulate-normality", cfg, {
         "ks_stats": rep.ks_stats.tolist(),
         "p_values": rep.p_values.tolist(),
         "degenerate": rep.degenerate.astype(int).tolist(),
@@ -328,10 +309,7 @@ def _cmd_sim_coverage(args) -> int:
 
     levels = tuple(float(v) for v in str(cfg["levels"]).split(","))
     rep = run_coverage(_experiment_spec(cfg), levels)
-    _write_json(cfg["out"], {
-        "tool": TOOL,
-        "command": "simulate-coverage",
-        "config": cfg,
+    _write_json(cfg["out"], "simulate-coverage", cfg, {
         "levels": list(rep.levels),
         "coverage_of_mean": list(rep.coverage_of_mean),
         "coverage_of_true": list(rep.coverage_of_true) if rep.coverage_of_true else None,
@@ -359,12 +337,7 @@ def _cmd_sim_bias_grid(args) -> int:
         n=cfg["n"], s=cfg["s"], mode=cfg["mode"], grid_resolution=cfg["resolution"],
         r_replicates=cfg["r"], b=cfg["b"], seed=cfg["seed"], p=cfg["p"], n_jobs=threads,
     )
-    with open(cfg["out"], "w", newline="") as fh:
-        for line in _preamble("simulate-bias-grid", cfg):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        for i in range(grid.resolution):
-            writer.writerow([repr(float(v)) for v in grid.cell_means[i]])
+    write_csv(cfg["out"], _preamble("simulate-bias-grid", cfg), grid.cell_means.tolist())
     corner = grid.cell_means[0, 0]
     center = grid.cell_means[grid.resolution // 2, grid.resolution // 2]
     print(f"corner cell mean {corner:.5f}, center cell mean {center:.5f} -> {cfg['out']}")
@@ -440,10 +413,7 @@ def _cmd_oracle_check(args) -> int:
     hajek = oracle.hajek_projection_stats(dist, learner, s)
     anova = oracle.anova_bound_check(dist, learner, n, s)
 
-    doc = {
-        "tool": TOOL,
-        "command": "oracle-check",
-        "config": cfg,
+    _write_json(cfg["out"], "oracle-check", cfg, {
         "exact_vij": exact,
         "mc_vij_corrected": mc.corrected,
         "mc_vij_plugin": mc.plugin,
@@ -453,8 +423,7 @@ def _cmd_oracle_check(args) -> int:
         "incrementality_ratio": hajek.ratio,
         "anova_lhs": anova.anova_lhs,
         "anova_rhs": anova.anova_rhs,
-    }
-    _write_json(cfg["out"], doc)
+    })
     return 0
 
 

@@ -175,17 +175,19 @@ def load_csv(path, target_column: str | None = None) -> TrainingSet:
     return TrainingSet(values[:, :-1], values[:, -1], feature_names=tuple(header[c] for c in cols[:-1]))
 
 
-def save_csv(ts: TrainingSet, path, preamble=()) -> None:
-    """Write a TrainingSet as CSV with header x1..xd,y (bit round-trips).
+def write_csv(path, preamble, rows) -> None:
+    """Write the ``preamble`` lines, then ``rows`` (the header first, when there is one) as CSV.
 
-    The ``preamble`` lines, '# key=value' provenance that ``read_csv``
-    skips, come first.
+    The preamble is '# key=value' provenance that ``read_csv`` skips. csv
+    writes a float as its repr, which round-trips it.
     """
-    names = ts.feature_names or tuple(f"x{j + 1}" for j in range(ts.d))
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + ["y"])
-        # csv writes a float as its repr, which round-trips it
-        writer.writerows(np.column_stack([ts.x, ts.y]).tolist())
+        csv.writer(fh).writerows(rows)
+
+
+def save_csv(ts: TrainingSet, path, preamble=()) -> None:
+    """Write a TrainingSet as CSV with header x1..xd,y (bit round-trips), after the ``preamble`` lines."""
+    names = ts.feature_names or tuple(f"x{j + 1}" for j in range(ts.d))
+    write_csv(path, preamble, [list(names) + ["y"], *np.column_stack([ts.x, ts.y]).tolist()])

@@ -141,11 +141,15 @@ class SimulationResult:
     true_means: np.ndarray | None  # (K,) for sources with a known mean
 
 
+def _replicate_forest(source, n: int, fcfg: ForestConfig, seed: int, r: int) -> ForestModel:
+    """Replicate r's forest: its training set from stream (seed, DATASET, r), its seed from (seed, REPLICATE, r)."""
+    ts = source.sample_training(rng.stream(seed, rng.DATASET, r), n)
+    return train(ts, replace(fcfg, seed=int(rng.derive_key(seed, rng.REPLICATE, r)[0])))
+
+
 def _replicate(args) -> tuple:
     source, n, fcfg, seed, r, test_x = args
-    ts = source.sample_training(rng.stream(seed, rng.DATASET, r), n)
-    fcfg_r = replace(fcfg, seed=int(rng.derive_key(seed, rng.REPLICATE, r)[0]))
-    yhat, ests = predict_with_variance(train(ts, fcfg_r), test_x)
+    yhat, ests = predict_with_variance(_replicate_forest(source, n, fcfg, seed, r), test_x)
     return (
         yhat,
         np.array([e.corrected for e in ests]),
@@ -332,12 +336,8 @@ class BiasGrid:
 
 
 def _bias_grid_replicate(args) -> np.ndarray:
-    p, n, fcfg, seed, r, centers = args
-    source = BernoulliSource(p)
-    ts = source.sample_training(rng.stream(seed, rng.DATASET, r), n)
-    fcfg_r = replace(fcfg, seed=int(rng.derive_key(seed, rng.REPLICATE, r)[0]))
-    fm = train(ts, fcfg_r)
-    return predict_batch(fm, centers)
+    source, n, fcfg, seed, r, centers = args
+    return predict_batch(_replicate_forest(source, n, fcfg, seed, r), centers)
 
 
 def run_bias_grid(
@@ -361,7 +361,8 @@ def run_bias_grid(
     cx, cy = np.meshgrid(centers_1d, centers_1d, indexing="ij")
     centers = np.column_stack([cx.ravel(), cy.ravel()])
     fcfg = ForestConfig(s=s, b=b, tree=TreeConfig(mode=mode), seed=0)
-    jobs = [(p, n, fcfg, seed, r, centers) for r in range(r_replicates)]
+    source = BernoulliSource(p)
+    jobs = [(source, n, fcfg, seed, r, centers) for r in range(r_replicates)]
     outs = fan_out(_bias_grid_replicate, jobs, n_jobs, _replicate_name)
     means = np.mean(np.stack(outs, axis=0), axis=0).reshape(g, g)
     return BiasGrid(resolution=g, cell_means=means, mode=mode, n=n, s=s, r_replicates=r_replicates)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -59,34 +60,13 @@ def dataset_fingerprint(ts: TrainingSet) -> str:
     return h.hexdigest()
 
 
-def _config_record(cfg: ForestConfig) -> dict:
-    return {
-        "s": cfg.s,
-        "b": cfg.b,
-        "s_exponent": cfg.s_exponent,
-        "seed": cfg.seed,
-        "tree": {
-            "gamma": cfg.tree.gamma,
-            "delta": cfg.tree.delta,
-            "mode": cfg.tree.mode,
-            "max_leaf_size": cfg.tree.max_leaf_size,
-        },
-    }
-
-
 def _config_from_record(c: dict) -> ForestConfig:
-    return ForestConfig(
-        s=c["s"],
-        b=c["b"],
-        s_exponent=c["s_exponent"],
-        seed=c["seed"],
-        tree=TreeConfig(
-            gamma=c["tree"]["gamma"],
-            delta=c["tree"]["delta"],
-            mode=c["tree"]["mode"],
-            max_leaf_size=c["tree"]["max_leaf_size"],
-        ),
-    )
+    """Inverse of ``dataclasses.asdict``: a missing key raises KeyError, an unknown one TypeError."""
+    for cls, record in ((ForestConfig, c), (TreeConfig, c["tree"])):
+        missing = {f.name for f in fields(cls)} - set(record)
+        if missing:
+            raise KeyError(sorted(missing))
+    return ForestConfig(**{**c, "tree": TreeConfig(**c["tree"])})
 
 
 def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
@@ -109,7 +89,7 @@ def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "tool": f"subforest {__version__}",
-        "config": _config_record(forest.config),
+        "config": asdict(forest.config),
         "n": forest.n,
         "d": forest.d,
         "s": forest.s,

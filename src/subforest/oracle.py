@@ -14,21 +14,19 @@ Everything here enumerates instead of sampling:
   * ``incrementality_curve`` reports Var(projection)/Var(T) against the
     uniform-density reference curve 2^(d+1)/(d-1)! / log(s)^d.
 
-Learners are callables (xs, ys) -> float and must be exchangeable in their
-rows; the tree learner canonicalizes row order and derives its internal
-randomness from a content hash of the subsample, so each subsample maps to
-one deterministic output. A learner with ``evaluate_many(xs_rows, ys_rows)``
-takes (R, m, d) features and (R, m) labels and returns its R outputs at
-once; the enumerations and the Monte Carlo path use it when present. The
-tree learner's batch grows its rows as one forest over the stacked
-subsamples, with each row's tree exactly the one it grows alone.
+A learner is a callable from a batch of R subsamples, (R, m, d) features
+and (R, m) labels, to its R outputs, and must be exchangeable in each
+subsample's rows. The tree learner canonicalizes row order and derives its
+internal randomness from a content hash of the subsample, so each subsample
+maps to one deterministic output; it grows a batch as one forest over the
+stacked subsamples, with each row's tree exactly the one it grows alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -38,6 +36,8 @@ from .forest import ForestConfig
 from .tree import TreeConfig
 
 ENUM_CAP = 10**6
+# (tuple, subset) pairs the ANOVA check gathers at once: bounds its working set
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,28 +76,19 @@ class FiniteSupportDistribution:
 
 
 class SubsampleMean:
-    def __call__(self, xs, ys) -> float:
-        return float(np.mean(ys))
-
-    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
+    def __call__(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.mean(axis=1)
 
 
 class SubsampleMax:
-    def __call__(self, xs, ys) -> float:
-        return float(np.max(ys))
-
-    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
+    def __call__(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.max(axis=1)
 
 
 class LabelSum:
     """Linear learner T = sum_i Y_i; its projection ratio is exactly 1."""
 
-    def __call__(self, xs, ys) -> float:
-        return float(np.sum(ys))
-
-    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
+    def __call__(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         return ys_rows.sum(axis=1)
 
 
@@ -114,11 +105,7 @@ class HonestTreeLearner:
         self.x = np.asarray(x, dtype=np.float64).reshape(-1)
         self.base_seed = base_seed
 
-    def __call__(self, xs, ys) -> float:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return float(self.evaluate_many(xs[None], np.asarray(ys, dtype=np.float64)[None])[0])
-
-    def evaluate_many(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
+    def __call__(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         """Outputs on R subsamples: blocks of rows grow and predict as one forest each."""
         xs_rows = np.asarray(xs_rows, dtype=np.float64)
         ys_rows = np.asarray(ys_rows, dtype=np.float64)
@@ -158,11 +145,7 @@ def enumerate_subsamples(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP):
         dtype=np.int64,
         count=m_total * s,
     ).reshape(m_total, s)
-    if hasattr(learner, "evaluate_many"):
-        values = np.asarray(learner.evaluate_many(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
-    else:
-        values = np.array([learner(ts.x[row], ts.y[row]) for row in subsets])
-    return subsets, values
+    return subsets, np.asarray(learner(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
 
 
 def exact_vij(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP) -> float:
@@ -202,9 +185,16 @@ def _tuple_enumeration(dist: FiniteSupportDistribution, s: int, cap: int = ENUM_
 
 
 def _tuple_values(dist: FiniteSupportDistribution, learner, ids: np.ndarray) -> np.ndarray:
-    if hasattr(learner, "evaluate_many"):
-        return np.asarray(learner.evaluate_many(dist.xs[ids], dist.ys[ids]), dtype=np.float64)
-    return np.array([learner(dist.xs[row], dist.ys[row]) for row in ids])
+    return np.asarray(learner(dist.xs[ids], dist.ys[ids]), dtype=np.float64)
+
+
+def _first_atom_means(dist: FiniteSupportDistribution, ids, probs, values) -> np.ndarray:
+    """E[value | first atom = z] for every atom z, over the tuples ``ids``."""
+    cond = np.zeros(dist.size)
+    for z in range(dist.size):
+        mask = ids[:, 0] == z
+        cond[z] = float(probs[mask] @ values[mask]) / dist.probs[z]
+    return cond
 
 
 def hajek_projection_stats(
@@ -219,12 +209,7 @@ def hajek_projection_stats(
     values = _tuple_values(dist, learner, ids)
     e_t = float(probs @ values)
     base_var = float(probs @ (values - e_t) ** 2)
-    q = dist.size
-    cond = np.zeros(q)
-    for z in range(q):
-        mask = ids[:, 0] == z
-        cond[z] = float(probs[mask] @ values[mask]) / dist.probs[z]
-    hajek_var = s * float(dist.probs @ (cond - e_t) ** 2)
+    hajek_var = s * float(dist.probs @ (_first_atom_means(dist, ids, probs, values) - e_t) ** 2)
     if base_var == 0.0:
         return HajekStats(hajek_var, base_var, math.nan, True)
     return HajekStats(hajek_var, base_var, hajek_var / base_var, False)
@@ -256,32 +241,26 @@ def anova_bound_check(
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     ids, probs = _tuple_enumeration(dist, n, cap)
-    subsets = list(combinations(range(n), s))
-
-    memo: dict[tuple, float] = {}
-
-    def t_of(atom_ids) -> float:
-        key = tuple(sorted(atom_ids))
-        if key not in memo:
-            sel = np.asarray(key, dtype=np.int64)
-            memo[key] = float(learner(dist.xs[sel], dist.ys[sel]))
-        return memo[key]
-
-    count = ids.shape[0]
-    rf = np.empty(count)
-    for row in range(count):
-        tup = ids[row]
-        acc = 0.0
-        for sub in subsets:
-            acc += t_of(tup[list(sub)])
-        rf[row] = acc / len(subsets)
+    subsets = np.array(list(combinations(range(n), s)), dtype=np.int64)
+    # each sorted atom multiset, in lexicographic order, is evaluated once;
+    # its base-q key grows with that order, so searchsorted finds its row
+    q = dist.size
+    multisets = np.array(list(combinations_with_replacement(range(q), s)), dtype=np.int64)
+    values = _tuple_values(dist, learner, multisets)
+    place = q ** np.arange(s - 1, -1, -1)
+    keys = multisets @ place
+    rf = np.empty(ids.shape[0])
+    rows = max(1, _PAIR_CHUNK // len(subsets))
+    for lo in range(0, ids.shape[0], rows):
+        chunk = np.sort(ids[lo:lo + rows][:, subsets], axis=2)  # (rows, C(n, s), s)
+        t = values[np.searchsorted(keys, chunk @ place)]
+        acc = np.zeros(t.shape[0])
+        for col in t.T:  # each tuple's sum taken in combinations order
+            acc += col
+        rf[lo:lo + rows] = acc / len(subsets)
 
     e_rf = float(probs @ rf)
-    q = dist.size
-    cond = np.zeros(q)
-    for z in range(q):
-        mask = ids[:, 0] == z
-        cond[z] = float(probs[mask] @ rf[mask]) / dist.probs[z]
+    cond = _first_atom_means(dist, ids, probs, rf)
     projection = e_rf + (cond[ids] - e_rf).sum(axis=1)
     lhs = float(probs @ (rf - projection) ** 2)
 
@@ -337,13 +316,13 @@ def incrementality_curve(
     ``inner`` completions each (both at least 1000, per the estimator's
     accuracy floor). Diagnostic only: the reference bound is asymptotic.
     ``learner`` overrides the honest-tree base learner (mainly for testing
-    the Monte Carlo path with cheap batch learners).
+    the Monte Carlo path with cheap learners).
     """
+    if learner is None:
+        learner = HonestTreeLearner(cfg, x)
+    d = source.d
     points = []
     for s in s_values:
-        if learner is None:
-            learner = HonestTreeLearner(cfg, x)
-        d = source.d
         ref = uniform_density_reference(s, d) if uniform_density else None
         if isinstance(source, FiniteSupportDistribution) and source.size**s <= cap:
             stats = hajek_projection_stats(source, learner, s, cap)
@@ -356,19 +335,12 @@ def incrementality_curve(
         gen = rng.stream(seed, rng.SPLIT, s)
         cond_means = np.empty(outer)
         cond_vars = np.empty(outer)
-        batch = hasattr(learner, "evaluate_many")
         for j in range(outer):
             xz, yz = source.sample(gen, 1)
-            if batch:
-                xr, yr = source.sample(gen, inner * (s - 1))
-                xs_rows = np.concatenate([np.broadcast_to(xz, (inner, 1, d)), xr.reshape(inner, s - 1, d)], axis=1)
-                ys_rows = np.column_stack([np.full(inner, yz[0]), yr.reshape(inner, s - 1)])
-                vals = np.asarray(learner.evaluate_many(xs_rows, ys_rows), dtype=np.float64)
-            else:
-                vals = np.empty(inner)
-                for l in range(inner):
-                    xr, yr = source.sample(gen, s - 1)
-                    vals[l] = learner(np.vstack([xz, xr]), np.concatenate([yz, yr]))
+            xr, yr = source.sample(gen, inner * (s - 1))
+            xs_rows = np.concatenate([np.broadcast_to(xz, (inner, 1, d)), xr.reshape(inner, s - 1, d)], axis=1)
+            ys_rows = np.column_stack([np.full(inner, yz[0]), yr.reshape(inner, s - 1)])
+            vals = np.asarray(learner(xs_rows, ys_rows), dtype=np.float64)
             cond_means[j] = vals.mean()
             cond_vars[j] = vals.var(ddof=1)
         var_t = float(cond_means.var(ddof=1)) + float(cond_vars.mean()) * (1.0 - 1.0 / inner)

@@ -306,6 +306,19 @@ class TestModelFile:
         doc["format_version"] = version
         path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
 
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(depth=3),
+        lambda c: c["tree"].update(depth=3),
+        lambda c: c.pop("seed"),
+    ], ids=["unknown-forest-key", "unknown-tree-key", "missing-key"])
+    def test_config_record_keys_must_match(self, saved, tmp_path, capsys, edit):
+        _, path = saved
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        edit(doc["config"])
+        path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+        self._refused(path, tmp_path, capsys, "malformed model header")
+
     def test_version_2_model_refused(self, saved, tmp_path, capsys):
         # older grower: the header's version alone refuses it
         _, path = saved
@@ -417,6 +430,24 @@ class TestOracleCheck:
         doc = json.loads(out.read_text())
         assert abs(doc["anova_lhs"]) < 1e-18
         assert doc["incrementality_ratio"] == pytest.approx(1.0, rel=1e-9)
+
+    def test_max_learner_pinned(self, tmp_path):
+        # the values the per-subsample, memoised ANOVA loop gave, bit for bit
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--learner", "max", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["learner"] == "max"
+        assert {k: v for k, v in doc.items() if isinstance(v, float)} == {
+            "anova_lhs": 0.028446502057613163,
+            "anova_rhs": 0.21905006858710563,
+            "base_variance": 1.9714506172839508,
+            "exact_vij": 0.35259259259259274,
+            "hajek_variance": 1.544753086419753,
+            "incrementality_ratio": 0.7835616438356163,
+            "mc_relative_error": 0.007651786591048355,
+            "mc_vij_corrected": 0.34989462932048976,
+            "mc_vij_plugin": 0.34991532386862845,
+        }
 
     def test_probs_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.json"

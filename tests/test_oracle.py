@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,11 @@ from subforest.oracle import (
     SubsampleMax,
     SubsampleMean,
 )
+
+
+def _one(learner, xs, ys):
+    """The learner's output on one subsample, as a batch of one."""
+    return learner(xs[None], ys[None])[0]
 
 
 def _uniform_dist(labels):
@@ -35,7 +40,7 @@ class TestDistribution:
 class TestExactVij:
     def test_constant_learner_zero(self):
         ts = TrainingSet(np.random.default_rng(0).random((5, 1)), np.random.default_rng(0).random(5))
-        const = lambda xs, ys: 1.0
+        const = lambda xs, ys: np.ones(len(ys))
         assert oracle.exact_vij(ts, const, 2) == 0.0
 
     def test_two_subsample_hand_algebra(self):
@@ -82,7 +87,7 @@ class TestHajek:
         assert st.ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_constant_learner_degenerate(self):
-        st = oracle.hajek_projection_stats(_uniform_dist([2.0, 2.0 + 0.0]), lambda xs, ys: 3.0, 2)
+        st = oracle.hajek_projection_stats(_uniform_dist([2.0, 2.0 + 0.0]), lambda xs, ys: np.full(len(ys), 3.0), 2)
         assert st.degenerate and math.isnan(st.ratio)
         assert st.base_variance == 0.0
 
@@ -134,41 +139,87 @@ class TestAnovaBound:
         rf_vals = [np.mean([max(t[i], t[j]) for i, j in combinations(range(3), 2)]) for t in tuples]
         assert rep.expected_forest_value == pytest.approx(np.mean(rf_vals), rel=1e-12)
 
+    def test_each_atom_multiset_evaluated_once(self):
+        # 3 atoms, n=4, s=2: one call on the 6 sorted multisets, each once,
+        # then the Hajek enumeration's 3^2 tuples
+        calls = []
+
+        def counting(xs_rows, ys_rows):
+            calls.append([tuple(row) for row in ys_rows])
+            return ys_rows.max(axis=1)
+
+        oracle.anova_bound_check(_uniform_dist([0.0, 1.0, 2.0]), counting, 4, 2)
+        assert len(calls) == 2
+        assert sorted(calls[0]) == list(combinations_with_replacement([0.0, 1.0, 2.0], 2))
+        assert len(calls[1]) == 3**2
+
+    @pytest.mark.parametrize("learner", [SubsampleMean(), SubsampleMax(), LabelSum()])
+    def test_equals_memoised_per_tuple_loop(self, learner):
+        # reference: every (tuple, subset) pair summed in combinations order
+        # over memoised one-subsample calls, then the projection; bit for bit
+        dist = _uniform_dist([0.0, 0.5, 4.0])
+        n, s = 5, 3
+        rep = oracle.anova_bound_check(dist, learner, n, s)
+        ids = np.array(list(product(range(3), repeat=n)))
+        probs = dist.probs[ids].prod(axis=1)
+        memo, rf = {}, []
+        for tup in ids:
+            acc = 0.0
+            for sub in combinations(range(n), s):
+                key = tuple(sorted(tup[list(sub)]))
+                if key not in memo:
+                    memo[key] = float(_one(learner, dist.xs[list(key)], dist.ys[list(key)]))
+                acc += memo[key]
+            rf.append(acc / math.comb(n, s))
+        rf = np.array(rf)
+        e_rf = float(probs @ rf)
+        cond = np.array([float(probs[ids[:, 0] == z] @ rf[ids[:, 0] == z]) / dist.probs[z] for z in range(3)])
+        lhs = float(probs @ (rf - (e_rf + (cond[ids] - e_rf).sum(axis=1))) ** 2)
+        assert (rep.expected_forest_value, rep.anova_lhs) == (e_rf, lhs)
+
+    @pytest.mark.parametrize("chunk", [7, 25, 1000])
+    def test_identical_across_chunk_boundaries(self, monkeypatch, chunk):
+        # 243 tuples x 10 subsets: 1, 2 and 100 tuples per chunk, the last one short
+        dist = _uniform_dist([0.0, 0.5, 4.0])
+        whole = [oracle.anova_bound_check(dist, learner, 5, 3) for learner in (SubsampleMean(), SubsampleMax())]
+        monkeypatch.setattr(oracle, "_PAIR_CHUNK", chunk)
+        assert [oracle.anova_bound_check(dist, learner, 5, 3) for learner in (SubsampleMean(), SubsampleMax())] == whole
+
 
 class TestHonestTreeLearner:
     def test_deterministic_per_subsample(self):
         gen = np.random.default_rng(3)
         xs, ys = gen.random((6, 2)), gen.standard_normal(6)
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.5, 0.5])
-        assert learner(xs, ys) == learner(xs, ys)
+        assert _one(learner, xs, ys) == _one(learner, xs, ys)
 
     def test_exchangeable(self):
         gen = np.random.default_rng(4)
         xs, ys = gen.random((6, 2)), gen.standard_normal(6)
         perm = gen.permutation(6)
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.5, 0.5])
-        assert learner(xs, ys) == learner(xs[perm], ys[perm])
+        assert _one(learner, xs, ys) == _one(learner, xs[perm], ys[perm])
 
     def test_single_row_returns_label(self):
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.2])
-        assert learner(np.array([[0.7]]), np.array([4.2])) == 4.2
+        assert _one(learner, np.array([[0.7]]), np.array([4.2])) == 4.2
 
     def test_output_is_a_subsample_label(self):
         gen = np.random.default_rng(5)
         xs, ys = gen.random((8, 2)), gen.standard_normal(8)
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.3, 0.9])
-        assert learner(xs, ys) in ys
+        assert _one(learner, xs, ys) in ys
 
     def test_outputs_pinned(self):
         # the values the one-tree fit path gave on the inputs above, bit for bit
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.5, 0.5])
         gen = np.random.default_rng(3)
-        assert learner(gen.random((6, 2)), gen.standard_normal(6)) == -0.39080097723465473
+        assert _one(learner, gen.random((6, 2)), gen.standard_normal(6)) == -0.39080097723465473
         gen = np.random.default_rng(4)
-        assert learner(gen.random((6, 2)), gen.standard_normal(6)) == -1.9156455579583005
+        assert _one(learner, gen.random((6, 2)), gen.standard_normal(6)) == -1.9156455579583005
         gen = np.random.default_rng(5)
         xs, ys = gen.random((8, 2)), gen.standard_normal(8)
-        assert HonestTreeLearner(tree.TreeConfig(), x=[0.3, 0.9])(xs, ys) == -0.06308597192528916
+        assert _one(HonestTreeLearner(tree.TreeConfig(), x=[0.3, 0.9]), xs, ys) == -0.06308597192528916
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_batch_equals_one_row_calls(self, monkeypatch, m):
@@ -179,8 +230,7 @@ class TestHonestTreeLearner:
         ys = gen.standard_normal((11, m))
         xs[3], ys[3] = xs[2], ys[2]
         learner = HonestTreeLearner(tree.TreeConfig(), x=[0.4, 0.6], base_seed=9)
-        batch = learner.evaluate_many(xs, ys)
-        assert np.array_equal(batch, [learner(x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(learner(xs, ys), [_one(learner, x, y) for x, y in zip(xs, ys)])
 
 
 class TestIncrementality:
