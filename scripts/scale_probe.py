@@ -105,12 +105,12 @@ def predict_stage(args, model: str) -> dict:
     del per_tree
     faults = mark(out, "per_tree", faults)
     t0 = time.perf_counter()
-    yhat, ests = jackknife.predict_with_variance(fm, xs)
+    yhat, est = jackknife.predict_with_variance(fm, xs)
     out["predict_with_variance_s"] = time.perf_counter() - t0
     mark(out, "predict_with_variance", faults)
     if args.estimates:
-        np.savez(args.estimates, yhat=yhat, c=np.column_stack([e.c for e in ests]),
-                 **{f: np.array([getattr(e, f) for e in ests]) for f in ("plugin", "corrected", "truncated")})
+        np.savez(args.estimates, yhat=yhat, c=est.c, plugin=est.plugin, corrected=est.corrected,
+                 truncated=est.truncated)
     return out
 
 

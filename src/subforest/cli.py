@@ -218,11 +218,11 @@ def _cmd_predict(args) -> int:
         raise ValueError("predict: --model, --data, and --out are required")
     fm, meta = load_model(cfg["model"])
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
-    yhat, ests = predict_with_variance(fm, xs)
+    yhat, est = predict_with_variance(fm, xs)
+    ci = interval(yhat, est, cfg["level"])
+    table = np.column_stack([yhat, est.plugin, est.corrected, est.truncated, ci.lo, ci.hi]).tolist()
     rows = [["y_hat", "vij_plugin", "vij_corrected", "vij_truncated", "interval_lo", "interval_hi", "degenerate"]]
-    for y, est in zip(yhat.tolist(), ests):
-        ci = interval(y, est, cfg["level"])
-        rows.append([y, est.plugin, est.corrected, est.truncated, ci.lo, ci.hi, int(ci.degenerate)])
+    rows += [[*row, int(flag)] for row, flag in zip(table, ci.degenerate.tolist())]
     write_csv(cfg["out"], _preamble("predict", {**cfg, "model_tool": meta["tool"], "b": fm.b, "s": fm.s}), rows)
     print(f"wrote {xs.shape[0]} prediction records to {cfg['out']}")
     return 0
@@ -410,7 +410,6 @@ def _cmd_oracle_check(args) -> int:
         np.asarray(support, dtype=np.float64),
         np.full(len(support), 1.0 / len(support)),
     )
-    hajek = oracle.hajek_projection_stats(dist, learner, s)
     anova = oracle.anova_bound_check(dist, learner, n, s)
 
     _write_json(cfg["out"], "oracle-check", cfg, {
@@ -418,9 +417,9 @@ def _cmd_oracle_check(args) -> int:
         "mc_vij_corrected": mc.corrected,
         "mc_vij_plugin": mc.plugin,
         "mc_relative_error": abs(mc.corrected - exact) / exact if exact else 0.0,
-        "hajek_variance": hajek.hajek_variance,
-        "base_variance": hajek.base_variance,
-        "incrementality_ratio": hajek.ratio,
+        "hajek_variance": anova.hajek_variance,
+        "base_variance": anova.base_variance,
+        "incrementality_ratio": anova.incrementality_ratio,
         "anova_lhs": anova.anova_lhs,
         "anova_rhs": anova.anova_rhs,
     })

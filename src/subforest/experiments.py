@@ -149,13 +149,8 @@ def _replicate_forest(source, n: int, fcfg: ForestConfig, seed: int, r: int) -> 
 
 def _replicate(args) -> tuple:
     source, n, fcfg, seed, r, test_x = args
-    yhat, ests = predict_with_variance(_replicate_forest(source, n, fcfg, seed, r), test_x)
-    return (
-        yhat,
-        np.array([e.corrected for e in ests]),
-        np.array([e.truncated for e in ests]),
-        np.array([e.plugin for e in ests]),
-    )
+    yhat, est = predict_with_variance(_replicate_forest(source, n, fcfg, seed, r), test_x)
+    return yhat, est.corrected, est.truncated, est.plugin  # not est: its (n, K) C would be pickled back
 
 
 def _replicate_name(args) -> str:
@@ -321,6 +316,9 @@ def coverage_report(
 def run_coverage(spec: ExperimentSpec, levels=(0.95,)) -> CoverageReport:
     if spec.r_replicates < 50:
         raise ValueError("coverage checks need at least 50 replicates")
+    for level in levels:  # before any replicate trains
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"coverage level must be in (0, 1), got {level}")
     sim = simulate_predictions(spec)
     return coverage_report(sim.predictions, sim.vij_truncated, sim.degenerate, levels, sim.true_means)
 

@@ -24,6 +24,10 @@ i.i.d. trees, Var*(T)/B, estimated without bias by v_hat / (B-1).
 One kernel computes every estimate, one per column of a (B, K) matrix of
 centered tree outputs: the forest's per-tree matrix, which
 ``predict_with_variance`` centers in place, or the one column of ``v_ij``.
+Its result stays batched: one ``VarianceEstimate`` whose fields are (K,)
+arrays over the queries and whose C is (n, K), so one ``interval`` call gives
+every query's interval. ``est[k]`` is query k's view, with float fields and
+the column C[:, k]; ``v_ij`` returns that view of its one column.
 The inclusion counts N*_bi are read from one record, the (B, s) sorted
 subsample index rows that the forest stores (and that ``v_ij`` takes), so
 s is their width. The kernel accumulates
@@ -55,27 +59,34 @@ _IJ_BLOCK = 2048
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    plugin: float  # sum_i C_i^2, >= 0
-    correction: float  # s(n-s)/n * v_hat / B, >= 0
-    corrected: float  # plugin - correction, may be negative
-    truncated: float  # Var(y_hat) for intervals: scaled max(corrected, 0) + v_hat/(B-1)
-    v_hat: float  # (1/B) sum_b (T*_b - Tbar)^2
-    c: np.ndarray  # (n,) per-example covariance weights C_i
+    plugin: np.ndarray | float  # sum_i C_i^2, >= 0
+    correction: np.ndarray | float  # s(n-s)/n * v_hat / B, >= 0
+    corrected: np.ndarray | float  # plugin - correction, may be negative
+    truncated: np.ndarray | float  # Var(y_hat) for intervals: scaled max(corrected, 0) + v_hat/(B-1)
+    v_hat: np.ndarray | float  # (1/B) sum_b (T*_b - Tbar)^2
+    c: np.ndarray  # (n, K) per-example covariance weights C_i, or (n,) for one query
+
+    def __getitem__(self, k: int) -> VarianceEstimate:
+        """Query k's estimate: float fields and its column C[:, k]."""
+        return VarianceEstimate(
+            float(self.plugin[k]), float(self.correction[k]), float(self.corrected[k]),
+            float(self.truncated[k]), float(self.v_hat[k]), self.c[:, k],
+        )
 
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    center: float
-    half_width: float
+    center: np.ndarray | float
+    half_width: np.ndarray | float
     level: float
-    degenerate: bool  # corrected variance was negative
+    degenerate: np.ndarray | bool  # corrected variance was negative
 
     @property
-    def lo(self) -> float:
+    def lo(self) -> np.ndarray | float:
         return self.center - self.half_width
 
     @property
-    def hi(self) -> float:
+    def hi(self) -> np.ndarray | float:
         return self.center + self.half_width
 
 
@@ -109,8 +120,8 @@ def _tilde_block(rows: np.ndarray, lo: int, n: int) -> np.ndarray:
     return block
 
 
-def _estimates(centered: np.ndarray, rows: np.ndarray, n: int) -> list[VarianceEstimate]:
-    """The IJ kernel: one estimate per column of a (B, K) matrix of centered tree outputs.
+def _estimates(centered: np.ndarray, rows: np.ndarray, n: int) -> VarianceEstimate:
+    """The IJ kernel: the estimates of every column of a (B, K) matrix of centered tree outputs.
 
     ``rows`` holds tree b's sorted subsample indices in row b, (B, s).
     """
@@ -126,17 +137,7 @@ def _estimates(centered: np.ndarray, rows: np.ndarray, n: int) -> list[VarianceE
     correction = s * (n - s) / n * v_hat / b
     corrected = plugin - correction
     truncated = _finite_sample_scale(n, s) * np.maximum(corrected, 0.0) + v_hat / (b - 1)
-    return [
-        VarianceEstimate(
-            plugin=float(plugin[k]),
-            correction=float(correction[k]),
-            corrected=float(corrected[k]),
-            truncated=float(truncated[k]),
-            v_hat=float(v_hat[k]),
-            c=c_all[:, k],
-        )
-        for k in range(centered.shape[1])
-    ]
+    return VarianceEstimate(plugin, correction, corrected, truncated, v_hat, c_all)
 
 
 def v_ij(outputs, subsamples, n: int) -> VarianceEstimate:
@@ -151,8 +152,8 @@ def v_ij(outputs, subsamples, n: int) -> VarianceEstimate:
     return _estimates(centered, rows, n)[0]
 
 
-def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[VarianceEstimate]]:
-    """Forest predictions for each row of ``xs`` and their estimates, from one traversal.
+def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, VarianceEstimate]:
+    """Forest predictions for each row of ``xs`` and their estimates as (K,) arrays, from one traversal.
 
     The predictions are the column means of the per-tree matrix, the same
     reduction ``forest.predict_batch`` takes, so they agree bit-for-bit.
@@ -167,18 +168,19 @@ def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, list[Var
 
 
 def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:
-    """Batch v_ij for each row of ``xs`` against one fitted forest."""
-    return predict_with_variance(forest, xs)[1]
+    """The per-query views ``est[k]`` of ``predict_with_variance``'s estimates, one per row of ``xs``."""
+    est = predict_with_variance(forest, xs)[1]
+    return [est[k] for k in range(est.c.shape[1])]
 
 
-def interval(y_hat: float, estimate: VarianceEstimate, level: float) -> PredictionInterval:
-    """Normal-approximation interval for E[y_hat] at the given level."""
+def interval(y_hat: np.ndarray | float, estimate: VarianceEstimate, level: float) -> PredictionInterval:
+    """Normal-approximation intervals for E[y_hat] at the given level, elementwise over the queries."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     z = norm_ppf(0.5 * (1.0 + level))
     return PredictionInterval(
-        center=float(y_hat),
-        half_width=z * float(np.sqrt(estimate.truncated)),
+        center=y_hat,
+        half_width=z * np.sqrt(estimate.truncated),
         level=level,
         degenerate=estimate.corrected < 0.0,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -175,11 +175,9 @@ def _tuple_enumeration(dist: FiniteSupportDistribution, s: int, cap: int = ENUM_
     q = dist.size
     count = q**s
     _check_cap(count, f"number of i.i.d. tuples {q}^{s}")
-    ids = np.fromiter(
-        (i for tup in product(range(q), repeat=s) for i in tup),
-        dtype=np.int64,
-        count=count * s,
-    ).reshape(count, s)
+    # row r is the r-th tuple of itertools.product(range(q), repeat=s), written once, in C order
+    axes = np.meshgrid(*[np.arange(q, dtype=np.int64)] * s, indexing="ij", copy=False)
+    ids = np.stack(axes, axis=-1).reshape(count, s)
     probs = dist.probs[ids].prod(axis=1)
     return ids, probs
 

@@ -383,6 +383,19 @@ class TestSimulate:
                      "--b", "20", "--threads", "1", "--out", str(tmp_path / "c.json")]) == 1
         assert "coverage checks need at least 50 replicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels, bad", [("1.5", "1.5"), ("0.9,0", "0.0"), ("0.95,nan", "nan")])
+    def test_coverage_levels_checked_before_training(self, tmp_path, monkeypatch, capsys, levels, bad):
+        from subforest import experiments
+
+        def trained(*_):
+            raise AssertionError("a replicate trained before the levels were checked")
+
+        monkeypatch.setattr(experiments, "simulate_predictions", trained)
+        assert main(["simulate", "coverage", "--n", "60", "--k", "2", "--r", "50", "--b", "20",
+                     "--levels", levels, "--threads", "1", "--out", str(tmp_path / "c.json")]) == 1
+        assert f"error: coverage level must be in (0, 1), got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_unknown_kind_names_the_kinds(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"kind": "bogus"}))

@@ -76,24 +76,32 @@ class TestVij:
 
     def test_batch_matches_single(self, cosine_1k):
         fm = forest.train(cosine_1k, forest.ForestConfig(b=50, seed=3))
-        xs = np.random.default_rng(0).random((4, 2))
-        batch = jackknife.variance_estimates(fm, xs)
+        xs = np.random.default_rng(0).random((5, 2))
+        _, est = jackknife.predict_with_variance(fm, xs)
+        assert est.c.shape == (fm.n, 5)
+        assert all(getattr(est, name).shape == (5,) for name in _FIELDS)
         per = forest.predict_per_tree(fm, xs)
-        for k in range(4):
+        views = jackknife.variance_estimates(fm, xs)
+        assert len(views) == 5
+        for k in range(5):
+            view = est[k]
             single = jackknife.v_ij(per[:, k], fm.subsample_indices, fm.n)
-            assert batch[k].plugin == pytest.approx(single.plugin, rel=1e-12)
-            assert batch[k].corrected == pytest.approx(single.corrected, rel=1e-12)
-            assert batch[k].truncated == pytest.approx(single.truncated, rel=1e-12)
+            for name in _FIELDS:
+                got = getattr(view, name)
+                assert type(got) is float and got == getattr(est, name)[k] == getattr(views[k], name)
+                assert got == pytest.approx(getattr(single, name), rel=1e-12)
+            assert np.array_equal(view.c, est.c[:, k]) and np.array_equal(views[k].c, est.c[:, k])
+            np.testing.assert_allclose(view.c, single.c, rtol=1e-12, atol=1e-12 * np.abs(single.c).max())
 
     def test_single_pass_matches_separate_calls(self, cosine_1k):
         fm = forest.train(cosine_1k, forest.ForestConfig(b=40, seed=5))
         xs = np.random.default_rng(2).random((7, 2))
-        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        yhat, est = jackknife.predict_with_variance(fm, xs)
         assert np.array_equal(yhat, forest.predict_batch(fm, xs))
-        for got, want in zip(ests, jackknife.variance_estimates(fm, xs), strict=True):
-            for name in ("plugin", "correction", "corrected", "truncated", "v_hat"):
-                assert getattr(got, name) == getattr(want, name)
-            assert np.array_equal(got.c, want.c)
+        want = jackknife.variance_estimates(fm, xs)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(est, name), [getattr(w, name) for w in want])
+        assert np.array_equal(est.c, np.column_stack([w.c for w in want]))
 
     def test_single_tree_forest_rejected(self, cosine_1k):
         fm = forest.train(cosine_1k, forest.ForestConfig(b=1, seed=2))
@@ -128,32 +136,36 @@ class TestBlockedKernel:
         return fm, xs, per, _dense(per, fm.subsample_indices, fm.n)
 
     @staticmethod
-    def _fields(ests):
-        return np.array([[getattr(e, f) for e in ests] for f in _FIELDS]), np.column_stack([e.c for e in ests])
+    def _fields(est):
+        return np.array([getattr(est, f) for f in _FIELDS]), est.c
+
+    @staticmethod
+    def _stacked(views):
+        """Per-query views as one (fields, C) pair, column k from view k."""
+        return np.array([[getattr(e, f) for e in views] for f in _FIELDS]), np.column_stack([e.c for e in views])
 
     def test_blocks_match_dense_formula(self, fitted, monkeypatch):
         # blocks of 7, 7 and 6 trees
         monkeypatch.setattr(jackknife, "_IJ_BLOCK", 7)
         fm, xs, per, (want, want_c) = fitted
-        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        yhat, est = jackknife.predict_with_variance(fm, xs)
         assert np.array_equal(yhat, per.mean(axis=0))
         singles = [jackknife.v_ij(per[:, k], fm.subsample_indices, fm.n) for k in range(xs.shape[0])]
-        for got in (ests, singles):
-            fields, c = self._fields(got)
+        for fields, c in (self._fields(est), self._stacked(singles)):
             np.testing.assert_allclose(fields, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=1e-12 * np.abs(want_c).max())
 
     def test_one_block_equals_dense_formula_exactly(self, fitted):
         fm, xs, per, (want, want_c) = fitted
         assert jackknife._IJ_BLOCK >= fm.b
-        yhat, ests = jackknife.predict_with_variance(fm, xs)
+        yhat, est = jackknife.predict_with_variance(fm, xs)
         assert np.array_equal(yhat, per.mean(axis=0))
-        fields, c = self._fields(ests)
+        fields, c = self._fields(est)
         assert np.array_equal(fields, want) and np.array_equal(c, want_c)
         # one column takes BLAS's matrix-vector path, so it has its own dense reference
         want, want_c = _dense(per[:, 2:3], fm.subsample_indices, fm.n)
         single = jackknife.v_ij(per[:, 2], fm.subsample_indices, fm.n)
-        assert np.array_equal(self._fields([single])[0], want) and np.array_equal(single.c, want_c[:, 0])
+        assert np.array_equal(self._stacked([single])[0], want) and np.array_equal(single.c, want_c[:, 0])
 
     @pytest.mark.parametrize("block", [7, 2048])
     def test_v_ij_leaves_its_arguments_unchanged(self, monkeypatch, block):
@@ -167,10 +179,10 @@ class TestBlockedKernel:
     def test_c_is_not_changed_by_a_later_call(self, fitted):
         fm, xs, _, _ = fitted
         _, first = jackknife.predict_with_variance(fm, xs)
-        kept = [e.c.copy() for e in first]
+        kept = first.c.copy()
         jackknife.predict_with_variance(fm, xs[::-1] * 0.5)
         jackknife.v_ij(np.arange(20.0), fm.subsample_indices, fm.n)
-        assert all(np.array_equal(e.c, c) for e, c in zip(first, kept, strict=True))
+        assert np.array_equal(first.c, kept)
 
 
 class TestFiniteSampleScale:
@@ -274,3 +286,25 @@ class TestInterval:
         est = jackknife.VarianceEstimate(0.0, 0.0, 0.0, 0.0, 0.0, np.zeros(1))
         with pytest.raises(ValueError, match="level"):
             jackknife.interval(0.0, est, 1.0)
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
+    def test_one_call_equals_per_row_calls_bit_for_bit(self, level):
+        gen = np.random.default_rng(3)
+        k, n, b, s = 40, 30, 12, 9
+        yhat = gen.standard_normal(k)
+        plugin, v_hat = gen.random(k), gen.random(k)
+        plugin[0] = v_hat[0] = 0.0  # a zero-variance row
+        correction = s * (n - s) / n * v_hat / b
+        corrected = plugin - correction  # some rows negative: degenerate
+        truncated = jackknife._finite_sample_scale(n, s) * np.maximum(corrected, 0.0) + v_hat / (b - 1)
+        est = jackknife.VarianceEstimate(plugin, correction, corrected, truncated, v_hat, gen.random((n, k)))
+        batch = jackknife.interval(yhat, est, level)
+        rows = [jackknife.interval(y, est[i], level) for i, y in enumerate(yhat.tolist())]
+        assert batch.level == level and batch.half_width[0] == 0.0 and 0 < batch.degenerate.sum() < k
+        assert np.array_equal(batch.degenerate, [ci.degenerate for ci in rows])
+        for name in ("center", "half_width", "lo", "hi"):
+            assert np.array_equal(self._bits(getattr(batch, name)), self._bits([getattr(ci, name) for ci in rows]))
