@@ -1,10 +1,10 @@
 """Command-line surface.
 
 Commands: gen, train, predict, simulate {metrics, normality, coverage,
-bias-grid, bootstrap}, oracle-check. Every option can also come from a JSON
-config file (--config); explicit flags override file values, and the fully
-resolved configuration is echoed into every output file next to the tool
-version. Exit codes: 0 success, 1 usage or configuration error, 2 oracle or
+bias-grid, bootstrap, table1}, oracle-check. Every option can also come from
+a JSON config file (--config); explicit flags override file values, and the
+fully resolved configuration is echoed into every output file next to the
+tool version. Exit codes: 0 success, 1 usage or configuration error, 2 oracle or
 acceptance assertion failure.
 
 Start-up loads only what a command runs: the simulation harness and the
@@ -258,10 +258,12 @@ def _experiment_spec(cfg: dict):
     )
 
 
-def _write_metrics_csv(path, command, cfg, kind, d, n, rep) -> None:
+def _write_metrics_csv(path, command, cfg, rows) -> None:
+    """One metrics row per (Distr, d, n, report) of ``rows``."""
     write_csv(path, _preamble(command, cfg), [
         ["Distr", "d", "n", "rel_bias2", "rel_var", "rel_mse", "abs_bias2", "abs_var", "abs_mse"],
-        [kind, d, n, rep.rel_bias2, rep.rel_variance, rep.rel_mse, rep.abs_bias2, rep.abs_variance, rep.abs_mse],
+        *([kind, d, n, rep.rel_bias2, rep.rel_variance, rep.rel_mse, rep.abs_bias2, rep.abs_variance, rep.abs_mse]
+          for kind, d, n, rep in rows),
     ])
 
 
@@ -272,7 +274,7 @@ def _cmd_sim_metrics(args) -> int:
     from .experiments import run_metrics
 
     rep = run_metrics(_experiment_spec(cfg))
-    _write_metrics_csv(cfg["out"], "simulate-metrics", cfg, cfg["kind"], cfg["d"], cfg["n"], rep)
+    _write_metrics_csv(cfg["out"], "simulate-metrics", cfg, [(cfg["kind"], cfg["d"], cfg["n"], rep)])
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
     return 0
 
@@ -307,7 +309,10 @@ def _cmd_sim_coverage(args) -> int:
         raise ValueError("simulate coverage: --out is required")
     from .experiments import run_coverage
 
-    levels = tuple(float(v) for v in str(cfg["levels"]).split(","))
+    try:
+        levels = tuple(float(v) for v in str(cfg["levels"]).split(","))
+    except ValueError:
+        raise ValueError(f"levels must be comma-separated numbers, got {cfg['levels']!r}") from None
     rep = run_coverage(_experiment_spec(cfg), levels)
     _write_json(cfg["out"], "simulate-coverage", cfg, {
         "levels": list(rep.levels),
@@ -369,8 +374,40 @@ def _cmd_sim_bootstrap(args) -> int:
         forest=fcfg, seed=cfg["seed"], n_jobs=threads,
     )
     rep = run_metrics(spec)
-    _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, os.path.basename(cfg["data"]), ts.d, n, rep)
+    _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, [(os.path.basename(cfg["data"]), ts.d, n, rep)])
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
+    return 0
+
+
+# unset b means B = 5n for each row, ForestConfig's rule: the paper's budget
+_SIM_TABLE1 = {"b": None, "r": 50, "k": 25, "mode": "cart", "seed": 1234, "threads": None, "out": None}
+
+
+def _cmd_sim_table1(args) -> int:
+    cfg = _merge_config(args, _SIM_TABLE1)
+    if cfg["out"] is None:
+        raise ValueError("simulate table1: --out is required")
+    import platform
+
+    from .experiments import TABLE1_ROWS, run_metrics
+
+    cfg["threads"] = _threads(cfg)
+    # every row shares simulate metrics' forest and tree defaults; an unset b is given per row
+    stamp = {key: _SIM_COMMON[key] for key in ("s_exponent", "gamma", "delta", "max_leaf_size", "noise_sd")}
+    stamp.update({k: v for k, v in cfg.items() if v is not None})
+    stamp.update(cores=usable_cores(), python=platform.python_version(), numpy=np.__version__)
+    rows = []
+    for i, (kind, d, n) in enumerate(TABLE1_ROWS, 1):
+        row_cfg = {**_SIM_COMMON, **cfg, "kind": kind, "d": d, "n": n}
+        start = time.perf_counter()
+        rep = run_metrics(_experiment_spec(row_cfg))
+        wall = time.perf_counter() - start
+        rows.append((kind, d, n, rep))
+        stamp[f"row{i}"] = f"{kind} d={d} n={n} s={row_cfg['s']} b={row_cfg['b']} seconds={wall:.1f}"
+        # rewritten after each row, so a bad path fails on the first and finished rows survive
+        _write_metrics_csv(cfg["out"], "simulate-table1", stamp, rows)
+        print(f"{kind:>6} d={d:<3} n={n:<5} rel_mse={rep.rel_mse:.4f} ({wall:.0f}s)", flush=True)
+    print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 0
 
 
@@ -457,6 +494,7 @@ def build_parser() -> _Parser:
     _command(simsub, "coverage", _SIM_COVERAGE, _cmd_sim_coverage)
     _command(simsub, "bias-grid", _SIM_GRID, _cmd_sim_bias_grid)
     _command(simsub, "bootstrap", _SIM_BOOTSTRAP, _cmd_sim_bootstrap)
+    _command(simsub, "table1", _SIM_TABLE1, _cmd_sim_table1)
     _command(sub, "oracle-check", _ORACLE_DEFAULTS, _cmd_oracle_check,
              help="exact enumeration checks; exit 2 on violation")
     return parser

@@ -238,6 +238,17 @@ def run_metrics(spec: ExperimentSpec) -> MetricsReport:
     return metrics_report(sim.predictions, sim.vij_corrected)
 
 
+# the (kind, d, n) designs of the synthetic benchmark table, one run_metrics row each
+TABLE1_ROWS = (
+    ("cosine", 2, 200),
+    ("cosine", 2, 1000),
+    ("cosine", 10, 200),
+    ("xor", 5, 200),
+    ("xor", 5, 1000),
+    ("and", 20, 200),
+)
+
+
 @dataclass(frozen=True)
 class NormalityReport:
     ks_stats: np.ndarray  # (K,), nan for degenerate points

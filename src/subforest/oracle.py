@@ -178,8 +178,21 @@ def _tuple_enumeration(dist: FiniteSupportDistribution, s: int, cap: int = ENUM_
     # row r is the r-th tuple of itertools.product(range(q), repeat=s), written once, in C order
     axes = np.meshgrid(*[np.arange(q, dtype=np.int64)] * s, indexing="ij", copy=False)
     ids = np.stack(axes, axis=-1).reshape(count, s)
-    probs = dist.probs[ids].prod(axis=1)
-    return ids, probs
+    return ids, _row_reduce(np.multiply, dist.probs, ids)
+
+
+def _row_reduce(ufunc, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(table[ids], axis=1)`` one column at a time, with the same bits.
+
+    numpy multiplies a row in order and adds fewer than 8 terms in order; from
+    8 terms on it adds pairwise, so those rows are gathered whole.
+    """
+    if ufunc is np.add and ids.shape[1] >= 8:
+        return ufunc.reduce(table[ids], axis=1)
+    out = table[ids[:, 0]]
+    for j in range(1, ids.shape[1]):
+        ufunc(out, table[ids[:, j]], out=out)
+    return out
 
 
 def _tuple_values(dist: FiniteSupportDistribution, learner, ids: np.ndarray) -> np.ndarray:
@@ -259,7 +272,7 @@ def anova_bound_check(
 
     e_rf = float(probs @ rf)
     cond = _first_atom_means(dist, ids, probs, rf)
-    projection = e_rf + (cond[ids] - e_rf).sum(axis=1)
+    projection = e_rf + _row_reduce(np.add, cond - e_rf, ids)
     lhs = float(probs @ (rf - projection) ** 2)
 
     stats = hajek_projection_stats(dist, learner, s, cap)

@@ -396,6 +396,80 @@ class TestSimulate:
         assert f"error: coverage level must be in (0, 1), got {bad}" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("levels", ["", "0.9,abc"])
+    def test_coverage_levels_must_be_numbers(self, tmp_path, capsys, levels):
+        assert main(["simulate", "coverage", "--n", "60", "--k", "2", "--r", "50", "--b", "20",
+                     "--levels", levels, "--threads", "1", "--out", str(tmp_path / "c.json")]) == 1
+        assert f"error: levels must be comma-separated numbers, got {levels!r}\n" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_table1_rows_equal_run_metrics(self, tmp_path):
+        from subforest.dataset import SyntheticSpec
+        from subforest.experiments import TABLE1_ROWS, ExperimentSpec, SyntheticSource, run_metrics
+        from subforest.tree import TreeConfig
+
+        out = tmp_path / "t1.csv"
+        assert main(["simulate", "table1", "--b", "10", "--r", "2", "--k", "3", "--seed", "5",
+                     "--threads", "1", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == ["Distr", "d", "n", "rel_bias2", "rel_var", "rel_mse",
+                           "abs_bias2", "abs_var", "abs_mse"]
+        assert [(r[0], int(r[1]), int(r[2])) for r in rows[1:]] == list(TABLE1_ROWS)
+        for row, (kind, d, n) in zip(rows[1:], TABLE1_ROWS):
+            rep = run_metrics(ExperimentSpec(
+                source=SyntheticSource(SyntheticSpec(kind, d)), n=n, k_test=3, r_replicates=2,
+                forest=ForestConfig(b=10, tree=TreeConfig(mode="cart")), seed=5,
+            ))
+            want = [rep.rel_bias2, rep.rel_variance, rep.rel_mse, rep.abs_bias2, rep.abs_variance, rep.abs_mse]
+            assert [float(v) for v in row[3:]] == want, (kind, d, n)
+
+    def test_table1_preamble_stamps_machine_and_rows(self, tmp_path, monkeypatch):
+        # an unset b is B = 5n for each row
+        from subforest import experiments
+
+        monkeypatch.setattr(experiments, "TABLE1_ROWS", (("cosine", 2, 20), ("xor", 4, 30)))
+        out = tmp_path / "t1.csv"
+        assert main(["simulate", "table1", "--r", "2", "--k", "2", "--threads", "1", "--out", str(out)]) == 0
+        preamble = dict(l[2:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("#"))
+        assert preamble["command"] == "simulate-table1"
+        assert (preamble["seed"], preamble["mode"], preamble["threads"]) == ("1234", "cart", "1")
+        assert (preamble["s_exponent"], preamble["gamma"], preamble["delta"]) == ("0.7", "0.1", "0.5")
+        assert (preamble["max_leaf_size"], preamble["noise_sd"]) == ("5", "1.0")
+        assert (preamble["numpy"], preamble["cores"]) == (np.__version__, str(forest.usable_cores()))
+        assert preamble["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert preamble["row1"].startswith("cosine d=2 n=20 s=8 b=100 seconds=")
+        assert preamble["row2"].startswith("xor d=4 n=30 s=10 b=150 seconds=")
+        assert "out" not in preamble and "b" not in preamble and "row3" not in preamble
+
+    def test_table1_bad_out_fails_before_the_second_row(self, tmp_path, monkeypatch, capsys):
+        from subforest import experiments
+
+        ran = []
+        run_metrics = experiments.run_metrics
+        monkeypatch.setattr(experiments, "TABLE1_ROWS", (("cosine", 2, 20), ("xor", 4, 30)))
+        monkeypatch.setattr(experiments, "run_metrics", lambda spec: ran.append(spec.n) or run_metrics(spec))
+        out = tmp_path / "missing" / "t1.csv"
+        assert main(["simulate", "table1", "--r", "2", "--k", "2", "--threads", "1", "--out", str(out)]) == 1
+        assert ran == [20]
+        assert "error: " in capsys.readouterr().err
+
+    def test_table1_keeps_finished_rows_when_a_later_row_fails(self, tmp_path, monkeypatch):
+        from subforest import experiments
+
+        run_metrics = experiments.run_metrics
+
+        def fail_second(spec):
+            if spec.n == 30:
+                raise ValueError("stop")
+            return run_metrics(spec)
+
+        monkeypatch.setattr(experiments, "TABLE1_ROWS", (("cosine", 2, 20), ("xor", 4, 30)))
+        monkeypatch.setattr(experiments, "run_metrics", fail_second)
+        out = tmp_path / "t1.csv"
+        assert main(["simulate", "table1", "--r", "2", "--k", "2", "--threads", "1", "--out", str(out)]) == 1
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [r[:3] for r in rows[1:]] == [["cosine", "2", "20"]]
+
     def test_unknown_kind_names_the_kinds(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"kind": "bogus"}))
@@ -518,6 +592,41 @@ class TestImports:
         )
         for command in ("train", "predict"):
             assert not {"concurrent.futures", "multiprocessing"} & set(steps[command]), command
+
+
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        assert "{gen,train,predict,simulate,oracle-check}" in capsys.readouterr().out
+        assert main(["simulate", "--help"]) == 0
+        assert "{metrics,normality,coverage,bias-grid,bootstrap,table1}" in capsys.readouterr().out
+
+    def test_unknown_command_exits_one(self, capsys):
+        assert main(["simulate", "tabel1", "--out", "x.csv"]) == 1
+        assert "invalid choice: 'tabel1'" in capsys.readouterr().err
+
+
+class TestReadmeRecipes:
+    """Every ``subforest`` line of README's sh blocks parses with the CLI parser."""
+
+    def _recipes(self):
+        import re
+        import shlex
+
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+        return [argv[1:] for argv in lines if argv and argv[0] == "subforest"]
+
+    def test_recipes_parse(self):
+        from subforest.cli import build_parser
+
+        recipes = self._recipes()
+        assert ["simulate", "table1"] in [argv[:2] for argv in recipes]
+        assert sum(argv[:2] == ["simulate", "bias-grid"] for argv in recipes) >= 2
+        for argv in recipes:
+            args = build_parser().parse_args(argv)
+            assert callable(args.func), argv
 
 
 class TestVersionFlag:

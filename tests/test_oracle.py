@@ -177,6 +177,16 @@ class TestAnovaBound:
         lhs = float(probs @ (rf - (e_rf + (cond[ids] - e_rf).sum(axis=1))) ** 2)
         assert (rep.expected_forest_value, rep.anova_lhs) == (e_rf, lhs)
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_column_reductions_match_numpy_bit_for_bit(self, n):
+        # numpy's row sum turns pairwise at 8 terms; products stay in order
+        gen = np.random.default_rng(n)
+        table = gen.standard_normal(11) * np.exp(5.0 * gen.standard_normal(11))
+        ids = gen.integers(0, 11, size=(4000, n))
+        for got, want in [(oracle._row_reduce(np.multiply, table, ids), table[ids].prod(axis=1)),
+                          (oracle._row_reduce(np.add, table, ids), table[ids].sum(axis=1))]:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("chunk", [7, 25, 1000])
     def test_identical_across_chunk_boundaries(self, monkeypatch, chunk):
         # 243 tuples x 10 subsets: 1, 2 and 100 tuples per chunk, the last one short
