@@ -4,8 +4,10 @@ Commands: gen, train, predict, simulate {metrics, normality, coverage,
 bias-grid, bootstrap, table1}, oracle-check. Every option can also come from
 a JSON config file (--config); explicit flags override file values, and the
 fully resolved configuration is echoed into every output file next to the
-tool version. Exit codes: 0 success, 1 usage or configuration error, 2 oracle or
-acceptance assertion failure.
+tool version. Each command is a table of defaults, its required keys and a
+handler that runs on the one config resolved from them. Exit codes: 0
+success, 1 usage or configuration error, 2 oracle or acceptance assertion
+failure.
 
 Start-up loads only what a command runs: the simulation harness and the
 enumeration oracle load inside simulate and oracle-check, and the process
@@ -50,27 +52,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    """Workers when --threads is not given: SUBFOREST_THREADS, else the usable cores."""
-    env = os.environ.get(THREADS_ENV)
-    if not env:
-        return usable_cores()
-    try:
-        threads = int(env)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads} (from {THREADS_ENV})")
-    return threads
-
-
-def _threads(cfg: dict) -> int:
-    """Workers: the resolved threads value, else ``_default_threads()``; never fewer than 1."""
-    if cfg["threads"] is None:
-        return _default_threads()
-    if cfg["threads"] < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg['threads']}")
-    return cfg["threads"]
+def _threads(value) -> int:
+    """Workers: ``value``, else SUBFOREST_THREADS, else the usable cores; never fewer than 1."""
+    origin = ""
+    if value is None:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return usable_cores()
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+        origin = f" (from {THREADS_ENV})"
+    if value < 1:
+        raise ValueError(f"threads must be >= 1, got {value}{origin}")
+    return value
 
 
 # each config key's value type where it is not an int; labels, a list, is set
@@ -80,35 +76,50 @@ _KEY_TYPES = {
     **dict.fromkeys(["noise_sd", "alpha", "p", "gamma", "delta", "s_exponent", "level"], float),
     "labels": list,
 }
-# what a config file's value for an int, float or string key must be
-_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)), str: ("a string", (str,))}
+_NUMBER = (int, float)  # a bool is neither
+# what a config file's value for each key type must be, and its test
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in _NUMBER),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a list of numbers", lambda v: type(v) is list and all(type(x) in _NUMBER for x in v)),
+}
 # levels, a comma-separated list of numbers, may also be one JSON number
-_LEVELS_TYPE = ("a string or a number", (str, int, float))
+_LEVELS_TYPE = ("a string or a number", lambda v: type(v) in (str, *_NUMBER))
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override --config file values, which override defaults.
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The command's config: flags override --config file values, which override its table.
 
-    A file value for an int flag must be a JSON integer (not a bool), one for
-    a float flag a JSON number and one for a string flag a JSON string; null
-    stands for a flag whose default is unset.
+    The file must hold a JSON object. Its value for an int key must be a JSON
+    integer (not a bool), for a float key a JSON number, for a string key a
+    JSON string and for labels an array of numbers; null stands for a key
+    whose default is unset. Then every required key must be set, and threads
+    resolves through ``_threads``. The result is a fresh dict.
     """
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    resolved = dict(args.table)
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(defaults)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file must hold a JSON object, got {file_cfg!r}")
+        unknown = set(file_cfg) - set(args.table)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, v in file_cfg.items():
-            want = _LEVELS_TYPE if key == "levels" else _JSON_TYPES.get(_KEY_TYPES.get(key, int))
-            if want and type(v) not in want[1] and not (v is None and defaults[key] is None):
-                raise ValueError(f"config key {key!r} must be {want[0]}, got {v!r}")
+            name, ok = _LEVELS_TYPE if key == "levels" else _JSON_TYPES[_KEY_TYPES.get(key, int)]
+            if not ok(v) and not (v is None and args.table[key] is None):
+                raise ValueError(f"config key {key!r} must be {name}, got {v!r}")
         resolved.update(file_cfg)
-    for key in defaults:
+    for key in args.table:
         v = getattr(args, key, None)
         if v is not None:
             resolved[key] = v
+    missing = ["--" + key.replace("_", "-") for key in args.required if resolved[key] is None]
+    if missing:
+        raise ValueError(f"{args.command}: required but not set: {', '.join(missing)}")
+    if "threads" in resolved:
+        resolved["threads"] = _threads(resolved["threads"])
     return resolved
 
 
@@ -152,10 +163,7 @@ def _write_json(path, command: str, cfg: dict, fields: dict) -> None:
 _GEN_DEFAULTS = {"kind": "cosine", "d": None, "n": 100, "seed": 0, "noise_sd": 1.0, "out": None}
 
 
-def _cmd_gen(args) -> int:
-    cfg = _merge_config(args, _GEN_DEFAULTS)
-    if cfg["out"] is None:
-        raise ValueError("gen: --out is required")
+def _cmd_gen(cfg: dict) -> int:
     if cfg["d"] is None:
         cfg["d"] = ARITY.get(cfg["kind"])
     spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
@@ -174,15 +182,10 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _cmd_train(args) -> int:
-    cfg = _merge_config(args, _TRAIN_DEFAULTS)
-    if cfg["data"] is None or cfg["out"] is None:
-        raise ValueError("train: --data and --out are required")
-    threads = _threads(cfg)
+def _cmd_train(cfg: dict) -> int:
     ts = load_csv(cfg["data"], target_column=cfg["target"])
-    fcfg = _forest_config(cfg)
     start = time.perf_counter()
-    fm = train(ts, fcfg, n_jobs=threads)
+    fm = train(ts, _forest_config(cfg), n_jobs=cfg["threads"])
     wall = time.perf_counter() - start
     save_model(cfg["out"], fm, ts)
     print(
@@ -212,10 +215,7 @@ def _load_query(path, feature_names, d) -> np.ndarray:
     return csv_columns(path, header, rows, lines, cols)
 
 
-def _cmd_predict(args) -> int:
-    cfg = _merge_config(args, _PREDICT_DEFAULTS)
-    if cfg["model"] is None or cfg["data"] is None or cfg["out"] is None:
-        raise ValueError("predict: --model, --data, and --out are required")
+def _cmd_predict(cfg: dict) -> int:
     fm, meta = load_model(cfg["model"])
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
     yhat, est = predict_with_variance(fm, xs)
@@ -237,16 +237,16 @@ _SIM_COMMON = {
 }
 
 
-def _experiment_spec(cfg: dict):
+def _experiment_spec(cfg: dict, source=None):
+    """The simulation of ``cfg``, drawing from ``source`` or else from cfg's synthetic design."""
     from .experiments import ExperimentSpec, SyntheticSource
 
-    if cfg["d"] is None:
-        cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
-    source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
-    threads = _threads(cfg)
+    if source is None:
+        if cfg["d"] is None:
+            cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
+        source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
     fcfg = _forest_config(cfg)
     cfg["s"], cfg["b"] = fcfg.resolve(cfg["n"])  # echo resolved sizes, not the rule
-    cfg["threads"] = threads
     return ExperimentSpec(
         source=source,
         n=cfg["n"],
@@ -254,7 +254,7 @@ def _experiment_spec(cfg: dict):
         r_replicates=cfg["r"],
         forest=fcfg,
         seed=cfg["seed"],
-        n_jobs=threads,
+        n_jobs=cfg["threads"],
     )
 
 
@@ -267,10 +267,7 @@ def _write_metrics_csv(path, command, cfg, rows) -> None:
     ])
 
 
-def _cmd_sim_metrics(args) -> int:
-    cfg = _merge_config(args, _SIM_COMMON)
-    if cfg["out"] is None:
-        raise ValueError("simulate metrics: --out is required")
+def _cmd_sim_metrics(cfg: dict) -> int:
     from .experiments import run_metrics
 
     rep = run_metrics(_experiment_spec(cfg))
@@ -282,10 +279,7 @@ def _cmd_sim_metrics(args) -> int:
 _SIM_NORMALITY = {**_SIM_COMMON, "mode": "honest", "alpha": 0.01, "r": 100}
 
 
-def _cmd_sim_normality(args) -> int:
-    cfg = _merge_config(args, _SIM_NORMALITY)
-    if cfg["out"] is None:
-        raise ValueError("simulate normality: --out is required")
+def _cmd_sim_normality(cfg: dict) -> int:
     from .experiments import run_normality
 
     rep = run_normality(_experiment_spec(cfg), cfg["alpha"])
@@ -303,10 +297,7 @@ def _cmd_sim_normality(args) -> int:
 _SIM_COVERAGE = {**_SIM_COMMON, "mode": "honest", "levels": "0.95", "r": 100}
 
 
-def _cmd_sim_coverage(args) -> int:
-    cfg = _merge_config(args, _SIM_COVERAGE)
-    if cfg["out"] is None:
-        raise ValueError("simulate coverage: --out is required")
+def _cmd_sim_coverage(cfg: dict) -> int:
     from .experiments import run_coverage
 
     try:
@@ -331,16 +322,12 @@ _SIM_GRID = {
 }
 
 
-def _cmd_sim_bias_grid(args) -> int:
-    cfg = _merge_config(args, _SIM_GRID)
-    if cfg["out"] is None:
-        raise ValueError("simulate bias-grid: --out is required")
+def _cmd_sim_bias_grid(cfg: dict) -> int:
     from .experiments import run_bias_grid
 
-    threads = cfg["threads"] = _threads(cfg)
     grid = run_bias_grid(
         n=cfg["n"], s=cfg["s"], mode=cfg["mode"], grid_resolution=cfg["resolution"],
-        r_replicates=cfg["r"], b=cfg["b"], seed=cfg["seed"], p=cfg["p"], n_jobs=threads,
+        r_replicates=cfg["r"], b=cfg["b"], seed=cfg["seed"], p=cfg["p"], n_jobs=cfg["threads"],
     )
     write_csv(cfg["out"], _preamble("simulate-bias-grid", cfg), grid.cell_means.tolist())
     corner = grid.cell_means[0, 0]
@@ -356,25 +343,15 @@ _SIM_BOOTSTRAP = {
 }
 
 
-def _cmd_sim_bootstrap(args) -> int:
-    cfg = _merge_config(args, _SIM_BOOTSTRAP)
-    if cfg["data"] is None or cfg["out"] is None:
-        raise ValueError("simulate bootstrap: --data and --out are required")
-    from .experiments import ExperimentSpec, parametric_bootstrap_source, run_metrics
+def _cmd_sim_bootstrap(cfg: dict) -> int:
+    from .experiments import parametric_bootstrap_source, run_metrics
 
-    threads = _threads(cfg)
     ts = load_csv(cfg["data"], target_column=cfg["target"])
-    n = cfg["n"] if cfg["n"] is not None else ts.n
-    fcfg = _forest_config(cfg)
-    source = parametric_bootstrap_source(ts, fcfg, n_jobs=threads)
-    cfg["n"], cfg["threads"] = n, threads
-    cfg["s"], cfg["b"] = fcfg.resolve(n)  # echo resolved sizes for the replicates
-    spec = ExperimentSpec(
-        source=source, n=n, k_test=cfg["k"], r_replicates=cfg["r"],
-        forest=fcfg, seed=cfg["seed"], n_jobs=threads,
-    )
-    rep = run_metrics(spec)
-    _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, [(os.path.basename(cfg["data"]), ts.d, n, rep)])
+    if cfg["n"] is None:
+        cfg["n"] = ts.n
+    source = parametric_bootstrap_source(ts, _forest_config(cfg), n_jobs=cfg["threads"])
+    rep = run_metrics(_experiment_spec(cfg, source))
+    _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, [(os.path.basename(cfg["data"]), ts.d, cfg["n"], rep)])
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
     return 0
 
@@ -383,15 +360,11 @@ def _cmd_sim_bootstrap(args) -> int:
 _SIM_TABLE1 = {"b": None, "r": 50, "k": 25, "mode": "cart", "seed": 1234, "threads": None, "out": None}
 
 
-def _cmd_sim_table1(args) -> int:
-    cfg = _merge_config(args, _SIM_TABLE1)
-    if cfg["out"] is None:
-        raise ValueError("simulate table1: --out is required")
+def _cmd_sim_table1(cfg: dict) -> int:
     import platform
 
     from .experiments import TABLE1_ROWS, run_metrics
 
-    cfg["threads"] = _threads(cfg)
     # every row shares simulate metrics' forest and tree defaults; an unset b is given per row
     stamp = {key: _SIM_COMMON[key] for key in ("s_exponent", "gamma", "delta", "max_leaf_size", "noise_sd")}
     stamp.update({k: v for k, v in cfg.items() if v is not None})
@@ -421,8 +394,7 @@ _ORACLE_DEFAULTS = {
 _LEARNERS = {"mean": "SubsampleMean", "max": "SubsampleMax", "sum": "LabelSum"}
 
 
-def _cmd_oracle_check(args) -> int:
-    cfg = _merge_config(args, _ORACLE_DEFAULTS)
+def _cmd_oracle_check(cfg: dict) -> int:
     if cfg["learner"] not in _LEARNERS:
         raise ValueError(f"learner must be one of {sorted(_LEARNERS)}, got {cfg['learner']!r}")
     from . import oracle
@@ -465,8 +437,8 @@ def _cmd_oracle_check(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _command(sub, name: str, defaults: dict, func, **kw):
-    """A subcommand taking --config and one flag per key of its ``defaults``."""
+def _command(sub, name: str, defaults: dict, required: tuple, func, **kw):
+    """A subcommand taking --config and one flag per key of its ``defaults``; ``required`` keys must be set."""
     choices = {"kind": sorted(ARITY), "mode": ["honest", "cart"], "learner": sorted(_LEARNERS)}
     p = sub.add_parser(name, **kw)
     p.add_argument("--config", help="JSON config file; flags override its values")
@@ -475,7 +447,8 @@ def _command(sub, name: str, defaults: dict, func, **kw):
         if kind is not list:
             p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices.get(key),
                            type=None if kind is str else kind)
-    p.set_defaults(func=func)
+    # none of these names is a config key
+    p.set_defaults(func=func, table=defaults, required=required, command=p.prog.partition(" ")[2])
     return p
 
 
@@ -483,19 +456,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="subforest", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "gen", _GEN_DEFAULTS, _cmd_gen, help="generate a synthetic dataset CSV")
-    _command(sub, "train", _TRAIN_DEFAULTS, _cmd_train, help="train a forest on a CSV dataset")
-    _command(sub, "predict", _PREDICT_DEFAULTS, _cmd_predict, help="predict with intervals from a model file")
+    _command(sub, "gen", _GEN_DEFAULTS, ("out",), _cmd_gen, help="generate a synthetic dataset CSV")
+    _command(sub, "train", _TRAIN_DEFAULTS, ("data", "out"), _cmd_train, help="train a forest on a CSV dataset")
+    _command(sub, "predict", _PREDICT_DEFAULTS, ("model", "data", "out"), _cmd_predict,
+             help="predict with intervals from a model file")
 
     sim = sub.add_parser("simulate", help="run a simulation experiment")
     simsub = sim.add_subparsers(dest="subcommand", required=True)
-    _command(simsub, "metrics", _SIM_COMMON, _cmd_sim_metrics)
-    _command(simsub, "normality", _SIM_NORMALITY, _cmd_sim_normality)
-    _command(simsub, "coverage", _SIM_COVERAGE, _cmd_sim_coverage)
-    _command(simsub, "bias-grid", _SIM_GRID, _cmd_sim_bias_grid)
-    _command(simsub, "bootstrap", _SIM_BOOTSTRAP, _cmd_sim_bootstrap)
-    _command(simsub, "table1", _SIM_TABLE1, _cmd_sim_table1)
-    _command(sub, "oracle-check", _ORACLE_DEFAULTS, _cmd_oracle_check,
+    _command(simsub, "metrics", _SIM_COMMON, ("out",), _cmd_sim_metrics)
+    _command(simsub, "normality", _SIM_NORMALITY, ("out",), _cmd_sim_normality)
+    _command(simsub, "coverage", _SIM_COVERAGE, ("out",), _cmd_sim_coverage)
+    _command(simsub, "bias-grid", _SIM_GRID, ("out",), _cmd_sim_bias_grid)
+    _command(simsub, "bootstrap", _SIM_BOOTSTRAP, ("data", "out"), _cmd_sim_bootstrap)
+    _command(simsub, "table1", _SIM_TABLE1, ("out",), _cmd_sim_table1)
+    _command(sub, "oracle-check", _ORACLE_DEFAULTS, (), _cmd_oracle_check,
              help="exact enumeration checks; exit 2 on violation")
     return parser
 
@@ -507,7 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return args.func(_merge_config(args))
     except AssertionError as e:
         print(f"assertion failed: {e}", file=sys.stderr)
         return 2

@@ -128,12 +128,12 @@ class HonestTreeLearner:
         return out
 
 
-def _check_cap(count: int, what: str, cap: int = ENUM_CAP) -> None:
-    if count > cap:
-        raise ValueError(f"{what} = {count} exceeds the enumeration cap of {cap}")
+def _check_cap(count: int, what: str) -> None:
+    if count > ENUM_CAP:
+        raise ValueError(f"{what} = {count} exceeds the enumeration cap of {ENUM_CAP}")
 
 
-def enumerate_subsamples(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP):
+def enumerate_subsamples(ts: TrainingSet, learner, s: int):
     """All C(n, s) index subsets with their learner outputs."""
     n = ts.n
     if not 1 <= s <= n:
@@ -148,9 +148,9 @@ def enumerate_subsamples(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP):
     return subsets, np.asarray(learner(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
 
 
-def exact_vij(ts: TrainingSet, learner, s: int, cap: int = ENUM_CAP) -> float:
+def exact_vij(ts: TrainingSet, learner, s: int) -> float:
     """Exact sum_i Cov(T, N_i)^2 over the uniform subsampling measure."""
-    subsets, values = enumerate_subsamples(ts, learner, s, cap)
+    subsets, values = enumerate_subsamples(ts, learner, s)
     n = ts.n
     m_total = values.size
     t_bar = values.mean()
@@ -171,7 +171,7 @@ class HajekStats:
     degenerate: bool  # Var(T) == 0
 
 
-def _tuple_enumeration(dist: FiniteSupportDistribution, s: int, cap: int = ENUM_CAP):
+def _tuple_enumeration(dist: FiniteSupportDistribution, s: int):
     q = dist.size
     count = q**s
     _check_cap(count, f"number of i.i.d. tuples {q}^{s}")
@@ -208,15 +208,13 @@ def _first_atom_means(dist: FiniteSupportDistribution, ids, probs, values) -> np
     return cond
 
 
-def hajek_projection_stats(
-    dist: FiniteSupportDistribution, learner, s: int, cap: int = ENUM_CAP
-) -> HajekStats:
+def hajek_projection_stats(dist: FiniteSupportDistribution, learner, s: int) -> HajekStats:
     """Exact Var of the Hajek projection of T(Z_1..Z_s) vs Var(T).
 
     Uses Var(projection) = s * Var_z(E[T | Z_1 = z]), which holds for
     exchangeable learners over i.i.d. inputs.
     """
-    ids, probs = _tuple_enumeration(dist, s, cap)
+    ids, probs = _tuple_enumeration(dist, s)
     values = _tuple_values(dist, learner, ids)
     e_t = float(probs @ values)
     base_var = float(probs @ (values - e_t) ** 2)
@@ -238,9 +236,7 @@ class OracleReport:
     s: int
 
 
-def anova_bound_check(
-    dist: FiniteSupportDistribution, learner, n: int, s: int, cap: int = ENUM_CAP
-) -> OracleReport:
+def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) -> OracleReport:
     """Exact check that E[(RF - proj(RF))^2] <= (s/n)^2 Var(T).
 
     Enumerates every n-tuple of atoms, computes the subsampled ensemble
@@ -251,7 +247,7 @@ def anova_bound_check(
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    ids, probs = _tuple_enumeration(dist, n, cap)
+    ids, probs = _tuple_enumeration(dist, n)
     subsets = np.array(list(combinations(range(n), s)), dtype=np.int64)
     # each sorted atom multiset, in lexicographic order, is evaluated once;
     # its base-q key grows with that order, so searchsorted finds its row
@@ -275,7 +271,7 @@ def anova_bound_check(
     projection = e_rf + _row_reduce(np.add, cond - e_rf, ids)
     lhs = float(probs @ (rf - projection) ** 2)
 
-    stats = hajek_projection_stats(dist, learner, s, cap)
+    stats = hajek_projection_stats(dist, learner, s)
     rhs = (s / n) ** 2 * stats.base_variance
     assert lhs <= rhs * (1.0 + 1e-10) + 1e-300, (
         f"ANOVA bound violated: E[(RF - proj)^2] = {lhs!r} > (s/n)^2 Var(T) = {rhs!r}"
@@ -317,12 +313,11 @@ def incrementality_curve(
     outer: int = 1000,
     inner: int = 1000,
     uniform_density: bool = True,
-    cap: int = ENUM_CAP,
     learner=None,
 ) -> list[IncrementalityPoint]:
     """Projection-variance ratio of an honest tree learner across subsample sizes.
 
-    Exact enumeration when the source is finite with q^s under the cap,
+    Exact enumeration when the source is finite with q^s within ENUM_CAP,
     otherwise nested Monte Carlo with ``outer`` conditioning draws and
     ``inner`` completions each (both at least 1000, per the estimator's
     accuracy floor). Diagnostic only: the reference bound is asymptotic.
@@ -335,8 +330,8 @@ def incrementality_curve(
     points = []
     for s in s_values:
         ref = uniform_density_reference(s, d) if uniform_density else None
-        if isinstance(source, FiniteSupportDistribution) and source.size**s <= cap:
-            stats = hajek_projection_stats(source, learner, s, cap)
+        if isinstance(source, FiniteSupportDistribution) and source.size**s <= ENUM_CAP:
+            stats = hajek_projection_stats(source, learner, s)
             points.append(
                 IncrementalityPoint(s, stats.ratio, ref, 0.0, stats.degenerate, "exact")
             )

@@ -640,16 +640,16 @@ class TestThreadsEnv:
         from subforest import cli
 
         monkeypatch.setenv(cli.THREADS_ENV, "3")
-        assert cli._default_threads() == 3
+        assert cli._threads(None) == 3
         monkeypatch.delenv(cli.THREADS_ENV)
-        assert cli._default_threads() >= 1
+        assert cli._threads(None) >= 1
 
     def test_default_is_the_usable_cores(self, monkeypatch):
         from subforest import cli
 
         monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         monkeypatch.setattr(cli, "usable_cores", lambda: 3)
-        assert cli._default_threads() == 3
+        assert cli._threads(None) == 3
 
     def test_bad_env_value_names_the_variable(self, tmp_path, monkeypatch, capsys):
         from subforest import cli
@@ -739,6 +739,34 @@ class TestConfigValueTypes:
         assert "Traceback" not in err
         assert out == ""  # nothing reaches file descriptor 1
 
+    @pytest.mark.parametrize("doc", [5, ["out"]], ids=["number", "array"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capfd, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 1
+        err = capfd.readouterr().err
+        assert f"error: config file must hold a JSON object, got {doc!r}\n" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("labels", [5, ["a", 2, 3, 4, 5, 6], [True, 2, 3, 4, 5, 6]],
+                             ids=["number", "string-item", "bool-item"])
+    def test_labels_must_be_a_list_of_numbers(self, tmp_path, capfd, labels):
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"labels": labels}))
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+        err = capfd.readouterr().err
+        assert f"error: config key 'labels' must be a list of numbers, got {labels!r}\n" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_labels_of_ints_and_floats_accepted(self, tmp_path):
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"labels": [1, 2.5, 3, 4, 5, 6], "mc_b": 1000}))
+        out = tmp_path / "o.json"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["labels"] == [1, 2.5, 3, 4, 5, 6]
+
     def test_levels_may_be_a_number(self, tmp_path):
         cfg = tmp_path / "coverage.json"
         cfg.write_text(json.dumps({"levels": 0.9, "n": 30, "k": 2, "r": 50, "b": 10, "threads": 1}))
@@ -759,3 +787,58 @@ class TestConfigValueTypes:
 
 def _exit_worker(args):
     os._exit(3)
+
+
+class TestRequiredKeys:
+    @pytest.mark.parametrize("command, given, missing", [
+        ("gen", [], ["--out"]),
+        ("train", [], ["--data", "--out"]),
+        ("predict", [], ["--model", "--data", "--out"]),
+        ("simulate metrics", [], ["--out"]),
+        ("simulate normality", [], ["--out"]),
+        ("simulate coverage", [], ["--out"]),
+        ("simulate bias-grid", [], ["--out"]),
+        ("simulate table1", [], ["--out"]),
+        ("simulate bootstrap", ["--out", "boot.csv"], ["--data"]),
+    ], ids=["gen", "train", "predict", "metrics", "normality", "coverage", "bias-grid", "table1", "bootstrap"])
+    def test_missing_required_key_names_every_flag(self, tmp_path, monkeypatch, capsys, command, given, missing):
+        from subforest import cli, experiments
+
+        def trained(*_, **__):
+            raise AssertionError("trained before the required keys were checked")
+
+        for module, name in [(cli, "train"), (experiments, "train"), (experiments, "simulate_predictions")]:
+            monkeypatch.setattr(module, name, trained)
+        monkeypatch.chdir(tmp_path)
+        assert main(command.split() + given) == 1
+        assert f"error: {command}: required but not set: {', '.join(missing)}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestInProcessReuse:
+    def test_repeated_runs_write_identical_bytes_and_leave_the_tables(self, tmp_path, monkeypatch):
+        import copy
+
+        from subforest import cli
+
+        def tables():
+            return {name: v for name, v in vars(cli).items() if name.isupper() and isinstance(v, dict)}
+
+        before = copy.deepcopy(tables())
+        assert {"_SIM_COMMON", "_SIM_BOOTSTRAP", "_TRAIN_DEFAULTS"} <= set(before)
+        monkeypatch.setenv(cli.THREADS_ENV, "1")
+        data = _gen(tmp_path, n=60)
+        # d, s, b, n and threads are left unset, so each run resolves them
+        runs = [
+            ["simulate", "metrics", "--n", "60", "--k", "2", "--r", "3", "--b", "10"],
+            ["simulate", "bootstrap", "--data", str(data), "--k", "2", "--r", "3"],
+            ["train", "--data", str(data), "--b", "6"],
+        ]
+        for argv in runs:
+            out = tmp_path / "out"
+            assert main(argv + ["--out", str(out)]) == 0
+            first = out.read_bytes()
+            out.unlink()
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == first, argv
+        assert tables() == before

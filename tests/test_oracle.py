@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import combinations, combinations_with_replacement, product
 
@@ -115,6 +116,14 @@ class TestHajek:
     def test_cap_error(self):
         with pytest.raises(ValueError, match="cap"):
             oracle.hajek_projection_stats(_uniform_dist(list(range(10))), SubsampleMean(), 7)
+
+    @pytest.mark.parametrize("fn", [
+        oracle.enumerate_subsamples, oracle.exact_vij, oracle._tuple_enumeration, oracle.hajek_projection_stats,
+        oracle.anova_bound_check, oracle.incrementality_curve, oracle._check_cap,
+    ], ids=lambda fn: fn.__name__)
+    def test_enumerations_take_no_cap_argument(self, fn):
+        # a cap argument used to be accepted and then ignored; ENUM_CAP is the one cap
+        assert "cap" not in inspect.signature(fn).parameters
 
 
 class TestAnovaBound:
