@@ -282,6 +282,8 @@ def normality_report(predictions: np.ndarray, alpha: float = 0.01) -> NormalityR
 def run_normality(spec: ExperimentSpec, alpha: float = 0.01) -> NormalityReport:
     if spec.r_replicates < 50:
         raise ValueError("normality checks need at least 50 replicates")
+    if not 0.0 < alpha < 1.0:  # before any replicate trains
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     sim = simulate_predictions(spec)
     return normality_report(sim.predictions, alpha)
 

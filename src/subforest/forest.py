@@ -8,18 +8,17 @@ order with numpy's pairwise summation, which keeps the reduction
 deterministic as well.
 
 Training grows each worker's range of trees in blocks of at most
-``_TREE_BLOCK``: each tree's stream draws its swap targets and, for an
-honest tree, its uniform table, on one generator restarted per tree; the
-block's subsamples and partitions are then built together
-(``sampling.draw_block`` and ``partition_block``, one swap loop over all
-rows), and ``tree.grow_block`` grows the block level by level. A tree does
-not depend on its block, so blocks and worker ranges are a schedule, not
-part of the model. Worker ranges go out through ``fan_out``, which imports
+``_TREE_BLOCK``. ``_fit_block`` draws each tree's randomness from the
+tree's own stream (its docstring gives the layout), builds the block's
+subsamples and partitions together (``sampling.draw_block`` and
+``partition_block``, one swap loop over all rows), and ``tree.grow_block``
+grows the block level by level. ``fit_subsamples``, which the exact
+oracles use, grows its given subsamples through the same function. A tree
+does not depend on its block, so blocks and worker ranges are a schedule,
+not part of the model. Worker ranges go out through ``fan_out``, which imports
 the process pool (``concurrent.futures`` and ``multiprocessing``, 12-19 ms)
-only on its first call with more than one worker: the module attribute
-``ProcessPoolExecutor`` is resolved on first use by a PEP 562 module
-``__getattr__``. So a serial ``train``, a prediction and an import of the
-CLI never load it.
+inside the call and only with more than one worker, so a serial ``train``,
+a prediction and an import of the CLI never load it.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
 node arrays once, and traversal, the variance estimate, the regularity
@@ -30,9 +29,9 @@ threshold or a leaf's prediction, and one byte of split provenance. Which
 prediction point an honest leaf holds is not stored: routing the tree's
 subsample recovers it (``tree.validate_regularity``). Tree b owns the
 nodes ``roots[b]`` up to the next root, numbered breadth-first, so child
-ids are not stored: ``tree.left_children`` derives them once, when the
-construction check reads them, and ``ForestModel.left`` keeps them for
-traversal and the audit. The check makes the derivation safe for any
+ids are not stored: the construction check derives them
+(``tree.left_children``) into ``ForestModel.left``, which traversal and the
+audit read. The check makes the derivation safe for any
 input: each tree has 2 * splits + 1 nodes, and each split's left child lies
 after it, so every node but a root is the child of exactly one split and a
 walk from any root ends at a leaf.
@@ -70,7 +69,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +151,8 @@ class ForestModel:
     s: int
     b: int
     config: ForestConfig
+    # (N,) int64 left child id of every split, a leaf's own id at leaves, set by the check
+    left: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in PACKED_DTYPES.items():
@@ -188,6 +188,7 @@ class ForestModel:
         split = self.feature >= 0
         if np.any(size != 2 * np.add.reduceat(split, self.roots, dtype=np.intp) + 1):
             raise ValueError("every tree needs 2 * splits + 1 nodes")
+        object.__setattr__(self, "left", tree_mod.left_children(self.feature, self.roots))
         if np.any(split & (self.left <= np.arange(n_nodes))):
             raise ValueError("every split's children must lie after it inside its tree")
         if not np.all(np.isfinite(self.value) | ~split):
@@ -202,14 +203,6 @@ class ForestModel:
                 raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
             if not row_members(self.subsample_indices, pred, self.n).all():
                 raise ValueError("prediction indices must lie inside their tree's subsample")
-
-    @cached_property
-    def left(self) -> np.ndarray:
-        """(N,) left child id of every split, a leaf's own id at leaves (``tree.left_children``).
-
-        Derived once, by the construction check; traversal and the audit reuse it.
-        """
-        return tree_mod.left_children(self.feature, self.roots)
 
 
 def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestModel:
@@ -254,18 +247,10 @@ class WorkerError(RuntimeError):
     """A worker process died before it returned its jobs' results."""
 
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use (PEP 562; see the module docstring).
-
-    The class is then cached as a module global: the one attribute
-    ``fan_out`` reads and a test may patch.
-    """
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
+# a stand-in pool class for ``fan_out``, which takes
+# concurrent.futures.ProcessPoolExecutor while this is None; kept for
+# perfbench's smoke test, which patches this name
+ProcessPoolExecutor = None
 
 
 def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
@@ -280,9 +265,10 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     workers = worker_count(n_jobs, len(jobs), usable_cores())
     if workers == 1:
         return [fn(job) for job in jobs]
+    import concurrent.futures
     from concurrent.futures.process import BrokenProcessPool
 
-    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    pool_class = ProcessPoolExecutor or concurrent.futures.ProcessPoolExecutor
     results = []
     with pool_class(max_workers=workers) as pool:
         try:
@@ -294,58 +280,51 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
     return results
 
 
-def _stream_draws(paths: list, lows: np.ndarray, highs: np.ndarray, n_pred: int):
-    """Per stream ``rng.stream(*paths[t])``: its draws ``integers(lows, highs)``, then
-    its ``split_uniforms`` table for ``n_pred`` prediction points (none when 0).
+def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, paths: list,
+               sub: np.ndarray | None = None):
+    """One block of trees, tree t grown on the stream ``rng.stream(*paths[t])``:
+    (GrownBlock, subsample rows, prediction rows or None), the rows in their
+    ``PACKED_DTYPES`` dtypes.
 
-    One Philox generator is restarted on each stream (``rng.rekey``) rather
-    than built per stream, and each table is drawn into its row of one array.
+    Tree t's stream draws, in order: its subsample's ``cfg.s`` swap targets
+    (``sampling.draw_block``), skipped when ``sub[t]`` gives its sorted
+    subsample row; then, for an honest tree, its partition's
+    ``prediction_size(s)`` swap targets (``sampling.partition_block``) and its
+    ``tree.split_uniforms`` table. One ``integers`` call over both target
+    ranges draws the values of two separate calls. One Philox generator is
+    restarted on each stream (``rng.rekey``) rather than built per stream.
     """
+    s = cfg.s
+    k = prediction_size(s) if cfg.tree.mode == HONEST else 0
+    m = 0 if sub is not None else s  # subsample swap targets to draw
+    lows = np.concatenate([np.arange(m), np.arange(k)])
+    highs = np.concatenate([np.full(m, ts.n), np.full(k, s)])
     gen = rng.stream(0)  # any Philox generator: rekey restarts it
     js = np.empty((len(paths), lows.size), dtype=np.int64)
-    uniforms = np.empty((len(paths), 2 * n_pred - 1, tree_mod.UNIFORMS)) if n_pred else None
+    uniforms = np.empty((len(paths), 2 * k - 1, tree_mod.UNIFORMS)) if k else None
     for t, path in enumerate(paths):
         rng.rekey(gen, *path)
         js[t] = gen.integers(lows, highs)
-        if n_pred:
-            tree_mod.split_uniforms(gen, n_pred, out=uniforms[t])
-    return js, uniforms
-
-
-def _grow(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, sub: np.ndarray,
-          part_js: np.ndarray, uniforms: np.ndarray | None):
-    """Trees on subsample rows ``sub``, with their subsample and prediction rows
-    in their ``PACKED_DTYPES`` dtypes.
-
-    Honest tree t takes its partition's swap targets ``part_js[t]`` and its
-    uniform table ``uniforms[t]``; CART trees take neither.
-    """
+        if k:
+            tree_mod.split_uniforms(gen, k, out=uniforms[t])
+    if sub is None:
+        sub = draw_block(ts.n, s, js[:, :s])
     packed_sub = sub.astype(PACKED_DTYPES["subsample_indices"])
     if cfg.tree.mode != HONEST:
         return tree_mod.grow_block(ts, axes, cfg.tree, sub), packed_sub, None
-    struct, pred = partition_block(sub, part_js)
+    struct, pred = partition_block(sub, js[:, m:])
     grown = tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms)
     return grown, packed_sub, pred.astype(PACKED_DTYPES["prediction_indices"])
 
 
 def _fit_range(args) -> list:
-    ts, axes, cfg, s, b_lo, b_hi = args
-    k = prediction_size(s) if cfg.tree.mode == HONEST else 0
-    # tree b's stream draws its subsample's swap targets, then its
-    # partition's, then its uniform table; one integers call over both
-    # target ranges draws the values of the two separate calls
-    lows = np.concatenate([np.arange(s), np.arange(k)])
-    highs = np.concatenate([np.full(s, ts.n), np.full(k, s)])
-    blocks = []
-    for lo in range(b_lo, b_hi, _TREE_BLOCK):
-        paths = [(cfg.seed, rng.TREE, b) for b in range(lo, min(lo + _TREE_BLOCK, b_hi))]
-        js, uniforms = _stream_draws(paths, lows, highs, k)
-        blocks.append(_grow(ts, axes, cfg, draw_block(ts.n, s, js[:, :s]), js[:, s:], uniforms))
-    return blocks
+    ts, axes, cfg, b_lo, b_hi = args
+    return [_fit_block(ts, axes, cfg, [(cfg.seed, rng.TREE, b) for b in range(lo, min(lo + _TREE_BLOCK, b_hi))])
+            for lo in range(b_lo, b_hi, _TREE_BLOCK)]
 
 
 def _range_name(args) -> str:
-    return f"trees {args[4]}-{args[5] - 1}"
+    return f"trees {args[3]}-{args[4] - 1}"
 
 
 def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
@@ -355,21 +334,19 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
     workers = worker_count(n_jobs, b_total, usable_cores())
     chunk = -(-b_total // (4 * workers))
     axes = tree_mod.sorted_axes(ts)
-    ranges = [(ts, axes, cfg, s, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
+    # worker ranges of several blocks amortize pickling (ts, axes) to the workers
+    ranges = [(ts, axes, cfg, lo, min(lo + chunk, b_total)) for lo in range(0, b_total, chunk)]
     blocks = [blk for part in fan_out(_fit_range, ranges, workers, _range_name) for blk in part]
     return _pack(blocks, ts.n, s, ts.d, cfg)
 
 
 def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, paths: list) -> ForestModel:
-    """A forest of one tree per given sorted subsample row, tree b drawing its
-    partition and uniform table from ``rng.stream(*paths[b])``.
+    """A forest of one tree per sorted subsample row of ``sub``, tree b grown on
+    ``rng.stream(*paths[b])`` (``_fit_block``).
 
     ``cfg`` must carry s and b matching ``sub``.
     """
-    s = sub.shape[1]
-    k = prediction_size(s) if cfg.tree.mode == HONEST else 0
-    js, uniforms = _stream_draws(paths, np.arange(k), np.full(k, s), k)
-    return _pack([_grow(ts, tree_mod.sorted_axes(ts), cfg, sub, js, uniforms)], ts.n, s, ts.d, cfg)
+    return _pack([_fit_block(ts, tree_mod.sorted_axes(ts), cfg, paths, sub)], ts.n, cfg.s, ts.d, cfg)
 
 
 def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:

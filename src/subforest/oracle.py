@@ -171,40 +171,27 @@ class HajekStats:
     degenerate: bool  # Var(T) == 0
 
 
-def _tuple_enumeration(dist: FiniteSupportDistribution, s: int):
-    q = dist.size
-    count = q**s
-    _check_cap(count, f"number of i.i.d. tuples {q}^{s}")
-    # row r is the r-th tuple of itertools.product(range(q), repeat=s), written once, in C order
-    axes = np.meshgrid(*[np.arange(q, dtype=np.int64)] * s, indexing="ij", copy=False)
-    ids = np.stack(axes, axis=-1).reshape(count, s)
-    return ids, _row_reduce(np.multiply, dist.probs, ids)
-
-
-def _row_reduce(ufunc, table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(table[ids], axis=1)`` one column at a time, with the same bits.
-
-    numpy multiplies a row in order and adds fewer than 8 terms in order; from
-    8 terms on it adds pairwise, so those rows are gathered whole.
-    """
-    if ufunc is np.add and ids.shape[1] >= 8:
-        return ufunc.reduce(table[ids], axis=1)
-    out = table[ids[:, 0]]
-    for j in range(1, ids.shape[1]):
-        ufunc(out, table[ids[:, j]], out=out)
-    return out
+def _tuple_ids(q: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the m-tuples of ``itertools.product(range(q), repeat=m)``:
+    the base-q digits of their row numbers."""
+    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % q
 
 
 def _tuple_values(dist: FiniteSupportDistribution, learner, ids: np.ndarray) -> np.ndarray:
     return np.asarray(learner(dist.xs[ids], dist.ys[ids]), dtype=np.float64)
 
 
-def _first_atom_means(dist: FiniteSupportDistribution, ids, probs, values) -> np.ndarray:
-    """E[value | first atom = z] for every atom z, over the tuples ``ids``."""
+def _first_atom_means(dist: FiniteSupportDistribution, probs, values) -> np.ndarray:
+    """E[value | first atom = z] for every atom z, over all tuples in product order.
+
+    The tuples whose first atom is z are one contiguous run of rows.
+    """
+    run = probs.size // dist.size
     cond = np.zeros(dist.size)
     for z in range(dist.size):
-        mask = ids[:, 0] == z
-        cond[z] = float(probs[mask] @ values[mask]) / dist.probs[z]
+        rows = slice(z * run, (z + 1) * run)
+        cond[z] = float(probs[rows] @ values[rows]) / dist.probs[z]
     return cond
 
 
@@ -214,11 +201,14 @@ def hajek_projection_stats(dist: FiniteSupportDistribution, learner, s: int) -> 
     Uses Var(projection) = s * Var_z(E[T | Z_1 = z]), which holds for
     exchangeable learners over i.i.d. inputs.
     """
-    ids, probs = _tuple_enumeration(dist, s)
+    q = dist.size
+    _check_cap(q**s, f"number of i.i.d. tuples {q}^{s}")
+    ids = _tuple_ids(q, s, 0, q**s)
+    probs = np.multiply.reduce(dist.probs[ids], axis=1)
     values = _tuple_values(dist, learner, ids)
     e_t = float(probs @ values)
     base_var = float(probs @ (values - e_t) ** 2)
-    hajek_var = s * float(dist.probs @ (_first_atom_means(dist, ids, probs, values) - e_t) ** 2)
+    hajek_var = s * float(dist.probs @ (_first_atom_means(dist, probs, values) - e_t) ** 2)
     if base_var == 0.0:
         return HajekStats(hajek_var, base_var, math.nan, True)
     return HajekStats(hajek_var, base_var, hajek_var / base_var, False)
@@ -247,28 +237,36 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
     """
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    ids, probs = _tuple_enumeration(dist, n)
+    q = dist.size
+    count = q**n
+    _check_cap(count, f"number of i.i.d. tuples {q}^{n}")
     subsets = np.array(list(combinations(range(n), s)), dtype=np.int64)
     # each sorted atom multiset, in lexicographic order, is evaluated once;
     # its base-q key grows with that order, so searchsorted finds its row
-    q = dist.size
     multisets = np.array(list(combinations_with_replacement(range(q), s)), dtype=np.int64)
     values = _tuple_values(dist, learner, multisets)
     place = q ** np.arange(s - 1, -1, -1)
     keys = multisets @ place
-    rf = np.empty(ids.shape[0])
+    # the n-tuples go by in chunks of rows, each chunk's atom ids built from
+    # its row numbers; probs, rf and the projection stay whole vectors
     rows = max(1, _PAIR_CHUNK // len(subsets))
-    for lo in range(0, ids.shape[0], rows):
-        chunk = np.sort(ids[lo:lo + rows][:, subsets], axis=2)  # (rows, C(n, s), s)
+    bounds = [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+    probs, rf = np.empty(count), np.empty(count)
+    for lo, hi in bounds:
+        ids = _tuple_ids(q, n, lo, hi)
+        probs[lo:hi] = np.multiply.reduce(dist.probs[ids], axis=1)
+        chunk = np.sort(ids[:, subsets], axis=2)  # (rows, C(n, s), s)
         t = values[np.searchsorted(keys, chunk @ place)]
         acc = np.zeros(t.shape[0])
         for col in t.T:  # each tuple's sum taken in combinations order
             acc += col
-        rf[lo:lo + rows] = acc / len(subsets)
+        rf[lo:hi] = acc / len(subsets)
 
     e_rf = float(probs @ rf)
-    cond = _first_atom_means(dist, ids, probs, rf)
-    projection = e_rf + _row_reduce(np.add, cond - e_rf, ids)
+    centred = _first_atom_means(dist, probs, rf) - e_rf
+    projection = np.empty(count)
+    for lo, hi in bounds:
+        projection[lo:hi] = e_rf + np.add.reduce(centred[_tuple_ids(q, n, lo, hi)], axis=1)
     lhs = float(probs @ (rf - projection) ** 2)
 
     stats = hajek_projection_stats(dist, learner, s)

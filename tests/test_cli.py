@@ -378,6 +378,19 @@ class TestSimulate:
         assert main(["simulate", "normality", "--n", "60", "--k", "2", "--r", "10",
                      "--b", "20", "--threads", "1", "--out", str(tmp_path / "n.json")]) == 1
 
+    @pytest.mark.parametrize("alpha, bad", [("2", "2.0"), ("0", "0.0"), ("nan", "nan")])
+    def test_normality_alpha_checked_before_training(self, tmp_path, monkeypatch, capsys, alpha, bad):
+        from subforest import experiments
+
+        def trained(*_):
+            raise AssertionError("a replicate trained before alpha was checked")
+
+        monkeypatch.setattr(experiments, "simulate_predictions", trained)
+        assert main(["simulate", "normality", "--n", "60", "--k", "2", "--r", "50", "--b", "10",
+                     "--alpha", alpha, "--threads", "1", "--out", str(tmp_path / "n.json")]) == 1
+        assert f"error: alpha must be in (0, 1), got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "n.json").exists()
+
     def test_coverage_requires_50_replicates(self, tmp_path, capsys):
         assert main(["simulate", "coverage", "--n", "60", "--k", "2", "--r", "10",
                      "--b", "20", "--threads", "1", "--out", str(tmp_path / "c.json")]) == 1

@@ -94,7 +94,7 @@ class TestBlockGrowth:
                 grown[block] = forest.train(ts, cfg)
             # and all 23 in one block
             resolved = grown[1].config
-            one_block = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), resolved, resolved.s, 0, 23)),
+            one_block = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), resolved, 0, 23)),
                                      ts.n, resolved.s, ts.d, resolved)
             assert same_forest(grown[1], grown[7])
             assert same_forest(grown[1], grown[256])
@@ -224,7 +224,7 @@ class TestGoldenTrees:
         assert _digest(fm, ts) == self.DIGESTS_D5[mode]
         cfg = fm.config
         assert cfg.b // forest._TREE_BLOCK == 1
-        one_range = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), cfg, cfg.s, 0, cfg.b)),
+        one_range = forest._pack(forest._fit_range((ts, tree.sorted_axes(ts), cfg, 0, cfg.b)),
                                  ts.n, cfg.s, ts.d, cfg)
         assert same_forest(fm, one_range)
 
@@ -459,6 +459,8 @@ class TestWorkers:
             forest.train(cosine_1k, ForestConfig(b=2), n_jobs=0)
 
     def test_fan_out_pool_is_clamped(self, monkeypatch):
+        import concurrent.futures
+
         # a stand-in pool records its size and maps serially: no process starts
         sizes = []
 
@@ -475,7 +477,7 @@ class TestWorkers:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(forest, "usable_cores", lambda: 2)
         assert forest.fan_out(abs, [-1, -2, -3], 1000) == [1, 2, 3]
         assert forest.fan_out(abs, [-4], 1000) == [4]

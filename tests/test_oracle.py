@@ -118,7 +118,7 @@ class TestHajek:
             oracle.hajek_projection_stats(_uniform_dist(list(range(10))), SubsampleMean(), 7)
 
     @pytest.mark.parametrize("fn", [
-        oracle.enumerate_subsamples, oracle.exact_vij, oracle._tuple_enumeration, oracle.hajek_projection_stats,
+        oracle.enumerate_subsamples, oracle.exact_vij, oracle.hajek_projection_stats,
         oracle.anova_bound_check, oracle.incrementality_curve, oracle._check_cap,
     ], ids=lambda fn: fn.__name__)
     def test_enumerations_take_no_cap_argument(self, fn):
@@ -162,14 +162,12 @@ class TestAnovaBound:
         assert sorted(calls[0]) == list(combinations_with_replacement([0.0, 1.0, 2.0], 2))
         assert len(calls[1]) == 3**2
 
-    @pytest.mark.parametrize("learner", [SubsampleMean(), SubsampleMax(), LabelSum()])
-    def test_equals_memoised_per_tuple_loop(self, learner):
+    @staticmethod
+    def _memoised_per_tuple_loop(dist, learner, n, s):
         # reference: every (tuple, subset) pair summed in combinations order
-        # over memoised one-subsample calls, then the projection; bit for bit
-        dist = _uniform_dist([0.0, 0.5, 4.0])
-        n, s = 5, 3
-        rep = oracle.anova_bound_check(dist, learner, n, s)
-        ids = np.array(list(product(range(3), repeat=n)))
+        # over memoised one-subsample calls, then the projection
+        q = dist.size
+        ids = np.array(list(product(range(q), repeat=n)))
         probs = dist.probs[ids].prod(axis=1)
         memo, rf = {}, []
         for tup in ids:
@@ -182,19 +180,23 @@ class TestAnovaBound:
             rf.append(acc / math.comb(n, s))
         rf = np.array(rf)
         e_rf = float(probs @ rf)
-        cond = np.array([float(probs[ids[:, 0] == z] @ rf[ids[:, 0] == z]) / dist.probs[z] for z in range(3)])
+        cond = np.array([float(probs[ids[:, 0] == z] @ rf[ids[:, 0] == z]) / dist.probs[z] for z in range(q)])
         lhs = float(probs @ (rf - (e_rf + (cond[ids] - e_rf).sum(axis=1))) ** 2)
-        assert (rep.expected_forest_value, rep.anova_lhs) == (e_rf, lhs)
+        return e_rf, lhs
 
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_column_reductions_match_numpy_bit_for_bit(self, n):
-        # numpy's row sum turns pairwise at 8 terms; products stay in order
-        gen = np.random.default_rng(n)
-        table = gen.standard_normal(11) * np.exp(5.0 * gen.standard_normal(11))
-        ids = gen.integers(0, 11, size=(4000, n))
-        for got, want in [(oracle._row_reduce(np.multiply, table, ids), table[ids].prod(axis=1)),
-                          (oracle._row_reduce(np.add, table, ids), table[ids].sum(axis=1))]:
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @pytest.mark.parametrize("learner", [SubsampleMean(), SubsampleMax(), LabelSum()])
+    def test_equals_memoised_per_tuple_loop(self, learner):
+        dist = _uniform_dist([0.0, 0.5, 4.0])
+        rep = oracle.anova_bound_check(dist, learner, 5, 3)
+        assert (rep.expected_forest_value, rep.anova_lhs) == self._memoised_per_tuple_loop(dist, learner, 5, 3)
+
+    @pytest.mark.parametrize("learner", [SubsampleMean(), SubsampleMax(), LabelSum()])
+    def test_nine_term_projection_rows_equal_memoised_loop(self, learner):
+        # from 8 terms on numpy sums a projection row pairwise; with these
+        # atoms the 9-term rows give other bits when summed in order
+        dist = FiniteSupportDistribution(np.array([[1.0], [0.001]]), np.array([1.0, 0.001]), np.array([0.3, 0.7]))
+        rep = oracle.anova_bound_check(dist, learner, 9, 2)
+        assert (rep.expected_forest_value, rep.anova_lhs) == self._memoised_per_tuple_loop(dist, learner, 9, 2)
 
     @pytest.mark.parametrize("chunk", [7, 25, 1000])
     def test_identical_across_chunk_boundaries(self, monkeypatch, chunk):
