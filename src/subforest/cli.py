@@ -216,6 +216,8 @@ def _load_query(path, feature_names, d) -> np.ndarray:
 
 
 def _cmd_predict(cfg: dict) -> int:
+    if not 0.0 < cfg["level"] < 1.0:  # before the model loads
+        raise ValueError(f"level must be in (0, 1), got {cfg['level']}")
     fm, meta = load_model(cfg["model"])
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
     yhat, est = predict_with_variance(fm, xs)

@@ -31,10 +31,12 @@ subsample recovers it (``tree.validate_regularity``). Tree b owns the
 nodes ``roots[b]`` up to the next root, numbered breadth-first, so child
 ids are not stored: the construction check derives them
 (``tree.left_children``) into ``ForestModel.left``, which traversal and the
-audit read. The check makes the derivation safe for any
-input: each tree has 2 * splits + 1 nodes, and each split's left child lies
-after it, so every node but a root is the child of exactly one split and a
-walk from any root ends at a leaf.
+audit read. The derivation checks what makes it safe for any input: each
+tree has 2 * splits + 1 nodes, and each split's left child lies after it,
+so every node but a root is the child of exactly one split and a walk from
+any root ends at a leaf. Beyond ``left`` itself it builds one bool split
+mask of the forest's length and compares ids in blocks, so loading a model
+holds little more than the model.
 
 ``predict_per_tree`` finds each (tree, query) leaf by one of two traversals,
 which return the same copied leaf values bit for bit:
@@ -185,13 +187,8 @@ class ForestModel:
         # the derived children lie inside each tree and make it one binary tree
         # (see the module docstring); a threshold orders against every query
         # as the walk reads it
-        split = self.feature >= 0
-        if np.any(size != 2 * np.add.reduceat(split, self.roots, dtype=np.intp) + 1):
-            raise ValueError("every tree needs 2 * splits + 1 nodes")
         object.__setattr__(self, "left", tree_mod.left_children(self.feature, self.roots))
-        if np.any(split & (self.left <= np.arange(n_nodes))):
-            raise ValueError("every split's children must lie after it inside its tree")
-        if not np.all(np.isfinite(self.value) | ~split):
+        if not np.all(np.isfinite(self.value) | (self.feature < 0)):
             raise ValueError("split thresholds must be finite")
         if self.subsample_indices.shape != (self.b, self.s) or not _sorted_rows(self.subsample_indices, self.n):
             raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")

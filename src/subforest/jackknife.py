@@ -30,17 +30,40 @@ every query's interval. ``est[k]`` is query k's view, with float fields and
 the column C[:, k]; ``v_ij`` returns that view of its one column.
 The inclusion counts N*_bi are read from one record, the (B, s) sorted
 subsample index rows that the forest stores (and that ``v_ij`` takes), so
-s is their width. The kernel accumulates
-C = (1/B) sum_blocks Ntilde_blk^T @ centered_blk over blocks of at most
-``_IJ_BLOCK`` trees, building each block's rows Ntilde = N* - s/n as float64
-straight from its index rows, and divides by B in place. So beyond the
-(B, K) input and the (n, K) result it holds one (_IJ_BLOCK, n) float64 block
-and, past one block, one (n, K) partial product; no (B, n) counts matrix is
-formed. At B <= ``_IJ_BLOCK`` this is the single product of the dense
-formula on the same values, so the estimates are bit-identical to it; past
-that only the order in which the blocks' products are summed differs, which
-moves the estimates by rounding (at most 2.2e-15 relative on a cosine d=2
-forest at n = 5000, B = 25000).
+s is their width.
+
+The kernel accumulates C = (1/B) sum_blocks Ntilde_blk^T @ centered_blk in
+two loops. The outer one runs over blocks of at most ``_IJ_BLOCK`` trees, in
+tree order; each block's index rows become one (block, n) bool membership
+table. The inner one runs over slabs of at most ``_IJ_SLAB`` training rows:
+the slab's columns Ntilde = N* - s/n are written as float64 into one
+(block, slab) tile, and the slab's GEMM writes straight into its rows of C
+(from the second tree block on, into a (slab, K) partial that is then added
+to those rows). C is divided by B in place. So beyond the (B, K) input and
+the (n, K) result the kernel holds one byte per (tree, training row) of a
+block and one (_IJ_BLOCK, _IJ_SLAB) float64 tile: 1/8 of a float64 block
+plus 8 MB at most, where it used to hold a (_IJ_BLOCK, n) float64 block
+and, past one block, an (n, K) partial. No (B, n) counts matrix is formed.
+Slabs are wide because every GEMM call has a fixed cost: on a 2-vCPU
+machine whose scheduler leaves OpenBLAS's worker thread on the caller's
+CPU, a 2-thread call waits about 8 ms for it, so 128-row slabs made a
+predict at n = 1000, B = 1000, K = 25 about 3.5 times slower.
+
+What stays bit-identical: each C_i is the same dot product over a block's
+trees, and the blocks' products are added to C_i in the same order, so
+slabbing changes only the shape of each GEMM call. When n fits in one slab
+and B in one block, that call is the dense formula's single product on the
+same values, so the estimates are bit-identical to it; this covers the
+exact oracles and the small-n tests. The tile keeps the transposed layout
+of the dense formula's (B, n) block, because OpenBLAS rounds a
+non-transposed operand differently. Past one slab, OpenBLAS sums a slab
+product of under about 1.2M multiply-adds in another order than the whole
+product, with 1 or 2 threads, which moves the estimates by rounding: at
+n = 1000 this was seen only at K = 2 with 1000 or more trees in a block,
+at most 1.5e-15 relative (128-row slabs: K <= 10; 64-row slabs: K = 50 too).
+Past one tree block only the order in which the blocks' products are summed
+differs from the dense formula, which moves the estimates by rounding (at
+most 2.2e-15 relative on a cosine d=2 forest at n = 5000, B = 25000).
 """
 
 from __future__ import annotations
@@ -52,9 +75,13 @@ import numpy as np
 from .forest import ForestModel, _sorted_rows, predict_per_tree
 from .normal import norm_ppf
 
-# trees per block of N* - s/n rows: bounds the kernel's working set
-# independently of B, like forest._PAIR_BLOCK bounds the traversal's
+# trees per block: the blocks' products are summed into C in tree order, and
+# a block's membership table and tile are this many rows high, whatever B is
 _IJ_BLOCK = 2048
+# training rows per slab of N* - s/n: the float64 tile is (_IJ_BLOCK, _IJ_SLAB)
+# whatever n is. Few slabs per block keep the GEMM calls few, and narrower
+# slabs round differently from the whole product at more K (see above)
+_IJ_SLAB = 512
 
 
 @dataclass(frozen=True)
@@ -110,27 +137,29 @@ def _finite_sample_scale(n: int, s: int) -> float:
     return (n - 1) / n * (n / (n - s)) ** 2 if s < n else 0.0
 
 
-def _tilde_block(rows: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Float64 rows N*_b - s/n of the trees lo..lo+_IJ_BLOCK-1 (clipped to B), from their index rows."""
-    idx = rows[lo:lo + _IJ_BLOCK]
-    s = rows.shape[1]
-    # 1 - s/n at the tree's subsample, -s/n elsewhere
-    block = np.full((idx.shape[0], n), -(s / n))
-    np.put_along_axis(block, idx, 1 - s / n, axis=1)
-    return block
-
-
 def _estimates(centered: np.ndarray, rows: np.ndarray, n: int) -> VarianceEstimate:
     """The IJ kernel: the estimates of every column of a (B, K) matrix of centered tree outputs.
 
     ``rows`` holds tree b's sorted subsample indices in row b, (B, s).
     """
     b, s = rows.shape
-    c_all = _tilde_block(rows, 0, n).T @ centered[:_IJ_BLOCK]  # (n, K)
-    if b > _IJ_BLOCK:
-        part = np.empty_like(c_all)
-        for lo in range(_IJ_BLOCK, b, _IJ_BLOCK):
-            c_all += np.matmul(_tilde_block(rows, lo, n).T, centered[lo:lo + _IJ_BLOCK], out=part)
+    c_all = np.empty((n, centered.shape[1]))
+    member = np.empty((min(b, _IJ_BLOCK), n), dtype=bool)
+    tile = np.empty((min(b, _IJ_BLOCK), min(n, _IJ_SLAB)))
+    part = np.empty((min(n, _IJ_SLAB), centered.shape[1])) if b > _IJ_BLOCK else None
+    for t in range(0, b, _IJ_BLOCK):
+        idx, block = rows[t:t + _IJ_BLOCK], centered[t:t + _IJ_BLOCK]
+        m = member[:idx.shape[0]]
+        m.fill(False)
+        np.put_along_axis(m, idx, True, axis=1)
+        for lo in range(0, n, _IJ_SLAB):
+            hi = min(lo + _IJ_SLAB, n)
+            # 1 - s/n at the tree's subsample, -s/n elsewhere
+            tilde = np.subtract(m[:, lo:hi], s / n, out=tile[:idx.shape[0], :hi - lo])
+            if t == 0:
+                np.matmul(tilde.T, block, out=c_all[lo:hi])
+            else:
+                c_all[lo:hi] += np.matmul(tilde.T, block, out=part[:hi - lo])
     c_all /= b
     plugin = np.einsum("ik,ik->k", c_all, c_all)
     v_hat = np.einsum("bk,bk->k", centered, centered) / b

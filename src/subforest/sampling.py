@@ -22,8 +22,9 @@ import numpy as np
 # entries of the (rows, n) index pool one ``draw_block`` chunk may hold
 _POOL_ENTRIES = 1 << 20
 
-# rows of the (rows, n) bool table one ``row_members`` block builds
-_MEMBER_ROWS = 2048
+# rows of the (rows, n) bool table one ``row_members`` block builds: few, so
+# the model check's table and index arrays stay small beside the model
+_MEMBER_ROWS = 256
 
 
 def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:

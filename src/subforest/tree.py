@@ -106,6 +106,10 @@ UNIFORMS = 5
 # split provenance, by split_kind code
 SPLIT_KINDS = ("greedy", "uniform", "redrawn", "fallback")
 
+# node ids compared and set together: bounds the temporaries of deriving
+# child ids independently of the forest's node count
+_ID_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -138,16 +142,32 @@ def left_children(feature: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Left child id of every split of packed breadth-first trees; a leaf maps to itself.
 
     Tree b's split with k splits before it in the tree has children
-    ``roots[b] + 1 + 2k`` and the id after that.
+    ``roots[b] + 1 + 2k`` and the id after that. Raises ``ValueError``
+    unless every tree has 2 * splits + 1 nodes and every split's left child
+    lies after it, which makes each tree one binary tree.
     """
     split = feature >= 0
-    # built in place: a split with c splits up to and including it in the
-    # forest has k = c - 1 - (splits before its root)
-    left = np.cumsum(split)
-    first = roots - 1 - 2 * (left[roots] - split[roots])
+    # tree t's split with c splits up to and including it in the forest has
+    # k = c - 1 - (root - t) / 2 splits before it in its tree when every
+    # earlier tree has 2 * splits + 1 nodes, so its left child is
+    # root + 1 + 2k = 2c + r - 2, with r = t + 1 roots up to it: one cumsum,
+    # in place, of 2 * split + [node is a root]
+    left = split.astype(np.intp)
     left *= 2
-    left += np.repeat(first, np.diff(np.append(roots, feature.size)))
-    np.copyto(left, np.arange(feature.size), where=~split)
+    left[roots] += 1
+    np.cumsum(left, out=left)
+    # 2c + r at each tree's last node counts the splits up to it
+    ends = np.append(roots[1:], left.size) - 1
+    splits = np.diff((left[ends] - np.arange(1, roots.size + 1)) // 2, prepend=0)
+    if np.any(np.diff(np.append(roots, left.size)) != 2 * splits + 1):
+        raise ValueError("every tree needs 2 * splits + 1 nodes")
+    left -= 2
+    for lo in range(0, left.size, _ID_BLOCK):
+        at = slice(lo, lo + _ID_BLOCK)
+        ids = np.arange(lo, min(lo + _ID_BLOCK, left.size))
+        if np.any(split[at] & (left[at] <= ids)):
+            raise ValueError("every split's children must lie after it inside its tree")
+        np.copyto(left[at], ids, where=~split[at])
     return left
 
 

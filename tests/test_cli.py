@@ -154,6 +154,21 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")]) == 1
         assert "error: variance estimation needs B >= 2 tree outputs, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level, bad", [("1.5", "1.5"), ("0", "0.0"), ("nan", "nan")])
+    def test_level_checked_before_the_model_loads(self, tmp_path, monkeypatch, capsys, level, bad):
+        from subforest import cli
+
+        def loaded(*_):
+            raise AssertionError("the model loaded before the level was checked")
+
+        data, model = self._model(tmp_path)
+        monkeypatch.setattr(cli, "load_model", loaded)
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--level", level,
+                     "--out", str(out)]) == 1
+        assert f"error: level must be in (0, 1), got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_mismatch_refused(self, tmp_path):
         data, model = self._model(tmp_path)
         header, body = model.read_bytes().split(b"\n", 1)

@@ -146,6 +146,18 @@ class TestBlockGrowth:
             leaves = np.flatnonzero(fm.feature < 0)
             assert np.array_equal(left[leaves], leaves)
 
+    def test_child_ids_derived_and_checked_in_blocks(self, cosine_1k, monkeypatch):
+        fm = forest.train(cosine_1k, ForestConfig(b=8, seed=17))
+        whole = tree.left_children(fm.feature, fm.roots)
+        monkeypatch.setattr(tree, "_ID_BLOCK", 7)
+        assert np.array_equal(tree.left_children(fm.feature, fm.roots), whole)
+        # the last tree's root made a leaf and its last node a split: that
+        # split, blocks past the first, has no split before it to be a child of
+        feature = fm.feature.copy()
+        feature[fm.roots[-1]], feature[-1] = -1, 0
+        with pytest.raises(ValueError, match="children must lie after it"):
+            tree.left_children(feature, fm.roots)
+
     def test_honest_forest_passes_regularity_audit(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=200, seed=0), n_jobs=2)
         assert fm.s == 125

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,60 @@ class TestBlockedKernel:
         jackknife.predict_with_variance(fm, xs[::-1] * 0.5)
         jackknife.v_ij(np.arange(20.0), fm.subsample_indices, fm.n)
         assert np.array_equal(first.c, kept)
+
+
+class TestSlabs:
+    """The kernel's slabs of training rows against the dense formula."""
+
+    @staticmethod
+    def _case(n, s, b, k, seed=0):
+        outputs = np.random.default_rng(seed).standard_normal((b, k))
+        return outputs, _random_rows(b, n, s, seed).astype(np.int32)
+
+    @pytest.mark.parametrize("n, s, b, k", [
+        (3 * jackknife._IJ_SLAB + 37, 60, 50, 5),  # n not a multiple of the slab
+        (jackknife._IJ_SLAB + 1, 30, 40, 3),  # one row past a slab
+        (300, 300, 30, 3),  # s = n: every tree sees every row
+        (jackknife._IJ_SLAB + 88, 60, jackknife._IJ_BLOCK + 1, 3),  # one tree past a block
+    ])
+    def test_matches_dense_formula(self, n, s, b, k):
+        outputs, rows = self._case(n, s, b, k)
+        want, want_c = _dense(outputs, rows, n)
+        est = jackknife._estimates(outputs - outputs.mean(axis=0, keepdims=True), rows, n)
+        fields, c = TestBlockedKernel._fields(est)
+        np.testing.assert_allclose(fields, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=1e-12 * max(np.abs(want_c).max(), 1.0))
+
+    @pytest.mark.parametrize("n", [2, 50, jackknife._IJ_SLAB])
+    def test_one_slab_equals_dense_formula_exactly(self, n):
+        outputs, rows = self._case(n, max(1, n // 4), 40, 4)
+        want, want_c = _dense(outputs, rows, n)
+        est = jackknife._estimates(outputs - outputs.mean(axis=0, keepdims=True), rows, n)
+        fields, c = TestBlockedKernel._fields(est)
+        assert np.array_equal(fields, want) and np.array_equal(c, want_c)
+
+    def test_one_query_through_v_ij(self):
+        n = 2 * jackknife._IJ_SLAB + 5
+        outputs, rows = self._case(n, 40, 60, 1)
+        want, want_c = _dense(outputs, rows, n)
+        est = jackknife.v_ij(outputs[:, 0], rows, n)
+        fields = np.array([[getattr(est, f)] for f in _FIELDS])
+        np.testing.assert_allclose(fields, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(est.c, want_c[:, 0], rtol=1e-12, atol=1e-12 * np.abs(want_c).max())
+
+    def test_scratch_is_under_a_quarter_of_a_float64_block(self):
+        # the dense formula's (B, n) float64 block of N* - s/n is b * n * 8 bytes
+        n, s, b, k = 20000, 1000, 300, 3
+        outputs, rows = self._case(n, s, b, k)
+        centered = outputs - outputs.mean(axis=0, keepdims=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = jackknife._estimates(centered, rows, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - est.c.nbytes < b * n * 8 / 4
 
 
 class TestFiniteSampleScale:
