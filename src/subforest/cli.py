@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .dataset import (
 from .forest import ForestConfig, WorkerError, train, usable_cores
 from .jackknife import interval, predict_with_variance, v_ij
 from .model_io import load_model, save_model
-from .tree import TreeConfig
+from .tree import CART, HONEST, TreeConfig
 
 TOOL = f"subforest {__version__}"
 THREADS_ENV = "SUBFOREST_THREADS"
@@ -132,19 +133,17 @@ def _preamble(command: str, cfg: dict) -> list[str]:
     return lines
 
 
+# the forest's and its trees' keys with the library's defaults (a default
+# instance's fields); every table that trains takes them from here and states
+# only the values that differ
+_TREE_KEYS = vars(TreeConfig())
+_FOREST_KEYS = {k: v for k, v in vars(ForestConfig()).items() if k != "tree"}
+_FOREST_DEFAULTS = {**_FOREST_KEYS, **_TREE_KEYS}
+
+
 def _forest_config(cfg: dict) -> ForestConfig:
-    return ForestConfig(
-        s=cfg["s"],
-        b=cfg["b"],
-        s_exponent=cfg["s_exponent"],
-        seed=cfg["seed"],
-        tree=TreeConfig(
-            gamma=cfg["gamma"],
-            delta=cfg["delta"],
-            mode=cfg["mode"],
-            max_leaf_size=cfg["max_leaf_size"],
-        ),
-    )
+    tree = TreeConfig(**{k: cfg[k] for k in _TREE_KEYS})
+    return ForestConfig(tree=tree, **{k: cfg[k] for k in _FOREST_KEYS})
 
 
 def _write_json(path, command: str, cfg: dict, fields: dict) -> None:
@@ -160,7 +159,7 @@ def _write_json(path, command: str, cfg: dict, fields: dict) -> None:
 
 # ---------------------------------------------------------------- gen
 
-_GEN_DEFAULTS = {"kind": "cosine", "d": None, "n": 100, "seed": 0, "noise_sd": 1.0, "out": None}
+_GEN_DEFAULTS = {"kind": "cosine", "d": None, "n": 100, "seed": 0, "noise_sd": SyntheticSpec.noise_sd, "out": None}
 
 
 def _cmd_gen(cfg: dict) -> int:
@@ -175,17 +174,14 @@ def _cmd_gen(cfg: dict) -> int:
 
 # ---------------------------------------------------------------- train
 
-_TRAIN_DEFAULTS = {
-    "data": None, "target": None, "mode": "honest", "s": None, "b": None,
-    "s_exponent": 0.7, "gamma": 0.10, "delta": 0.5, "max_leaf_size": 5,
-    "seed": 0, "threads": None, "out": None,
-}
+_TRAIN_DEFAULTS = {"data": None, "target": None, **_FOREST_DEFAULTS, "threads": None, "out": None}
 
 
 def _cmd_train(cfg: dict) -> int:
+    fcfg = _forest_config(cfg)  # refuses a bad forest key before the data loads
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     start = time.perf_counter()
-    fm = train(ts, _forest_config(cfg), n_jobs=cfg["threads"])
+    fm = train(ts, fcfg, n_jobs=cfg["threads"])
     wall = time.perf_counter() - start
     save_model(cfg["out"], fm, ts)
     print(
@@ -233,9 +229,8 @@ def _cmd_predict(cfg: dict) -> int:
 # ---------------------------------------------------------------- simulate
 
 _SIM_COMMON = {
-    "kind": "cosine", "d": None, "n": 200, "k": 25, "r": 50, "s": None, "b": 1000,
-    "s_exponent": 0.7, "mode": "cart", "gamma": 0.10, "delta": 0.5, "max_leaf_size": 5,
-    "noise_sd": 1.0, "seed": 0, "threads": None, "out": None,
+    "kind": "cosine", "d": None, "n": 200, "k": 25, "r": 50, **_FOREST_DEFAULTS, "b": 1000, "mode": CART,
+    "noise_sd": SyntheticSpec.noise_sd, "threads": None, "out": None,
 }
 
 
@@ -278,7 +273,7 @@ def _cmd_sim_metrics(cfg: dict) -> int:
     return 0
 
 
-_SIM_NORMALITY = {**_SIM_COMMON, "mode": "honest", "alpha": 0.01, "r": 100}
+_SIM_NORMALITY = {**_SIM_COMMON, "mode": HONEST, "alpha": 0.01, "r": 100}
 
 
 def _cmd_sim_normality(cfg: dict) -> int:
@@ -296,7 +291,7 @@ def _cmd_sim_normality(cfg: dict) -> int:
     return 0
 
 
-_SIM_COVERAGE = {**_SIM_COMMON, "mode": "honest", "levels": "0.95", "r": 100}
+_SIM_COVERAGE = {**_SIM_COMMON, "mode": HONEST, "levels": "0.95", "r": 100}
 
 
 def _cmd_sim_coverage(cfg: dict) -> int:
@@ -319,7 +314,7 @@ def _cmd_sim_coverage(cfg: dict) -> int:
 
 
 _SIM_GRID = {
-    "n": 10000, "s": 100, "mode": "cart", "resolution": 5, "r": 20, "b": 200,
+    "n": 10000, "s": 100, "mode": CART, "resolution": 5, "r": 20, "b": 200,
     "p": 0.01, "seed": 0, "threads": None, "out": None,
 }
 
@@ -338,10 +333,10 @@ def _cmd_sim_bias_grid(cfg: dict) -> int:
     return 0
 
 
+# simulate metrics' keys with the data file in place of the synthetic design
 _SIM_BOOTSTRAP = {
-    "data": None, "target": None, "n": None, "k": 25, "r": 50, "s": None, "b": 1000,
-    "s_exponent": 0.7, "mode": "cart", "gamma": 0.10, "delta": 0.5, "max_leaf_size": 5,
-    "seed": 0, "threads": None, "out": None,
+    "data": None, "target": None,
+    **{k: v for k, v in _SIM_COMMON.items() if k not in ("kind", "d", "noise_sd")}, "n": None,
 }
 
 
@@ -351,15 +346,16 @@ def _cmd_sim_bootstrap(cfg: dict) -> int:
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     if cfg["n"] is None:
         cfg["n"] = ts.n
-    source = parametric_bootstrap_source(ts, _forest_config(cfg), n_jobs=cfg["threads"])
-    rep = run_metrics(_experiment_spec(cfg, source))
+    spec = _experiment_spec(cfg, source=ts)  # checked before the base forest trains; its source follows
+    source = parametric_bootstrap_source(ts, spec.forest, n_jobs=cfg["threads"])
+    rep = run_metrics(replace(spec, source=source))
     _write_metrics_csv(cfg["out"], "simulate-bootstrap", cfg, [(os.path.basename(cfg["data"]), ts.d, cfg["n"], rep)])
     print(f"rel_mse={rep.rel_mse:.4f} abs_mse={rep.abs_mse:.3e} -> {cfg['out']}")
     return 0
 
 
 # unset b means B = 5n for each row, ForestConfig's rule: the paper's budget
-_SIM_TABLE1 = {"b": None, "r": 50, "k": 25, "mode": "cart", "seed": 1234, "threads": None, "out": None}
+_SIM_TABLE1 = {"b": None, "r": 50, "k": 25, "mode": CART, "seed": 1234, "threads": None, "out": None}
 
 
 def _cmd_sim_table1(cfg: dict) -> int:
@@ -408,8 +404,8 @@ def _cmd_oracle_check(cfg: dict) -> int:
 
     # exact V_IJ on the fixed labels vs a bias-corrected Monte Carlo run
     ts = TrainingSet(np.arange(n, dtype=np.float64).reshape(-1, 1) / n, np.asarray(labels))
-    exact = oracle.exact_vij(ts, learner, s)
     subsets, values = oracle.enumerate_subsamples(ts, learner, s)
+    exact = oracle.exact_vij(subsets, values, n)
     gen = rng.stream(cfg["seed"], rng.SUBSAMPLE)
     ids = gen.integers(0, subsets.shape[0], size=cfg["mc_b"])
     mc = v_ij(values[ids], subsets[ids], n)
@@ -441,7 +437,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
 
 def _command(sub, name: str, defaults: dict, required: tuple, func, **kw):
     """A subcommand taking --config and one flag per key of its ``defaults``; ``required`` keys must be set."""
-    choices = {"kind": sorted(ARITY), "mode": ["honest", "cart"], "learner": sorted(_LEARNERS)}
+    choices = {"kind": sorted(ARITY), "mode": [HONEST, CART], "learner": sorted(_LEARNERS)}
     p = sub.add_parser(name, **kw)
     p.add_argument("--config", help="JSON config file; flags override its values")
     for key in defaults:

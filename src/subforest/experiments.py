@@ -14,8 +14,7 @@ Metric conventions, per test point k over replicates r:
     MSE_k    = Bias^2_k + Var_k
 
 Aggregates are means over k. Relative metrics divide by the test-set average
-of sigma2^2 (primary) and, as an alternative normalization, by the square of
-the test-set average of sigma2; both are reported.
+of sigma2^2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .dataset import SyntheticSpec, TrainingSet, sample_synthetic, true_mean_bat
 from .forest import ForestConfig, ForestModel, fan_out, predict_batch, train
 from .jackknife import predict_with_variance
 from .normal import ks_normal_pvalue, norm_ppf
-from .tree import CART, HONEST, TreeConfig
+from .tree import TreeConfig
 
 
 class SyntheticSource:
@@ -128,6 +127,8 @@ class ExperimentSpec:
             raise ValueError(f"k_test must be >= 1, got {self.k_test}")
         if self.r_replicates < 2:
             raise ValueError(f"r_replicates must be >= 2, got {self.r_replicates}")
+        if self.forest.b is not None and self.forest.b < 2:  # an unset b resolves to 5n
+            raise ValueError(f"variance estimates need forest.b >= 2 trees, got {self.forest.b}")
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,9 @@ class MetricsReport:
     abs_variance: float
     abs_mse: float
     scale_mean_of_squares: float  # mean_k sigma2_k^2
-    scale_square_of_mean: float  # (mean_k sigma2_k)^2
     rel_bias2: float
     rel_variance: float
     rel_mse: float
-    rel_bias2_alt: float
-    rel_variance_alt: float
-    rel_mse_alt: float
 
 
 def metrics_report(predictions: np.ndarray, vhat: np.ndarray) -> MetricsReport:
@@ -207,12 +204,11 @@ def metrics_report(predictions: np.ndarray, vhat: np.ndarray) -> MetricsReport:
     variance = vhat.var(axis=1, ddof=1)
     mse = bias2 + variance
     scale_sq = float(np.mean(sigma2**2))
-    scale_alt = float(np.mean(sigma2)) ** 2
 
-    def rel(value: float, scale: float) -> float:
-        if scale == 0.0:
+    def rel(value: float) -> float:
+        if scale_sq == 0.0:
             return 0.0 if value == 0.0 else float("inf")
-        return value / scale
+        return value / scale_sq
 
     return MetricsReport(
         bias2=bias2,
@@ -223,13 +219,9 @@ def metrics_report(predictions: np.ndarray, vhat: np.ndarray) -> MetricsReport:
         abs_variance=float(variance.mean()),
         abs_mse=float(mse.mean()),
         scale_mean_of_squares=scale_sq,
-        scale_square_of_mean=scale_alt,
-        rel_bias2=rel(float(bias2.mean()), scale_sq),
-        rel_variance=rel(float(variance.mean()), scale_sq),
-        rel_mse=rel(float(mse.mean()), scale_sq),
-        rel_bias2_alt=rel(float(bias2.mean()), scale_alt),
-        rel_variance_alt=rel(float(variance.mean()), scale_alt),
-        rel_mse_alt=rel(float(mse.mean()), scale_alt),
+        rel_bias2=rel(float(bias2.mean())),
+        rel_variance=rel(float(variance.mean())),
+        rel_mse=rel(float(mse.mean())),
     )
 
 
@@ -340,10 +332,6 @@ def run_coverage(spec: ExperimentSpec, levels=(0.95,)) -> CoverageReport:
 class BiasGrid:
     resolution: int
     cell_means: np.ndarray  # (G, G); [i, j] is the cell x1 in [i/G,(i+1)/G), x2 likewise
-    mode: str
-    n: int
-    s: int
-    r_replicates: int
 
 
 def _bias_grid_replicate(args) -> np.ndarray:
@@ -365,15 +353,15 @@ def run_bias_grid(
     """Mean prediction per grid cell under the flat Bernoulli label law."""
     if grid_resolution < 2:
         raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
-    if mode not in (HONEST, CART):
-        raise ValueError(f"mode must be {HONEST!r} or {CART!r}")
+    if r_replicates < 1:
+        raise ValueError(f"r_replicates must be >= 1, got {r_replicates}")
+    fcfg = ForestConfig(s=s, b=b, tree=TreeConfig(mode=mode), seed=0)
     g = grid_resolution
     centers_1d = (np.arange(g) + 0.5) / g
     cx, cy = np.meshgrid(centers_1d, centers_1d, indexing="ij")
     centers = np.column_stack([cx.ravel(), cy.ravel()])
-    fcfg = ForestConfig(s=s, b=b, tree=TreeConfig(mode=mode), seed=0)
     source = BernoulliSource(p)
     jobs = [(source, n, fcfg, seed, r, centers) for r in range(r_replicates)]
     outs = fan_out(_bias_grid_replicate, jobs, n_jobs, _replicate_name)
     means = np.mean(np.stack(outs, axis=0), axis=0).reshape(g, g)
-    return BiasGrid(resolution=g, cell_means=means, mode=mode, n=n, s=s, r_replicates=r_replicates)
+    return BiasGrid(resolution=g, cell_means=means)

@@ -69,6 +69,7 @@ takes twice as long.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -105,6 +106,10 @@ class ForestConfig:
     s_exponent: float = 0.7
     tree: TreeConfig = field(default_factory=TreeConfig)
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s_exponent) and self.s_exponent > 0.0):
+            raise ValueError(f"s_exponent must be finite and > 0, got {self.s_exponent}")
 
     def resolve(self, n: int) -> tuple[int, int]:
         s = self.s if self.s is not None else default_subsample_size(n, self.s_exponent)

@@ -42,8 +42,7 @@ the slab's columns Ntilde = N* - s/n are written as float64 into one
 to those rows). C is divided by B in place. So beyond the (B, K) input and
 the (n, K) result the kernel holds one byte per (tree, training row) of a
 block and one (_IJ_BLOCK, _IJ_SLAB) float64 tile: 1/8 of a float64 block
-plus 8 MB at most, where it used to hold a (_IJ_BLOCK, n) float64 block
-and, past one block, an (n, K) partial. No (B, n) counts matrix is formed.
+plus 8 MB at most. No (B, n) counts matrix is formed.
 Slabs are wide because every GEMM call has a fixed cost: on a 2-vCPU
 machine whose scheduler leaves OpenBLAS's worker thread on the caller's
 CPU, a 2-thread call waits about 8 ms for it, so 128-row slabs made a

@@ -2,10 +2,11 @@
 
 Everything here enumerates instead of sampling:
 
-  * ``exact_vij`` walks all C(n, s) subsamples and computes
-    sum_i Cov(T, N_i)^2 under the uniform resampling measure -- the B -> infinity
-    target of the Monte Carlo estimator (the estimator squares the per-example
-    covariances; their unsquared sum is identically zero because sum_i N_i = s).
+  * ``exact_vij`` takes ``enumerate_subsamples``' walk over all C(n, s)
+    subsamples and computes sum_i Cov(T, N_i)^2 under the uniform resampling
+    measure -- the B -> infinity target of the Monte Carlo estimator (the
+    estimator squares the per-example covariances; their unsquared sum is
+    identically zero because sum_i N_i = s).
   * ``hajek_projection_stats`` enumerates i.i.d. tuples from a finite-support
     distribution and computes the first-order (Hajek) projection variance of a
     base learner exactly.
@@ -148,11 +149,13 @@ def enumerate_subsamples(ts: TrainingSet, learner, s: int):
     return subsets, np.asarray(learner(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
 
 
-def exact_vij(ts: TrainingSet, learner, s: int) -> float:
-    """Exact sum_i Cov(T, N_i)^2 over the uniform subsampling measure."""
-    subsets, values = enumerate_subsamples(ts, learner, s)
-    n = ts.n
-    m_total = values.size
+def exact_vij(subsets: np.ndarray, values: np.ndarray, n: int) -> float:
+    """Exact sum_i Cov(T, N_i)^2 over the uniform subsampling measure.
+
+    ``subsets`` and ``values`` are ``enumerate_subsamples``' enumeration of
+    all C(n, s) subsets of the n training rows and their learner outputs.
+    """
+    m_total, s = subsets.shape
     t_bar = values.mean()
     membership = np.zeros((m_total, n), dtype=bool)
     membership[np.arange(m_total)[:, None], subsets] = True

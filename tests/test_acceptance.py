@@ -45,8 +45,8 @@ def test_criterion_1_oracle_equivalence(capsys):
     y = np.array([2.0, 4.0, 1.0, 6.0, 3.0, 5.0, 8.0, 7.0])
     ts = TrainingSet(np.linspace(0.05, 0.95, 8).reshape(-1, 1), y)
     learner = SubsampleMean()
-    exact = oracle.exact_vij(ts, learner, 3)
     subsets, values = oracle.enumerate_subsamples(ts, learner, 3)
+    exact = oracle.exact_vij(subsets, values, 8)
     assert len(values) == 56
 
     b = 10**5

@@ -111,6 +111,24 @@ class TestTrain:
         assert "error: a worker process died; no results for trees 0-1, trees 2-3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["train"], ["simulate", "metrics"], ["simulate", "bootstrap"]])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_bad_s_exponent_refused_before_training(self, tmp_path, monkeypatch, capsys, command, value):
+        from subforest import cli, experiments
+
+        data = _gen(tmp_path)
+
+        def trained(*_, **__):
+            raise AssertionError("trained before s_exponent was checked")
+
+        for module in (cli, experiments, forest):
+            monkeypatch.setattr(module, "train", trained)
+        out = tmp_path / "out"
+        extra = [] if command == ["simulate", "metrics"] else ["--data", str(data)]
+        assert main([*command, *extra, "--s-exponent", value, "--threads", "1", "--out", str(out)]) == 1
+        assert f"error: s_exponent must be finite and > 0, got {float(value)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         data = _gen(tmp_path)
         cfg = tmp_path / "bad.json"
@@ -521,6 +539,31 @@ class TestSimulate:
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
 
+    @pytest.mark.parametrize("command", ["metrics", "normality", "coverage", "table1", "bootstrap"])
+    def test_single_tree_replicates_refused_before_training(self, tmp_path, monkeypatch, capsys, command):
+        from subforest import cli, experiments
+
+        data = _gen(tmp_path, n=60)
+
+        def trained(*_, **__):
+            raise AssertionError("trained before b was checked")
+
+        for module in (cli, experiments, forest):
+            monkeypatch.setattr(module, "train", trained)
+        out = tmp_path / "out"
+        extra = ["--data", str(data)] if command == "bootstrap" else []
+        assert main(["simulate", command, *extra, "--r", "50", "--b", "1", "--threads", "1", "--out", str(out)]) == 1
+        assert "error: variance estimates need forest.b >= 2 trees, got 1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_bias_grid_needs_a_replicate(self, tmp_path, capsys, r):
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "bias-grid", "--n", "300", "--s", "15", "--r", r, "--b", "10",
+                     "--threads", "1", "--out", str(out)]) == 1
+        assert f"error: r_replicates must be >= 1, got {r}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bootstrap_runs_on_csv(self, tmp_path):
         data = _gen(tmp_path, n=60)
         out = tmp_path / "boot.csv"
@@ -563,6 +606,15 @@ class TestOracleCheck:
             "mc_vij_corrected": 0.34989462932048976,
             "mc_vij_plugin": 0.34991532386862845,
         }
+
+    def test_subsets_enumerated_once(self, tmp_path, monkeypatch):
+        from subforest import oracle
+
+        calls = []
+        enumerate_subsamples = oracle.enumerate_subsamples
+        monkeypatch.setattr(oracle, "enumerate_subsamples", lambda *a: calls.append(a) or enumerate_subsamples(*a))
+        assert main(["oracle-check", "--mc-b", "100", "--out", str(tmp_path / "o.json")]) == 0
+        assert len(calls) == 1
 
     def test_probs_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "oracle.json"
@@ -841,6 +893,21 @@ class TestRequiredKeys:
         assert main(command.split() + given) == 1
         assert f"error: {command}: required but not set: {', '.join(missing)}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestForestDefaults:
+    """The command tables' forest and tree keys are ForestConfig's and TreeConfig's defaults."""
+
+    def test_tables_resolve_to_the_library_defaults(self):
+        from subforest import cli
+
+        assert cli._forest_config(cli._TRAIN_DEFAULTS) == ForestConfig()
+        sim = ForestConfig(b=1000, tree=tree.TreeConfig(mode="cart"))
+        assert cli._forest_config(cli._SIM_COMMON) == sim
+        assert cli._forest_config(cli._SIM_BOOTSTRAP) == sim
+        assert cli._forest_config(cli._SIM_NORMALITY) == ForestConfig(b=1000)
+        assert cli._forest_config(cli._SIM_COVERAGE) == ForestConfig(b=1000)
+        assert cli._GEN_DEFAULTS["noise_sd"] == cli._SIM_COMMON["noise_sd"] == dataset.SyntheticSpec("cosine", 2).noise_sd
 
 
 class TestInProcessReuse:

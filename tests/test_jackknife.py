@@ -69,8 +69,8 @@ class TestVij:
         ts = dataset.TrainingSet(
             np.arange(6, dtype=float).reshape(-1, 1) / 6, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         )
-        exact = oracle.exact_vij(ts, oracle.SubsampleMean(), 2)
         subsets, values = oracle.enumerate_subsamples(ts, oracle.SubsampleMean(), 2)
+        exact = oracle.exact_vij(subsets, values, 6)
         gen = rng.stream(42, 99)
         ids = gen.integers(0, subsets.shape[0], size=10**5)
         est = jackknife.v_ij(values[ids], subsets[ids], 6)
@@ -249,7 +249,8 @@ class TestFiniteSampleScale:
         y = np.array([2.0, 4.0, 1.0, 6.0, 3.0, 5.0, 8.0, 7.0])
         n = y.size
         ts = dataset.TrainingSet(np.linspace(0.05, 0.95, n).reshape(-1, 1), y)
-        scaled = jackknife._finite_sample_scale(n, s) * oracle.exact_vij(ts, oracle.SubsampleMean(), s)
+        exact = oracle.exact_vij(*oracle.enumerate_subsamples(ts, oracle.SubsampleMean(), s), n)
+        scaled = jackknife._finite_sample_scale(n, s) * exact
         assert scaled == pytest.approx(np.sum((y - y.mean()) ** 2) / (n * (n - 1)), rel=1e-12)
 
     def test_s_equals_n_keeps_only_monte_carlo_term(self):
@@ -303,8 +304,8 @@ class TestCorrectionUnbiasedness:
         ts = dataset.TrainingSet(
             np.arange(6, dtype=float).reshape(-1, 1) / 6, np.array([2.0, 4.0, 1.0, 6.0, 3.0, 5.0])
         )
-        exact = oracle.exact_vij(ts, oracle.SubsampleMean(), 2)
         subsets, values = oracle.enumerate_subsamples(ts, oracle.SubsampleMean(), 2)
+        exact = oracle.exact_vij(subsets, values, 6)
         b = 200
         corrected, plugin = [], []
         for seed in range(300):

@@ -38,21 +38,25 @@ class TestDistribution:
             FiniteSupportDistribution(np.zeros((2, 1)), np.zeros(2), np.array([1.0, 0.0]))
 
 
+def _exact_vij(ts, learner, s):
+    return oracle.exact_vij(*oracle.enumerate_subsamples(ts, learner, s), ts.n)
+
+
 class TestExactVij:
     def test_constant_learner_zero(self):
         ts = TrainingSet(np.random.default_rng(0).random((5, 1)), np.random.default_rng(0).random(5))
         const = lambda xs, ys: np.ones(len(ys))
-        assert oracle.exact_vij(ts, const, 2) == 0.0
+        assert _exact_vij(ts, const, 2) == 0.0
 
     def test_two_subsample_hand_algebra(self):
         # n=2, s=1: Cov(T, N_i) = +/-(t0-t1)/4, summed squares = (t0-t1)^2/8
         ts = TrainingSet(np.array([[0.1], [0.9]]), np.array([0.0, 2.0]))
-        assert oracle.exact_vij(ts, SubsampleMean(), 1) == pytest.approx((0.0 - 2.0) ** 2 / 8, rel=1e-12)
+        assert _exact_vij(ts, SubsampleMean(), 1) == pytest.approx((0.0 - 2.0) ** 2 / 8, rel=1e-12)
 
     def test_dual_implementation_agreement(self):
         # independent double loop over the 15 subsets of size 2
         ts = TrainingSet(np.arange(6, dtype=float).reshape(-1, 1), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-        got = oracle.exact_vij(ts, SubsampleMean(), 2)
+        got = _exact_vij(ts, SubsampleMean(), 2)
         subs = list(combinations(range(6), 2))
         vals = [np.mean(ts.y[list(sub)]) for sub in subs]
         t_bar = float(np.mean(vals))
@@ -67,14 +71,14 @@ class TestExactVij:
         x = gen.random((7, 2))
         y = gen.standard_normal(7)
         perm = gen.permutation(7)
-        a = oracle.exact_vij(TrainingSet(x, y), SubsampleMean(), 3)
-        b = oracle.exact_vij(TrainingSet(x[perm], y[perm]), SubsampleMean(), 3)
+        a = _exact_vij(TrainingSet(x, y), SubsampleMean(), 3)
+        b = _exact_vij(TrainingSet(x[perm], y[perm]), SubsampleMean(), 3)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_cap_error_names_cap(self):
         ts = TrainingSet(np.random.default_rng(2).random((40, 1)), np.zeros(40))
         with pytest.raises(ValueError, match="cap of 1000000"):
-            oracle.exact_vij(ts, SubsampleMean(), 15)
+            oracle.enumerate_subsamples(ts, SubsampleMean(), 15)
 
 
 class TestHajek:
