@@ -70,13 +70,16 @@ def _threads(value) -> int:
     return value
 
 
-# each config key's value type where it is not an int; labels, a list, is set
-# only in a config file and has no flag
-_KEY_TYPES = {
-    **dict.fromkeys(["kind", "mode", "learner", "data", "target", "model", "out", "levels"], str),
-    **dict.fromkeys(["noise_sd", "alpha", "p", "gamma", "delta", "s_exponent", "level"], float),
-    "labels": list,
-}
+# the value types of keys whose default is unset, which are ints otherwise;
+# labels, a list, is set only in a config file and has no flag
+_KEY_TYPES = {**dict.fromkeys(["data", "target", "model", "out"], str), "labels": list}
+
+
+def _key_type(table: dict, key: str) -> type:
+    """A key's value type: its default's in ``table``, or by ``_KEY_TYPES`` when that is unset."""
+    return _KEY_TYPES.get(key, int) if table[key] is None else type(table[key])
+
+
 _NUMBER = (int, float)  # a bool is neither
 # what a config file's value for each key type must be, and its test
 _JSON_TYPES = {
@@ -108,7 +111,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, v in file_cfg.items():
-            name, ok = _LEVELS_TYPE if key == "levels" else _JSON_TYPES[_KEY_TYPES.get(key, int)]
+            name, ok = _LEVELS_TYPE if key == "levels" else _JSON_TYPES[_key_type(args.table, key)]
             if not ok(v) and not (v is None and args.table[key] is None):
                 raise ValueError(f"config key {key!r} must be {name}, got {v!r}")
         resolved.update(file_cfg)
@@ -395,6 +398,8 @@ _LEARNERS = {"mean": "SubsampleMean", "max": "SubsampleMax", "sum": "LabelSum"}
 def _cmd_oracle_check(cfg: dict) -> int:
     if cfg["learner"] not in _LEARNERS:
         raise ValueError(f"learner must be one of {sorted(_LEARNERS)}, got {cfg['learner']!r}")
+    if cfg["mc_b"] < 2:  # the Monte Carlo variance needs two draws; checked before the enumeration
+        raise ValueError(f"mc_b must be >= 2, got {cfg['mc_b']}")
     from . import oracle
 
     learner = getattr(oracle, _LEARNERS[cfg["learner"]])()
@@ -441,7 +446,7 @@ def _command(sub, name: str, defaults: dict, required: tuple, func, **kw):
     p = sub.add_parser(name, **kw)
     p.add_argument("--config", help="JSON config file; flags override its values")
     for key in defaults:
-        kind = _KEY_TYPES.get(key, int)
+        kind = _key_type(defaults, key)
         if kind is not list:
             p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices.get(key),
                            type=None if kind is str else kind)

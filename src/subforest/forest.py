@@ -144,7 +144,9 @@ class ForestModel:
     Construction converts each array to its ``PACKED_DTYPES`` dtype, keeping
     an array that already has it without a copy, and refuses integers that
     do not fit it. It then checks the invariants traversal relies on, so a
-    forest from an untrusted file can neither loop nor index out of bounds.
+    forest from an untrusted file can neither loop nor index out of bounds,
+    and that ``config`` gives the s and b of its index rows, as a saved
+    model's header must.
     """
 
     feature: np.ndarray  # (N,) int32 split axis, -1 at leaves
@@ -197,6 +199,8 @@ class ForestModel:
             raise ValueError("split thresholds must be finite")
         if self.subsample_indices.shape != (self.b, self.s) or not _sorted_rows(self.subsample_indices, self.n):
             raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")
+        if (self.config.s, self.config.b) != (self.s, self.b):
+            raise ValueError(f"config s={self.config.s}, b={self.config.b} does not match the forest's s={self.s}, b={self.b}")
         pred = self.prediction_indices
         if (pred is None) != (self.config.tree.mode != HONEST):
             raise ValueError("honest forests, and only they, carry prediction indices")
@@ -344,11 +348,11 @@ def train(ts: TrainingSet, cfg: ForestConfig, n_jobs: int = 1) -> ForestModel:
 
 def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, paths: list) -> ForestModel:
     """A forest of one tree per sorted subsample row of ``sub``, tree b grown on
-    ``rng.stream(*paths[b])`` (``_fit_block``).
-
-    ``cfg`` must carry s and b matching ``sub``.
+    ``rng.stream(*paths[b])`` (``_fit_block``); its s and b are ``sub``'s shape.
     """
-    return _pack([_fit_block(ts, tree_mod.sorted_axes(ts), cfg, paths, sub)], ts.n, cfg.s, ts.d, cfg)
+    b, s = sub.shape
+    cfg = replace(cfg, s=s, b=b)
+    return _pack([_fit_block(ts, tree_mod.sorted_axes(ts), cfg, paths, sub)], ts.n, s, ts.d, cfg)
 
 
 def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:

@@ -22,14 +22,15 @@ up to the end of the file (checked against the file's size before any array
 is allocated; each array is then read straight into its own buffer, which
 the forest keeps, so the file's bytes are never held twice), and the forest
 built from them re-checks its structure (feature range, split kinds, node
-count and split positions of every tree, index ranges). A file that fails
-any check, including a version-1 JSON model whose single line parses as a
-header of the wrong version, is refused with ``ValueError``. Version 4 dropped version 3's
-stored child table and its 0/1 provenance flag. Version 5 dropped version
-4's per-leaf training index (``pred_index``), which routing recovers, and
-merged its threshold array (read only at splits) and value array (read only
-at leaves) into one float64 per node: 25 bytes per node became 13. Files of
-any other version are refused.
+count and split positions of every tree, index ranges, the config's s and
+b). A file that fails any check, including a version-1 JSON model whose
+single line parses as a header of the wrong version, is refused with
+``ValueError``. Version 4 dropped version 3's stored child table and its
+0/1 provenance flag. Version 5 dropped version 4's per-leaf training index
+(``pred_index``), which routing recovers, and merged its threshold array
+(read only at splits) and value array (read only at leaves) into one float64
+per node: 25 bytes per node became 13. Files of any other version are
+refused.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def load_model(path) -> tuple[ForestModel, dict]:
             honest = cfg.tree.mode == HONEST
             arrays = _read_arrays(header, fh, os.fstat(fh.fileno()).st_size - fh.tell(), honest)
             n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
-            if (cfg.s, cfg.b, cfg.tree.mode) != (s, b, header["mode"]):
-                raise ValueError("config does not match the header's s, b and mode")
+            if cfg.tree.mode != header["mode"]:  # the forest checks the config's s and b
+                raise ValueError("config does not match the header's mode")
             forest = ForestModel(**{name: arrays.get(name) for name in PACKED_DTYPES}, n=n, d=d, s=s, b=b, config=cfg)
             meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
         except (KeyError, TypeError, IndexError) as e:

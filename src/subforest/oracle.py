@@ -118,12 +118,12 @@ class HonestTreeLearner:
         xs_rows = np.take_along_axis(xs_rows, order[..., None], axis=1)
         ys_rows = np.take_along_axis(ys_rows, order, axis=1)
         out = np.empty(r)
+        cfg = ForestConfig(tree=self.cfg)
         for lo in range(0, r, forest._TREE_BLOCK):
             xs, ys = xs_rows[lo:lo + forest._TREE_BLOCK], ys_rows[lo:lo + forest._TREE_BLOCK]
             seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) ^ self.base_seed for x, y in zip(xs, ys))
             paths = [(seed, rng.PARTITION) for seed in seeds]
             ts = TrainingSet(xs.reshape(-1, d), ys.reshape(-1))
-            cfg = ForestConfig(s=m, b=len(paths), tree=self.cfg)
             fm = forest.fit_subsamples(ts, cfg, np.arange(ts.n).reshape(-1, m), paths)
             out[lo:lo + len(paths)] = forest.predict_per_tree(fm, self.x)
         return out

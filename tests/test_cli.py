@@ -352,6 +352,19 @@ class TestModelFile:
         path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
         self._refused(path, tmp_path, capsys, "malformed model header")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["config"].update(s=None), "config s=None, b=30 does not match the forest's s=.*, b=30"),
+        (lambda h: h["config"].update(b=31), "config s=.*, b=31 does not match the forest's s=.*, b=30"),
+        (lambda h: h.update(mode="other"), "config does not match the header's mode"),
+    ], ids=["s", "b", "mode"])
+    def test_config_must_match_the_header(self, saved, tmp_path, capsys, edit, message):
+        _, path = saved
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        edit(doc)
+        path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+        self._refused(path, tmp_path, capsys, message)
+
     def test_version_2_model_refused(self, saved, tmp_path, capsys):
         # older grower: the header's version alone refuses it
         _, path = saved
@@ -628,6 +641,17 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
         assert "error: learner must be one of ['max', 'mean', 'sum'], got 'median'" in capsys.readouterr().err
 
+    def test_mc_b_checked_before_the_enumeration(self, tmp_path, capsys, monkeypatch):
+        from subforest import oracle
+
+        calls = []
+        monkeypatch.setattr(oracle, "enumerate_subsamples", lambda *a: calls.append(a))
+        for mc_b in (0, 1):
+            assert main(["oracle-check", "--mc-b", str(mc_b), "--out", str(tmp_path / "o.json")]) == 1
+            assert f"error: mc_b must be >= 2, got {mc_b}\n" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o.json").exists()
+
     def test_cap_exceeded_names_cap(self, tmp_path, capsys):
         code = main(["oracle-check", "--n", "40", "--s", "15", "--out", str(tmp_path / "o.json")])
         assert code == 1
@@ -639,7 +663,8 @@ class TestOracleCheck:
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "subforest.experiments", "subforest.oracle")
+WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "statistics", "subforest.experiments",
+           "subforest.oracle")
 loaded = lambda: [m for m in WATCHED if m in sys.modules]
 from subforest.cli import main
 steps = [("import", loaded())]
@@ -652,7 +677,8 @@ print(json.dumps(steps))
 
 
 class TestImports:
-    """The CLI loads the simulation harness, the oracle and the process pool only when a command needs them."""
+    """The CLI loads the simulation harness, the oracle, the process pool and
+    the normal quantile's ``statistics`` only when a command needs them."""
 
     def _probe(self, *argvs):
         src = str(pathlib.Path(subforest.__file__).resolve().parent.parent)
@@ -863,6 +889,22 @@ class TestConfigValueTypes:
         assert main(["train", "--config", str(cfg), "--threads", "1", "--out", str(model)]) == 0
         fm, _ = load_model(model)
         assert (fm.b, fm.s, fm.config.tree.gamma) == (4, 40, 0.2)
+
+
+    def test_key_type_is_its_default_type(self, tmp_path):
+        # a float default gives a float flag and a float config check, with no
+        # second statement of the key's type
+        from subforest import cli
+
+        parser = cli._Parser(prog="t")
+        cli._command(parser.add_subparsers(dest="command"), "demo", {"zeta": 0.5, "out": None}, (), None)
+        assert cli._merge_config(parser.parse_args(["demo", "--zeta", "0.3"]))["zeta"] == 0.3
+        cfg = tmp_path / "demo.json"
+        cfg.write_text(json.dumps({"zeta": 0.3}))
+        assert cli._merge_config(parser.parse_args(["demo", "--config", str(cfg)]))["zeta"] == 0.3
+        cfg.write_text(json.dumps({"zeta": "0.3"}))
+        with pytest.raises(ValueError, match="config key 'zeta' must be a number, got '0.3'"):
+            cli._merge_config(parser.parse_args(["demo", "--config", str(cfg)]))
 
 
 def _exit_worker(args):

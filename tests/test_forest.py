@@ -61,6 +61,24 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"split kinds must lie in \[0, 4\)"):
             replace(fm, split_kind=kinds)
 
+    def test_config_must_match_the_index_rows(self, cosine_1k):
+        # a mismatched config would be saved to a file that loading refuses
+        fm = forest.train(cosine_1k, ForestConfig(b=4, seed=3))
+        for cfg in (replace(fm.config, s=None, b=None), replace(fm.config, s=fm.s + 1), replace(fm.config, b=5)):
+            with pytest.raises(ValueError, match="does not match the forest's s=.*, b=4"):
+                replace(fm, config=cfg)
+
+    def test_fit_subsamples_sizes_its_config_from_the_rows(self, cosine_1k):
+        # CART trees draw nothing when given their subsamples, so they regrow as trained
+        cfg = ForestConfig(b=6, seed=15, tree=tree.TreeConfig(mode="cart"))
+        fm = forest.train(cosine_1k, cfg)
+        paths = [(15, rng.TREE, b) for b in range(6)]
+        again = forest.fit_subsamples(cosine_1k, replace(cfg, b=None), fm.subsample_indices, paths)
+        assert again.config == fm.config == replace(cfg, s=fm.s)
+        assert same_forest(again, fm)
+        honest = forest.fit_subsamples(cosine_1k, ForestConfig(), fm.subsample_indices[:2], paths[:2])
+        assert (honest.s, honest.b, honest.config.s, honest.config.b) == (fm.s, 2, fm.s, 2)
+
     def test_prefix_property_in_b(self, cosine_1k):
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))
         small = forest.train(cosine_1k, ForestConfig(b=5, seed=4))

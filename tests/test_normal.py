@@ -9,7 +9,7 @@ scipy_stats = pytest.importorskip("scipy.stats")
 class TestNormPpf:
     def test_against_scipy(self):
         for p in [1e-9, 1e-6, 0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.99, 0.999, 1 - 1e-6]:
-            assert abs(normal.norm_ppf(p) - scipy_stats.norm.ppf(p)) < 1e-9
+            assert abs(normal.norm_ppf(p) - scipy_stats.norm.ppf(p)) < 1e-13
 
     def test_cdf_roundtrip(self):
         for p in np.linspace(0.001, 0.999, 41):
