@@ -9,6 +9,9 @@ handler that runs on the one config resolved from them. Exit codes: 0
 success, 1 usage or configuration error, 2 oracle or acceptance assertion
 failure.
 
+``train`` and ``predict`` also write one stage line to stderr (``_Stages``):
+each stage's wall seconds, peak RSS and minor page faults.
+
 Start-up loads only what a command runs: the simulation harness and the
 enumeration oracle load inside simulate and oracle-check, and the process
 pool on the first fan-out over more than one worker, so predict and
@@ -38,8 +41,8 @@ from .dataset import (
     save_csv,
     write_csv,
 )
-from .forest import ForestConfig, WorkerError, train, usable_cores
-from .jackknife import interval, predict_with_variance, v_ij
+from .forest import ForestConfig, WorkerError, _traversal, max_leaves, predict_per_tree, train, usable_cores
+from .jackknife import interval, v_ij, variance_from_per_tree
 from .model_io import load_model, save_model
 from .tree import CART, HONEST, TreeConfig
 
@@ -136,6 +139,39 @@ def _preamble(command: str, cfg: dict) -> list[str]:
     return lines
 
 
+def _usage() -> tuple[float, int] | None:
+    """This process's peak RSS so far in MiB and the minor page faults of it
+    and its reaped children (the pool's workers); None without ``resource``."""
+    try:
+        import resource  # only train and predict load it
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    return peak, sum(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+class _Stages:
+    """A command's stage line: wall seconds and ``_usage`` readings per stage, written to stderr."""
+
+    def __init__(self, command: str):
+        self.command, self.parts = command, []
+        self.start, self.usage = time.perf_counter(), _usage()
+
+    def done(self, stage: str, note: str = "") -> float:
+        """End ``stage``, which began when the previous one ended, and return its wall seconds."""
+        now, usage = time.perf_counter(), _usage()
+        wall = now - self.start
+        part = f"{stage} {wall:.3f} s"
+        if usage is not None:
+            part += f" peak {usage[0]:.0f} MiB +{usage[1] - self.usage[1]} minflt"
+        self.parts.append(part + (f" ({note})" if note else ""))
+        self.start, self.usage = now, usage
+        return wall
+
+    def write(self) -> None:
+        print(f"{self.command} stages: " + "; ".join(self.parts), file=sys.stderr)
+
+
 # the forest's and its trees' keys with the library's defaults (a default
 # instance's fields); every table that trains takes them from here and states
 # only the values that differ
@@ -181,12 +217,15 @@ _TRAIN_DEFAULTS = {"data": None, "target": None, **_FOREST_DEFAULTS, "threads": 
 
 
 def _cmd_train(cfg: dict) -> int:
+    stages = _Stages("train")
     fcfg = _forest_config(cfg)  # refuses a bad forest key before the data loads
     ts = load_csv(cfg["data"], target_column=cfg["target"])
-    start = time.perf_counter()
+    stages.done("data")
     fm = train(ts, fcfg, n_jobs=cfg["threads"])
-    wall = time.perf_counter() - start
+    wall = stages.done("train", f"{fm.roots.size} trees, {fm.feature.size} nodes, max {max_leaves(fm)} leaves")
     save_model(cfg["out"], fm, ts)
+    stages.done("save")
+    stages.write()
     print(
         f"trained {fm.config.tree.mode} forest: n={fm.n} d={ts.d} s={fm.s} b={fm.b} "
         f"wall={wall:.2f}s -> {cfg['out']}"
@@ -217,14 +256,23 @@ def _load_query(path, feature_names, d) -> np.ndarray:
 def _cmd_predict(cfg: dict) -> int:
     if not 0.0 < cfg["level"] < 1.0:  # before the model loads
         raise ValueError(f"level must be in (0, 1), got {cfg['level']}")
+    stages = _Stages("predict")
     fm, meta = load_model(cfg["model"])
+    stages.done("load")
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
-    yhat, est = predict_with_variance(fm, xs)
+    stages.done("data")
+    per_tree = predict_per_tree(fm, xs)
+    traversal = _traversal(fm, xs.shape[0]).__name__.lstrip("_")
+    stages.done("traverse", f"{traversal} {per_tree.shape[0]}x{per_tree.shape[1]}")
+    yhat, est = variance_from_per_tree(fm, per_tree)
     ci = interval(yhat, est, cfg["level"])
+    stages.done("ij")
     table = np.column_stack([yhat, est.plugin, est.corrected, est.truncated, ci.lo, ci.hi]).tolist()
     rows = [["y_hat", "vij_plugin", "vij_corrected", "vij_truncated", "interval_lo", "interval_hi", "degenerate"]]
     rows += [[*row, int(flag)] for row, flag in zip(table, ci.degenerate.tolist())]
     write_csv(cfg["out"], _preamble("predict", {**cfg, "model_tool": meta["tool"], "b": fm.b, "s": fm.s}), rows)
+    stages.done("write")
+    stages.write()
     print(f"wrote {xs.shape[0]} prediction records to {cfg['out']}")
     return 0
 

@@ -351,6 +351,8 @@ def fit_subsamples(ts: TrainingSet, cfg: ForestConfig, sub: np.ndarray, paths: l
     ``rng.stream(*paths[b])`` (``_fit_block``); its s and b are ``sub``'s shape.
     """
     b, s = sub.shape
+    if len(paths) != b:
+        raise ValueError(f"need one stream path per subsample row: {len(paths)} paths for {b} rows")
     cfg = replace(cfg, s=s, b=b)
     return _pack([_fit_block(ts, tree_mod.sorted_axes(ts), cfg, paths, sub)], ts.n, s, ts.d, cfg)
 
@@ -465,12 +467,15 @@ def _bitmask(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def max_leaves(forest: ForestModel) -> int:
+    """The most leaves in one tree of the forest."""
+    return int(np.add.reduceat(forest.feature < 0, forest.roots, dtype=np.intp).max())
+
+
 def _traversal(forest: ForestModel, k: int):
     """The traversal ``predict_per_tree`` takes for k queries, ``_bitmask`` or ``_walk``."""
     many = k * forest.b >= forest.feature.size and forest.d <= _MASK_MAX_D
-    if many and np.add.reduceat(forest.feature < 0, forest.roots, dtype=np.intp).max() <= _MASK_LEAVES:
-        return _bitmask
-    return _walk
+    return _bitmask if many and max_leaves(forest) <= _MASK_LEAVES else _walk
 
 
 def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:

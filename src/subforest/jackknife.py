@@ -23,7 +23,7 @@ i.i.d. trees, Var*(T)/B, estimated without bias by v_hat / (B-1).
 
 One kernel computes every estimate, one per column of a (B, K) matrix of
 centered tree outputs: the forest's per-tree matrix, which
-``predict_with_variance`` centers in place, or the one column of ``v_ij``.
+``variance_from_per_tree`` centers in place, or the one column of ``v_ij``.
 Its result stays batched: one ``VarianceEstimate`` whose fields are (K,)
 arrays over the queries and whose C is (n, K), so one ``interval`` call gives
 every query's interval. ``est[k]`` is query k's view, with float fields and
@@ -180,19 +180,26 @@ def v_ij(outputs, subsamples, n: int) -> VarianceEstimate:
     return _estimates(centered, rows, n)[0]
 
 
-def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, VarianceEstimate]:
-    """Forest predictions for each row of ``xs`` and their estimates as (K,) arrays, from one traversal.
+def variance_from_per_tree(forest: ForestModel, per_tree: np.ndarray) -> tuple[np.ndarray, VarianceEstimate]:
+    """Forest predictions and their estimates as (K,) arrays from the forest's (B, K)
+    per-tree matrix, which this centers in place: pass a fresh one.
 
     The predictions are the column means of the per-tree matrix, the same
     reduction ``forest.predict_batch`` takes, so they agree bit-for-bit.
     """
     if forest.b < 2:
         raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {forest.b}")
+    if per_tree.ndim != 2 or per_tree.shape[0] != forest.b:
+        raise ValueError(f"the per-tree matrix must be (B={forest.b}, K), got {per_tree.shape}")
+    y_hat = per_tree.mean(axis=0)
+    per_tree -= y_hat
+    return y_hat, _estimates(per_tree, forest.subsample_indices, forest.n)
+
+
+def predict_with_variance(forest: ForestModel, xs) -> tuple[np.ndarray, VarianceEstimate]:
+    """Forest predictions for each row of ``xs`` and their estimates as (K,) arrays, from one traversal."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    centered = predict_per_tree(forest, xs)  # (B, K), a fresh array
-    y_hat = centered.mean(axis=0)
-    centered -= y_hat
-    return y_hat, _estimates(centered, forest.subsample_indices, forest.n)
+    return variance_from_per_tree(forest, predict_per_tree(forest, xs))
 
 
 def variance_estimates(forest: ForestModel, xs) -> list[VarianceEstimate]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import subforest
-from subforest import dataset, forest, tree
+from subforest import dataset, forest, jackknife, tree
 from subforest.cli import main
 from subforest.forest import ForestConfig
 from subforest.model_io import load_model, save_model
@@ -215,6 +216,70 @@ class TestPredict:
         bad.write_text("a,b\n0.5,0.5\n")
         assert main(["predict", "--model", str(model), "--data", str(bad),
                      "--out", str(tmp_path / "p.csv")]) == 1
+
+
+class TestStages:
+    """train and predict write one stage line to stderr; stdout keeps its one summary line."""
+
+    @staticmethod
+    def _stages(err, command):
+        lines = [line for line in err.splitlines() if line.startswith(f"{command} stages: ")]
+        assert len(lines) == 1, err
+        return lines[0].removeprefix(f"{command} stages: ").split("; ")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_train_counts_match_the_model(self, tmp_path, capsys, threads):
+        data, model = _gen(tmp_path, n=60), tmp_path / "m.bin"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--threads", str(threads), "--b", "12", "--seed", "2",
+                     "--out", str(model)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("trained honest forest") and out.count("\n") == 1
+        stages = self._stages(err, "train")
+        assert [stage.split()[0] for stage in stages] == ["data", "train", "save"]
+        assert all(re.match(r"\w+ \d+\.\d{3} s peak \d+ MiB \+\d+ minflt", stage) for stage in stages), stages
+        fm, _ = load_model(model)
+        leaves = np.add.reduceat(fm.feature < 0, fm.roots).max()
+        assert stages[1].endswith(f" ({fm.b} trees, {fm.feature.size} nodes, max {leaves} leaves)")
+
+    @pytest.mark.parametrize("k, traversal", [(3, "walk"), (40, "bitmask")])
+    def test_predict_names_the_traversal(self, tmp_path, capsys, k, traversal):
+        data, model = _gen(tmp_path), tmp_path / "m.bin"
+        query, out = _gen(tmp_path, "q.csv", n=k, seed=5), tmp_path / "p.csv"
+        assert main(["train", "--data", str(data), "--threads", "1", "--b", "20", "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)]) == 0
+        stdout, err = capsys.readouterr()
+        assert stdout == f"wrote {k} prediction records to {out}\n"
+        stages = self._stages(err, "predict")
+        assert [stage.split()[0] for stage in stages] == ["load", "data", "traverse", "ij", "write"]
+        fm, _ = load_model(model)
+        assert (k * fm.b >= fm.feature.size) == (traversal == "bitmask")  # the bitmask's threshold
+        assert stages[2].endswith(f" ({traversal} {fm.b}x{k})")
+
+    def test_times_only_without_resource(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource then raises ImportError
+        data, model = _gen(tmp_path), tmp_path / "m.bin"
+        assert main(["train", "--data", str(data), "--threads", "1", "--b", "6", "--out", str(model)]) == 0
+        stages = self._stages(capsys.readouterr().err, "train")
+        assert re.fullmatch(r"data \d+\.\d{3} s", stages[0]) and re.fullmatch(r"save \d+\.\d{3} s", stages[2])
+
+    def test_csv_is_the_single_pass_library_answer(self, tmp_path):
+        # predict times the traversal and the IJ step apart; its rows are predict_with_variance's
+        data, model, out = _gen(tmp_path), tmp_path / "m.bin", tmp_path / "p.csv"
+        assert main(["train", "--data", str(data), "--threads", "1", "--b", "30", "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--data", str(data), "--level", "0.9", "--out", str(out)]) == 0
+        fm, _ = load_model(model)
+        yhat, est = jackknife.predict_with_variance(fm, dataset.load_csv(data, target_column="y").x)
+        ci = jackknife.interval(yhat, est, 0.9)
+        table = np.column_stack([yhat, est.plugin, est.corrected, est.truncated, ci.lo, ci.hi]).tolist()
+        want = tmp_path / "want.csv"
+        dataset.write_csv(want, [], [
+            ["y_hat", "vij_plugin", "vij_corrected", "vij_truncated", "interval_lo", "interval_hi", "degenerate"],
+            *([*row, int(flag)] for row, flag in zip(table, ci.degenerate.tolist())),
+        ])
+        body = b"".join(line for line in out.read_bytes().splitlines(keepends=True) if not line.startswith(b"#"))
+        assert body == want.read_bytes()
 
 
 class TestModelFile:
@@ -663,7 +728,7 @@ class TestOracleCheck:
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "statistics", "subforest.experiments",
+WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "statistics", "resource", "subforest.experiments",
            "subforest.oracle")
 loaded = lambda: [m for m in WATCHED if m in sys.modules]
 from subforest.cli import main
@@ -677,8 +742,9 @@ print(json.dumps(steps))
 
 
 class TestImports:
-    """The CLI loads the simulation harness, the oracle, the process pool and
-    the normal quantile's ``statistics`` only when a command needs them."""
+    """The CLI loads the simulation harness, the oracle, the process pool,
+    the normal quantile's ``statistics`` and the stage line's ``resource``
+    only when a command needs them."""
 
     def _probe(self, *argvs):
         src = str(pathlib.Path(subforest.__file__).resolve().parent.parent)

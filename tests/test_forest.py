@@ -79,6 +79,14 @@ class TestTrain:
         honest = forest.fit_subsamples(cosine_1k, ForestConfig(), fm.subsample_indices[:2], paths[:2])
         assert (honest.s, honest.b, honest.config.s, honest.config.b) == (fm.s, 2, fm.s, 2)
 
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    @pytest.mark.parametrize("n_paths", [2, 4])
+    def test_fit_subsamples_needs_one_path_per_row(self, cosine_1k, mode, n_paths):
+        sub = forest.train(cosine_1k, ForestConfig(b=3, seed=15)).subsample_indices
+        paths = [(15, rng.TREE, b) for b in range(n_paths)]
+        with pytest.raises(ValueError, match=f"{n_paths} paths for 3 rows"):
+            forest.fit_subsamples(cosine_1k, ForestConfig(tree=tree.TreeConfig(mode=mode)), sub, paths)
+
     def test_prefix_property_in_b(self, cosine_1k):
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))
         small = forest.train(cosine_1k, ForestConfig(b=5, seed=4))

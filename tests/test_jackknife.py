@@ -110,6 +110,19 @@ class TestVij:
         with pytest.raises(ValueError, match="B >= 2"):
             jackknife.variance_estimates(fm, np.array([[0.5, 0.5]]))
 
+    def test_per_tree_step_is_the_single_pass(self, cosine_1k):
+        # the step the CLI times apart from the traversal, on the matrix it centers in place
+        fm = forest.train(cosine_1k, forest.ForestConfig(b=40, seed=5))
+        xs = np.random.default_rng(2).random((7, 2))
+        per = forest.predict_per_tree(fm, xs)
+        yhat, est = jackknife.variance_from_per_tree(fm, per)
+        want_y, want = jackknife.predict_with_variance(fm, xs)
+        assert np.array_equal(yhat, want_y) and np.array_equal(est.c, want.c)
+        assert all(np.array_equal(getattr(est, name), getattr(want, name)) for name in _FIELDS)
+        assert np.array_equal(per, forest.predict_per_tree(fm, xs) - yhat)
+        with pytest.raises(ValueError, match=r"per-tree matrix must be \(B=40, K\), got \(39, 7\)"):
+            jackknife.variance_from_per_tree(fm, per[:39])
+
 
 def _dense(outputs, rows, n):
     """The unblocked formula on a (B, n) counts table: (plugin, correction, corrected, truncated, v_hat) per column, and C."""
