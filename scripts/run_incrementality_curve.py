@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from subforest.oracle import incrementality_curve
+from subforest.oracle import HonestTreeLearner, incrementality_curve
 from subforest.tree import TreeConfig
 
 
@@ -38,7 +38,7 @@ def main() -> int:
 
     s_values = [int(v) for v in args.s_values.split(",")]
     points = incrementality_curve(
-        TreeConfig(), Uniform1DSource(), s_values, x=[args.x],
+        HonestTreeLearner(TreeConfig(), [args.x]), Uniform1DSource(), s_values,
         seed=args.seed, outer=args.outer, inner=args.inner,
     )
     print(f"{'s':>5} {'ratio':>8} {'+/-se':>8} {'reference':>10} method")

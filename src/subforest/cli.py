@@ -9,8 +9,8 @@ handler that runs on the one config resolved from them. Exit codes: 0
 success, 1 usage or configuration error, 2 oracle or acceptance assertion
 failure.
 
-``train`` and ``predict`` also write one stage line to stderr (``_Stages``):
-each stage's wall seconds, peak RSS and minor page faults.
+``train``, ``predict`` and ``simulate table1`` also write one stage line to
+stderr (``_Stages``): each stage's wall seconds, peak RSS and minor page faults.
 
 Start-up loads only what a command runs: the simulation harness and the
 enumeration oracle load inside simulate and oracle-check, and the process
@@ -41,7 +41,7 @@ from .dataset import (
     save_csv,
     write_csv,
 )
-from .forest import ForestConfig, WorkerError, _traversal, max_leaves, predict_per_tree, train, usable_cores
+from .forest import ForestConfig, WorkerError, max_leaves, train, traversal, usable_cores
 from .jackknife import interval, v_ij, variance_from_per_tree
 from .model_io import load_model, save_model
 from .tree import CART, HONEST, TreeConfig
@@ -202,9 +202,8 @@ _GEN_DEFAULTS = {"kind": "cosine", "d": None, "n": 100, "seed": 0, "noise_sd": S
 
 
 def _cmd_gen(cfg: dict) -> int:
-    if cfg["d"] is None:
-        cfg["d"] = ARITY.get(cfg["kind"])
     spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
+    cfg["d"] = spec.d
     ts = gen_synthetic(spec, cfg["n"], cfg["seed"])
     save_csv(ts, cfg["out"], _preamble("gen", cfg))
     print(f"wrote {ts.n} rows ({ts.d} features) to {cfg['out']}")
@@ -261,9 +260,9 @@ def _cmd_predict(cfg: dict) -> int:
     stages.done("load")
     xs = _load_query(cfg["data"], meta.get("feature_names"), fm.d)
     stages.done("data")
-    per_tree = predict_per_tree(fm, xs)
-    traversal = _traversal(fm, xs.shape[0]).__name__.lstrip("_")
-    stages.done("traverse", f"{traversal} {per_tree.shape[0]}x{per_tree.shape[1]}")
+    traverse = traversal(fm, xs.shape[0])  # xs is fresh float64 with the model's d columns
+    per_tree = traverse(fm, xs)
+    stages.done("traverse", f"{traverse.__name__.lstrip('_')} {per_tree.shape[0]}x{per_tree.shape[1]}")
     yhat, est = variance_from_per_tree(fm, per_tree)
     ci = interval(yhat, est, cfg["level"])
     stages.done("ij")
@@ -290,9 +289,9 @@ def _experiment_spec(cfg: dict, source=None):
     from .experiments import ExperimentSpec, SyntheticSource
 
     if source is None:
-        if cfg["d"] is None:
-            cfg["d"] = ARITY.get(cfg["kind"])  # an unknown kind is refused by SyntheticSpec
-        source = SyntheticSource(SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"]))
+        spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
+        cfg["d"] = spec.d
+        source = SyntheticSource(spec)
     fcfg = _forest_config(cfg)
     cfg["s"], cfg["b"] = fcfg.resolve(cfg["n"])  # echo resolved sizes, not the rule
     return ExperimentSpec(
@@ -414,21 +413,20 @@ def _cmd_sim_table1(cfg: dict) -> int:
 
     from .experiments import TABLE1_ROWS, run_metrics
 
-    # every row shares simulate metrics' forest and tree defaults; an unset b is given per row
-    stamp = {key: _SIM_COMMON[key] for key in ("s_exponent", "gamma", "delta", "max_leaf_size", "noise_sd")}
-    stamp.update({k: v for k, v in cfg.items() if v is not None})
+    # every row shares simulate metrics' settings but its design; an unset b is given per row
+    stamp = {k: v for k, v in {**_SIM_COMMON, **cfg}.items() if v is not None and k not in ("kind", "n")}
     stamp.update(cores=usable_cores(), python=platform.python_version(), numpy=np.__version__)
-    rows = []
+    stages, rows = _Stages("simulate table1"), []
     for i, (kind, d, n) in enumerate(TABLE1_ROWS, 1):
         row_cfg = {**_SIM_COMMON, **cfg, "kind": kind, "d": d, "n": n}
-        start = time.perf_counter()
         rep = run_metrics(_experiment_spec(row_cfg))
-        wall = time.perf_counter() - start
         rows.append((kind, d, n, rep))
-        stamp[f"row{i}"] = f"{kind} d={d} n={n} s={row_cfg['s']} b={row_cfg['b']} seconds={wall:.1f}"
+        stamp[f"row{i}"] = f"{kind} d={d} n={n} s={row_cfg['s']} b={row_cfg['b']}"
         # rewritten after each row, so a bad path fails on the first and finished rows survive
         _write_metrics_csv(cfg["out"], "simulate-table1", stamp, rows)
+        wall = stages.done(f"row{i}", f"{kind} d={d} n={n}")
         print(f"{kind:>6} d={d:<3} n={n:<5} rel_mse={rep.rel_mse:.4f} ({wall:.0f}s)", flush=True)
+    stages.write()
     print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 0
 

@@ -25,15 +25,17 @@ ARITY = {"cosine": 2, "xor": 4, "and": 4}
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """One of the three synthetic data-generating distributions."""
+    """One of the three synthetic data-generating distributions; d defaults to the kind's arity."""
 
     kind: str
-    d: int
+    d: int | None = None
     noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ARITY:
             raise ValueError(f"unknown synthetic kind {self.kind!r}; expected one of {sorted(ARITY)}")
+        if self.d is None:
+            object.__setattr__(self, "d", ARITY[self.kind])
         if self.d < ARITY[self.kind]:
             raise ValueError(f"kind {self.kind!r} needs d >= {ARITY[self.kind]}, got d={self.d}")
         if not (self.noise_sd >= 0.0 and math.isfinite(self.noise_sd)):

@@ -472,8 +472,11 @@ def max_leaves(forest: ForestModel) -> int:
     return int(np.add.reduceat(forest.feature < 0, forest.roots, dtype=np.intp).max())
 
 
-def _traversal(forest: ForestModel, k: int):
-    """The traversal ``predict_per_tree`` takes for k queries, ``_bitmask`` or ``_walk``."""
+def traversal(forest: ForestModel, k: int):
+    """The traversal ``predict_per_tree`` takes for k queries, ``_bitmask`` or ``_walk``.
+
+    Either maps the forest and a C-contiguous (k, d) float64 matrix to the (B, k) per-tree matrix.
+    """
     many = k * forest.b >= forest.feature.size and forest.d <= _MASK_MAX_D
     return _bitmask if many and max_leaves(forest) <= _MASK_LEAVES else _walk
 
@@ -485,7 +488,7 @@ def predict_per_tree(forest: ForestModel, xq) -> np.ndarray:
     xs = np.ascontiguousarray(np.atleast_2d(xq))
     if xs.shape[1] != forest.d:
         raise ValueError(f"expected {forest.d} features, got {xs.shape[1]}")
-    values = _traversal(forest, xs.shape[0])(forest, xs)
+    values = traversal(forest, xs.shape[0])(forest, xs)
     return values[:, 0] if single else values
 
 

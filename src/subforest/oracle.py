@@ -306,27 +306,21 @@ def uniform_density_reference(s: int, d: int) -> float:
 
 
 def incrementality_curve(
-    cfg: TreeConfig,
+    learner,
     source,
     s_values,
-    x,
     seed: int = 0,
     outer: int = 1000,
     inner: int = 1000,
     uniform_density: bool = True,
-    learner=None,
 ) -> list[IncrementalityPoint]:
-    """Projection-variance ratio of an honest tree learner across subsample sizes.
+    """Projection-variance ratio of ``learner``, such as a ``HonestTreeLearner``, across subsample sizes.
 
     Exact enumeration when the source is finite with q^s within ENUM_CAP,
     otherwise nested Monte Carlo with ``outer`` conditioning draws and
     ``inner`` completions each (both at least 1000, per the estimator's
     accuracy floor). Diagnostic only: the reference bound is asymptotic.
-    ``learner`` overrides the honest-tree base learner (mainly for testing
-    the Monte Carlo path with cheap learners).
     """
-    if learner is None:
-        learner = HonestTreeLearner(cfg, x)
     d = source.d
     points = []
     for s in s_values:

@@ -219,7 +219,7 @@ class TestPredict:
 
 
 class TestStages:
-    """train and predict write one stage line to stderr; stdout keeps its one summary line."""
+    """train, predict and simulate table1 write one stage line to stderr; stdout keeps its lines."""
 
     @staticmethod
     def _stages(err, command):
@@ -243,12 +243,16 @@ class TestStages:
         assert stages[1].endswith(f" ({fm.b} trees, {fm.feature.size} nodes, max {leaves} leaves)")
 
     @pytest.mark.parametrize("k, traversal", [(3, "walk"), (40, "bitmask")])
-    def test_predict_names_the_traversal(self, tmp_path, capsys, k, traversal):
+    def test_predict_names_the_traversal(self, tmp_path, capsys, monkeypatch, k, traversal):
         data, model = _gen(tmp_path), tmp_path / "m.bin"
         query, out = _gen(tmp_path, "q.csv", n=k, seed=5), tmp_path / "p.csv"
         assert main(["train", "--data", str(data), "--threads", "1", "--b", "20", "--out", str(model)]) == 0
         capsys.readouterr()
+        calls, max_leaves = [], forest.max_leaves
+        monkeypatch.setattr(forest, "max_leaves", lambda fm: calls.append(fm.b) or max_leaves(fm))
         assert main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)]) == 0
+        # the traversal is picked once; only a predict sized for the bitmask counts the leaves
+        assert calls == ([20] if traversal == "bitmask" else [])
         stdout, err = capsys.readouterr()
         assert stdout == f"wrote {k} prediction records to {out}\n"
         stages = self._stages(err, "predict")
@@ -256,6 +260,21 @@ class TestStages:
         fm, _ = load_model(model)
         assert (k * fm.b >= fm.feature.size) == (traversal == "bitmask")  # the bitmask's threshold
         assert stages[2].endswith(f" ({traversal} {fm.b}x{k})")
+
+    def test_table1_stage_per_design(self, tmp_path, capsys, monkeypatch):
+        from subforest import experiments
+
+        designs = (("cosine", 2, 20), ("xor", 4, 30), ("and", 5, 25))
+        monkeypatch.setattr(experiments, "TABLE1_ROWS", designs)
+        assert main(["simulate", "table1", "--b", "10", "--r", "2", "--k", "2", "--threads", "1",
+                     "--out", str(tmp_path / "t1.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == len(designs) + 1
+        stages = self._stages(err, "simulate table1")
+        assert [stage.split()[0] for stage in stages] == ["row1", "row2", "row3"]
+        for stage, (kind, d, n) in zip(stages, designs):
+            assert re.match(r"\w+ \d+\.\d{3} s peak \d+ MiB \+\d+ minflt", stage), stage
+            assert stage.endswith(f" ({kind} d={d} n={n})")
 
     def test_times_only_without_resource(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "resource", None)  # import resource then raises ImportError
@@ -561,9 +580,23 @@ class TestSimulate:
         assert (preamble["max_leaf_size"], preamble["noise_sd"]) == ("5", "1.0")
         assert (preamble["numpy"], preamble["cores"]) == (np.__version__, str(forest.usable_cores()))
         assert preamble["python"] == ".".join(map(str, sys.version_info[:3]))
-        assert preamble["row1"].startswith("cosine d=2 n=20 s=8 b=100 seconds=")
-        assert preamble["row2"].startswith("xor d=4 n=30 s=10 b=150 seconds=")
+        assert preamble["row1"] == "cosine d=2 n=20 s=8 b=100"
+        assert preamble["row2"] == "xor d=4 n=30 s=10 b=150"
         assert "out" not in preamble and "b" not in preamble and "row3" not in preamble
+
+    def test_table1_csv_does_not_read_the_clock(self, tmp_path, monkeypatch):
+        # the CSV is a function of the config and the machine: a clock jumping 100 s per call changes no byte
+        import itertools
+        import time
+
+        from subforest import experiments
+
+        monkeypatch.setattr(experiments, "TABLE1_ROWS", (("cosine", 2, 20), ("xor", 4, 30)))
+        argv = ["simulate", "table1", "--b", "10", "--r", "2", "--k", "2", "--threads", "1", "--out"]
+        assert main([*argv, str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(time, "perf_counter", itertools.count(0.0, 100.0).__next__)
+        assert main([*argv, str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_table1_bad_out_fails_before_the_second_row(self, tmp_path, monkeypatch, capsys):
         from subforest import experiments

@@ -48,6 +48,12 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             SyntheticSpec("sine", 2)
+        with pytest.raises(ValueError, match="unknown"):
+            SyntheticSpec("sine")
+
+    def test_unset_d_is_the_arity(self):
+        assert [SyntheticSpec(kind).d for kind in ("cosine", "xor", "and")] == [2, 4, 4]
+        assert SyntheticSpec("xor") == SyntheticSpec("xor", 4)
 
     def test_extra_noise_dimensions_allowed(self):
         spec = SyntheticSpec("xor", 20)

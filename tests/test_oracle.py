@@ -262,7 +262,7 @@ class TestIncrementality:
     def test_exact_path_ratio_in_unit_interval(self):
         dist = _uniform_dist([0.0, 1.0, 2.0])
         pts = oracle.incrementality_curve(
-            tree.TreeConfig(), dist, [2, 3], x=[0.5], uniform_density=False
+            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2, 3], uniform_density=False
         )
         for p in pts:
             assert p.method == "exact"
@@ -275,7 +275,7 @@ class TestIncrementality:
             np.array([[0.1], [0.9]]), np.array([3.0, 3.0]), np.array([0.5, 0.5])
         )
         pts = oracle.incrementality_curve(
-            tree.TreeConfig(), dist, [2], x=[0.5], uniform_density=False
+            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2], uniform_density=False
         )
         assert pts[0].degenerate
 
@@ -295,7 +295,7 @@ class TestIncrementality:
 
         with pytest.raises(ValueError, match="1000"):
             oracle.incrementality_curve(
-                tree.TreeConfig(), TinySource(), [50], x=[0.5], outer=10, inner=10
+                HonestTreeLearner(tree.TreeConfig(), [0.5]), TinySource(), [50], outer=10, inner=10
             )
 
     def test_mc_path_linear_learner_near_one(self):
@@ -309,8 +309,7 @@ class TestIncrementality:
                 return x, gen.standard_normal(m)
 
         pts = oracle.incrementality_curve(
-            tree.TreeConfig(), GaussianSource(), [8], x=[0.5],
-            seed=3, uniform_density=True, learner=SubsampleMean(),
+            SubsampleMean(), GaussianSource(), [8], seed=3, uniform_density=True,
         )
         p = pts[0]
         assert p.method == "mc" and not p.degenerate
