@@ -502,7 +502,10 @@ def _command(sub, name: str, defaults: dict, required: tuple, func, **kw):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="subforest", description=__doc__)
+    parser = _Parser(prog="subforest", description=(
+        "Train subsampled random forests and predict with infinitesimal-jackknife confidence intervals, "
+        "or run the simulations and exact enumeration checks of their asymptotic theory. Exit codes: "
+        "0 success, 1 usage or configuration error, 2 oracle or acceptance assertion failure."))
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, "gen", _GEN_DEFAULTS, ("out",), _cmd_gen, help="generate a synthetic dataset CSV")

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import default_subsample_size, draw_block, partition_block, prediction_size, row_members
+from .sampling import default_subsample_size, draw_block, partition_block, prediction_size, row_members, sorted_rows
 from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
 # (tree, point) pairs walked together: bounds the traversal's working set
@@ -119,11 +119,6 @@ class ForestConfig:
         if b < 1:
             raise ValueError(f"number of trees must be >= 1, got {b}")
         return s, b
-
-
-def _sorted_rows(rows: np.ndarray, n: int) -> bool:
-    """Every row strictly increasing with entries in [0, n)."""
-    return bool(rows.min() >= 0 and rows.max() < n and np.all(rows[:, 1:] > rows[:, :-1]))
 
 
 # every packed array's dtype, in memory and in the model file, in file order
@@ -197,7 +192,7 @@ class ForestModel:
         object.__setattr__(self, "left", tree_mod.left_children(self.feature, self.roots))
         if not np.all(np.isfinite(self.value) | (self.feature < 0)):
             raise ValueError("split thresholds must be finite")
-        if self.subsample_indices.shape != (self.b, self.s) or not _sorted_rows(self.subsample_indices, self.n):
+        if self.subsample_indices.shape != (self.b, self.s) or not sorted_rows(self.subsample_indices, self.n):
             raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")
         if (self.config.s, self.config.b) != (self.s, self.b):
             raise ValueError(f"config s={self.config.s}, b={self.config.b} does not match the forest's s={self.s}, b={self.b}")
@@ -205,7 +200,7 @@ class ForestModel:
         if (pred is None) != (self.config.tree.mode != HONEST):
             raise ValueError("honest forests, and only they, carry prediction indices")
         if pred is not None:
-            if pred.shape != (self.b, prediction_size(self.s)) or not _sorted_rows(pred, self.n):
+            if pred.shape != (self.b, prediction_size(self.s)) or not sorted_rows(pred, self.n):
                 raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
             if not row_members(self.subsample_indices, pred, self.n).all():
                 raise ValueError("prediction indices must lie inside their tree's subsample")

@@ -71,8 +71,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import ForestModel, _sorted_rows, predict_per_tree
+from .forest import ForestModel, predict_per_tree
 from .normal import norm_ppf
+from .sampling import sorted_rows
 
 # trees per block: the blocks' products are summed into C in tree order, and
 # a block's membership table and tile are this many rows high, whatever B is
@@ -126,7 +127,7 @@ def _check(outputs, rows, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"variance estimation needs B >= 2 tree outputs, got {b}")
     if rows.ndim != 2 or rows.shape[0] != b or not 1 <= rows.shape[1] <= n or rows.dtype.kind not in "iu":
         raise ValueError(f"subsamples must be B={b} rows of 1 to n={n} integer indices, got {rows.dtype} {rows.shape}")
-    if not _sorted_rows(rows, n):
+    if not sorted_rows(rows, n):
         raise ValueError(f"subsamples must be sorted rows of distinct indices in [0, {n})")
     return outputs, rows
 

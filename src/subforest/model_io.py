@@ -21,16 +21,12 @@ expected arrays with the expected dtypes and shapes, laid out back to back
 up to the end of the file (checked against the file's size before any array
 is allocated; each array is then read straight into its own buffer, which
 the forest keeps, so the file's bytes are never held twice), and the forest
-built from them re-checks its structure (feature range, split kinds, node
-count and split positions of every tree, index ranges, the config's s and
-b). A file that fails any check, including a version-1 JSON model whose
-single line parses as a header of the wrong version, is refused with
-``ValueError``. Version 4 dropped version 3's stored child table and its
-0/1 provenance flag. Version 5 dropped version 4's per-leaf training index
-(``pred_index``), which routing recovers, and merged its threshold array
-(read only at splits) and value array (read only at leaves) into one float64
-per node: 25 bytes per node became 13. Files of any other version are
-refused.
+built from them re-checks its structure (feature range, split kinds, finite
+thresholds, node count and split positions of every tree, index ranges, the
+config's s and b). A file that fails any check is refused with
+``ValueError``, and so is a file of any version other than
+``FORMAT_VERSION``, including a version-1 JSON model, whose single line
+parses as a header of the wrong version.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ Everything here enumerates instead of sampling:
   * ``incrementality_curve`` reports Var(projection)/Var(T) against the
     uniform-density reference curve 2^(d+1)/(d-1)! / log(s)^d.
 
+Both exact checks call their learner once, on the sorted atom multisets of
+size s, and read every i.i.d. tuple's output from that table.
+
 A learner is a callable from a batch of R subsamples, (R, m, d) features
 and (R, m) labels, to its R outputs, and must be exchangeable in each
 subsample's rows. The tree learner canonicalizes row order and derives its
@@ -39,6 +42,8 @@ from .tree import TreeConfig
 ENUM_CAP = 10**6
 # (tuple, subset) pairs the ANOVA check gathers at once: bounds its working set
 _PAIR_CHUNK = 1 << 16
+# subsamples per tree-learner fit: bounds its TrainingSet and the forest check's (rows, n) tables, which grow as rows squared
+_LEARNER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,8 @@ class HonestTreeLearner:
         ys_rows = np.take_along_axis(ys_rows, order, axis=1)
         out = np.empty(r)
         cfg = ForestConfig(tree=self.cfg)
-        for lo in range(0, r, forest._TREE_BLOCK):
-            xs, ys = xs_rows[lo:lo + forest._TREE_BLOCK], ys_rows[lo:lo + forest._TREE_BLOCK]
+        for lo in range(0, r, _LEARNER_BLOCK):
+            xs, ys = xs_rows[lo:lo + _LEARNER_BLOCK], ys_rows[lo:lo + _LEARNER_BLOCK]
             seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) ^ self.base_seed for x, y in zip(xs, ys))
             paths = [(seed, rng.PARTITION) for seed in seeds]
             ts = TrainingSet(xs.reshape(-1, d), ys.reshape(-1))
@@ -134,18 +139,19 @@ def _check_cap(count: int, what: str) -> None:
         raise ValueError(f"{what} = {count} exceeds the enumeration cap of {ENUM_CAP}")
 
 
-def enumerate_subsamples(ts: TrainingSet, learner, s: int):
-    """All C(n, s) index subsets with their learner outputs."""
-    n = ts.n
+def _index_subsets(n: int, s: int) -> np.ndarray:
+    """All C(n, s) index subsets of range(n), one sorted row each, in combinations order."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     m_total = math.comb(n, s)
     _check_cap(m_total, f"number of subsamples C({n},{s})")
-    subsets = np.fromiter(
-        (i for combo in combinations(range(n), s) for i in combo),
-        dtype=np.int64,
-        count=m_total * s,
-    ).reshape(m_total, s)
+    flat = (i for combo in combinations(range(n), s) for i in combo)
+    return np.fromiter(flat, dtype=np.int64, count=m_total * s).reshape(m_total, s)
+
+
+def enumerate_subsamples(ts: TrainingSet, learner, s: int):
+    """All C(n, s) index subsets with their learner outputs."""
+    subsets = _index_subsets(ts.n, s)
     return subsets, np.asarray(learner(ts.x[subsets], ts.y[subsets]), dtype=np.float64)
 
 
@@ -181,8 +187,16 @@ def _tuple_ids(q: int, m: int, lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.int64)[:, None] // place % q
 
 
-def _tuple_values(dist: FiniteSupportDistribution, learner, ids: np.ndarray) -> np.ndarray:
-    return np.asarray(learner(dist.xs[ids], dist.ys[ids]), dtype=np.float64)
+def _multiset_lookup(dist: FiniteSupportDistribution, learner, s: int):
+    """A map from (..., s) atom ids to the learner's outputs, from one call on the sorted multisets.
+
+    Their base-q keys grow with their lexicographic order, so searchsorted finds each row."""
+    q = dist.size
+    multisets = np.array(list(combinations_with_replacement(range(q), s)), dtype=np.int64)
+    values = np.asarray(learner(dist.xs[multisets], dist.ys[multisets]), dtype=np.float64)
+    place = q ** np.arange(s - 1, -1, -1)
+    keys = multisets @ place
+    return lambda ids: values[np.searchsorted(keys, np.sort(ids, axis=-1) @ place)]
 
 
 def _first_atom_means(dist: FiniteSupportDistribution, probs, values) -> np.ndarray:
@@ -204,11 +218,15 @@ def hajek_projection_stats(dist: FiniteSupportDistribution, learner, s: int) -> 
     Uses Var(projection) = s * Var_z(E[T | Z_1 = z]), which holds for
     exchangeable learners over i.i.d. inputs.
     """
-    q = dist.size
-    _check_cap(q**s, f"number of i.i.d. tuples {q}^{s}")
-    ids = _tuple_ids(q, s, 0, q**s)
+    _check_cap(dist.size**s, f"number of i.i.d. tuples {dist.size}^{s}")
+    return _hajek_stats(dist, _multiset_lookup(dist, learner, s), s)
+
+
+def _hajek_stats(dist: FiniteSupportDistribution, lookup, s: int) -> HajekStats:
+    """``hajek_projection_stats`` over the q^s tuples in product order, read from ``lookup``."""
+    ids = _tuple_ids(dist.size, s, 0, dist.size**s)
     probs = np.multiply.reduce(dist.probs[ids], axis=1)
-    values = _tuple_values(dist, learner, ids)
+    values = lookup(ids)
     e_t = float(probs @ values)
     base_var = float(probs @ (values - e_t) ** 2)
     hajek_var = s * float(dist.probs @ (_first_atom_means(dist, probs, values) - e_t) ** 2)
@@ -225,8 +243,6 @@ class OracleReport:
     incrementality_ratio: float
     anova_lhs: float
     anova_rhs: float
-    n: int
-    s: int
 
 
 def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) -> OracleReport:
@@ -238,18 +254,11 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
     bound fails beyond 1e-10 relative slack (it cannot, for a finite-variance
     learner).
     """
-    if not 1 <= s <= n:
-        raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     q = dist.size
     count = q**n
     _check_cap(count, f"number of i.i.d. tuples {q}^{n}")
-    subsets = np.array(list(combinations(range(n), s)), dtype=np.int64)
-    # each sorted atom multiset, in lexicographic order, is evaluated once;
-    # its base-q key grows with that order, so searchsorted finds its row
-    multisets = np.array(list(combinations_with_replacement(range(q), s)), dtype=np.int64)
-    values = _tuple_values(dist, learner, multisets)
-    place = q ** np.arange(s - 1, -1, -1)
-    keys = multisets @ place
+    subsets = _index_subsets(n, s)
+    lookup = _multiset_lookup(dist, learner, s)
     # the n-tuples go by in chunks of rows, each chunk's atom ids built from
     # its row numbers; probs, rf and the projection stay whole vectors
     rows = max(1, _PAIR_CHUNK // len(subsets))
@@ -258,8 +267,7 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
     for lo, hi in bounds:
         ids = _tuple_ids(q, n, lo, hi)
         probs[lo:hi] = np.multiply.reduce(dist.probs[ids], axis=1)
-        chunk = np.sort(ids[:, subsets], axis=2)  # (rows, C(n, s), s)
-        t = values[np.searchsorted(keys, chunk @ place)]
+        t = lookup(ids[:, subsets])  # (rows, C(n, s))
         acc = np.zeros(t.shape[0])
         for col in t.T:  # each tuple's sum taken in combinations order
             acc += col
@@ -272,21 +280,13 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
         projection[lo:hi] = e_rf + np.add.reduce(centred[_tuple_ids(q, n, lo, hi)], axis=1)
     lhs = float(probs @ (rf - projection) ** 2)
 
-    stats = hajek_projection_stats(dist, learner, s)
+    stats = _hajek_stats(dist, lookup, s)
     rhs = (s / n) ** 2 * stats.base_variance
     assert lhs <= rhs * (1.0 + 1e-10) + 1e-300, (
         f"ANOVA bound violated: E[(RF - proj)^2] = {lhs!r} > (s/n)^2 Var(T) = {rhs!r}"
     )
-    return OracleReport(
-        expected_forest_value=e_rf,
-        hajek_variance=stats.hajek_variance,
-        base_variance=stats.base_variance,
-        incrementality_ratio=stats.ratio,
-        anova_lhs=lhs,
-        anova_rhs=rhs,
-        n=n,
-        s=s,
-    )
+    return OracleReport(expected_forest_value=e_rf, hajek_variance=stats.hajek_variance, base_variance=stats.base_variance,
+                        incrementality_ratio=stats.ratio, anova_lhs=lhs, anova_rhs=rhs)
 
 
 @dataclass(frozen=True)

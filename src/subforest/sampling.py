@@ -86,6 +86,11 @@ def row_members(rows: np.ndarray, of: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def sorted_rows(rows: np.ndarray, n: int) -> bool:
+    """Every row strictly increasing with entries in [0, n)."""
+    return bool(rows.min() >= 0 and rows.max() < n and np.all(rows[:, 1:] > rows[:, :-1]))
+
+
 def prediction_size(s: int) -> int:
     """Prediction points of an honest partition of s subsample points: ceil(s/2)."""
     return -(-s // 2)

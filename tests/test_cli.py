@@ -806,6 +806,13 @@ class TestParser:
         assert main(["simulate", "--help"]) == 0
         assert "{metrics,normality,coverage,bias-grid,bootstrap,table1}" in capsys.readouterr().out
 
+    def test_help_description_is_plain_text(self, capsys):
+        # users read the description, not the module docstring's markup and private names
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "Exit codes: 0 success, 1 usage or configuration error, 2 oracle" in " ".join(out.split())
+        assert "``" not in out and "_Stages" not in out
+
     def test_unknown_command_exits_one(self, capsys):
         assert main(["simulate", "tabel1", "--out", "x.csv"]) == 1
         assert "invalid choice: 'tabel1'" in capsys.readouterr().err

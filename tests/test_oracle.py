@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from subforest import forest, oracle, tree
+from subforest import oracle, tree
 from subforest.dataset import TrainingSet
 from subforest.oracle import (
     FiniteSupportDistribution,
@@ -121,6 +121,17 @@ class TestHajek:
         with pytest.raises(ValueError, match="cap"):
             oracle.hajek_projection_stats(_uniform_dist(list(range(10))), SubsampleMean(), 7)
 
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_one_call_on_the_sorted_multisets(self, s):
+        calls = []
+
+        def counting(xs_rows, ys_rows):
+            calls.append([tuple(row) for row in ys_rows])
+            return ys_rows.max(axis=1)
+
+        oracle.hajek_projection_stats(_uniform_dist([0.0, 1.0, 2.0]), counting, s)
+        assert calls == [list(combinations_with_replacement([0.0, 1.0, 2.0], s))]
+
     @pytest.mark.parametrize("fn", [
         oracle.enumerate_subsamples, oracle.exact_vij, oracle.hajek_projection_stats,
         oracle.anova_bound_check, oracle.incrementality_curve, oracle._check_cap,
@@ -153,8 +164,8 @@ class TestAnovaBound:
         assert rep.expected_forest_value == pytest.approx(np.mean(rf_vals), rel=1e-12)
 
     def test_each_atom_multiset_evaluated_once(self):
-        # 3 atoms, n=4, s=2: one call on the 6 sorted multisets, each once,
-        # then the Hajek enumeration's 3^2 tuples
+        # 3 atoms, n=4, s=2: one call on the 6 sorted multisets, each once;
+        # the Hajek step reads the same table
         calls = []
 
         def counting(xs_rows, ys_rows):
@@ -162,9 +173,13 @@ class TestAnovaBound:
             return ys_rows.max(axis=1)
 
         oracle.anova_bound_check(_uniform_dist([0.0, 1.0, 2.0]), counting, 4, 2)
-        assert len(calls) == 2
-        assert sorted(calls[0]) == list(combinations_with_replacement([0.0, 1.0, 2.0], 2))
-        assert len(calls[1]) == 3**2
+        assert calls == [list(combinations_with_replacement([0.0, 1.0, 2.0], 2))]
+
+    def test_one_atom_subsets_capped(self, monkeypatch):
+        # q^n = 1 tuple, but C(10, 5) = 252 index subsets
+        monkeypatch.setattr(oracle, "ENUM_CAP", 100)
+        with pytest.raises(ValueError, match=r"C\(10,5\) = 252 exceeds the enumeration cap of 100"):
+            oracle.anova_bound_check(_uniform_dist([1.0]), SubsampleMean(), 10, 5)
 
     @staticmethod
     def _memoised_per_tuple_loop(dist, learner, n, s):
@@ -249,7 +264,7 @@ class TestHonestTreeLearner:
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_batch_equals_one_row_calls(self, monkeypatch, m):
         # 11 rows in blocks of 4 trees, with duplicate rows and tied features
-        monkeypatch.setattr(forest, "_TREE_BLOCK", 4)
+        monkeypatch.setattr(oracle, "_LEARNER_BLOCK", 4)
         gen = np.random.default_rng(6)
         xs = np.round(gen.random((11, m, 2)), 1)
         ys = gen.standard_normal((11, m))

@@ -41,3 +41,23 @@ def test_every_public_name_is_used_outside_the_tests():
             unused.append(f"{module.relative_to(ROOT)}: {name}")
     assert not unused, f"public names only the tests use: {unused}"
 
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_a_siblings_private_name():
+    modules = {path.stem for path in LIBRARY.glob("*.py")}
+    reads = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # names bound to sibling modules by ``from . import forest`` or ``... as tree_mod``
+        aliases = {a.asname or a.name for node in imports if node.module is None for a in node.names if a.name in modules}
+        reads += [f"{path.name}: from .{node.module} import {a.name}"
+                  for node in imports if node.module is not None for a in node.names if _private(a.name)]
+        reads += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and _private(node.attr)]
+    assert not reads, f"private names read across modules: {reads}"
