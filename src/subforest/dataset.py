@@ -113,8 +113,8 @@ def read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
 
     '# key=value' provenance lines before the header and blank rows anywhere
     are skipped, but they count as lines, so a message's "row N" is line N
-    of the file. The file needs a header and a data row, and every row as
-    many cells as the header.
+    of the file. The file needs a header that names no column twice and a
+    data row, and every row as many cells as the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -126,6 +126,10 @@ def read_csv(path) -> tuple[list[str], list[list[str]], list[int]]:
             break
         if header is None:
             raise ValueError(f"{path}: empty file")
+        # columns are found by name, so a repeated name would read one column twice
+        if len(set(header)) < len(header):
+            repeated = next(h for i, h in enumerate(header) if h in header[:i])
+            raise ValueError(f"{path}: header names column {repeated!r} twice")
         rows, lines = [], []
         for row in reader:
             if row and any(cell.strip() for cell in row):

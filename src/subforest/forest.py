@@ -42,7 +42,10 @@ holds little more than the model.
 which return the same copied leaf values bit for bit:
 
 * The level walk moves bounded blocks of (tree, query) pairs one level down
-  per numpy pass: about eight passes per level, O(B*K*depth) in all.
+  per numpy pass: about eight passes per level, O(B*K*depth) in all. Once
+  most of a block's pairs have reached their leaves, it keeps the rest by
+  one index array and ``take``, which is several times cheaper than
+  picking each array by a boolean mask.
 * The leaf bitmask (QuickScorer, Lucchese et al., SIGIR 2015) numbers each
   tree's leaves left to right and gives every internal node a uint64 word
   that clears the leaves of its left subtree. A query's leaf is the lowest
@@ -58,13 +61,18 @@ which return the same copied leaf values bit for bit:
 The bitmask is taken when every tree has at most 64 leaves, K is at least
 the mean number of nodes per tree (K*B >= N) and d is at most 16. Below that
 K, setting up the masks and tables costs more than the walk saves. Measured
-on 2 vCPUs, the honest cosine forest at n=1000, B=2000 (125 nodes per tree)
-takes 15 ms to walk and 34 ms by bitmask at K=50, breaks even near
-K=125-150, and takes 305 against 58 ms at K=1000; a CART xor d=5 forest at
-B=1000 (85 nodes per tree) breaks even near K=50-85. Above d=16 the d
-gathers per (tree, query) cost more than the walk's depth levels: at K=1000
-and B=500 the two break even at d of about 16-20, and at d=30 the bitmask
-takes twice as long.
+on 2 vCPUs (Python 3.11.7, numpy 2.4.6), the honest cosine forest at n=1000,
+B=2000 (125 nodes per tree) takes 7.4 ms to walk and 17 ms by bitmask at
+K=50, breaks even near K=150-175, and takes 128 against 34 ms at K=1000; a
+CART xor d=5 forest at B=1000 (85 nodes per tree) breaks even near
+K=85-100. The rule stays K*B >= N although honest trees break even above
+it: no benchmark workload has a K in that band, the bitmask costs at most
+about 4 ms (25%, at K=125) more there, and honest and CART trees break
+even at different multiples of their node count (about 1.2-1.4 and
+1.0-1.2), so no one multiple fits both. Above d of about 12-16 the d
+gathers per (tree, query) cost more than the walk's depth levels: at
+K=1000 and B=500 (honest cosine, n=1000) the bitmask takes 31 against 34 ms
+at d=12, 39 against 33 ms at d=16 and 78 against 32 ms at d=30.
 """
 
 from __future__ import annotations
@@ -360,7 +368,8 @@ def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
     total = forest.b * k
     out = np.empty(total)
     # pairs are b-major, so `out` reshapes to (B, K); each block walks its
-    # pairs level by level and drops finished ones once they are the majority
+    # pairs level by level and drops finished ones once they are the majority,
+    # keeping the live ones by one index
     for lo in range(0, total, _PAIR_BLOCK):
         pair = np.arange(lo, min(lo + _PAIR_BLOCK, total))
         node = forest.roots[pair // k]
@@ -373,10 +382,15 @@ def _walk(forest: ForestModel, xs: np.ndarray) -> np.ndarray:
                 out[pair] = value[node]
                 if not n_live:
                     break
-                node, base, pair, feat, live = node[live], base[live], pair[live], feat[live], live[live]
+                idx = np.flatnonzero(live)
+                node, base, pair, feat = node.take(idx), base.take(idx), pair.take(idx), feat.take(idx)
+                live = None  # every kept pair is live
             # ties go left and NaN goes right; a pair at a leaf reads some
             # coordinate (feature -1) but stays put, as it never goes right
-            node = left[node] + (live & ~(x_flat[base + feat] <= value[node]))
+            right = ~(x_flat[base + feat] <= value[node])
+            if live is not None:
+                right &= live
+            node = left[node] + right
     return out.reshape(forest.b, k)
 
 
@@ -391,7 +405,7 @@ def _leaf_masks(forest: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray
     levels = []
     nodes = forest.roots
     while nodes.size:
-        inner = nodes[feature[nodes] >= 0]
+        inner = nodes.take(np.flatnonzero(feature[nodes] >= 0))
         left = left_of[inner]
         levels.append((inner, left, left + 1))
         nodes = np.concatenate([left, left + 1])

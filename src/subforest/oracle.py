@@ -190,13 +190,14 @@ def _tuple_ids(q: int, m: int, lo: int, hi: int) -> np.ndarray:
 def _multiset_lookup(dist: FiniteSupportDistribution, learner, s: int):
     """A map from (..., s) atom ids to the learner's outputs, from one call on the sorted multisets.
 
-    Their base-q keys grow with their lexicographic order, so searchsorted finds each row."""
+    A sorted row's base-q key indexes a dense (q^s,) table of the outputs;
+    both callers cap q^s at ``ENUM_CAP``, so the table is at most 8 MB."""
     q = dist.size
     multisets = np.array(list(combinations_with_replacement(range(q), s)), dtype=np.int64)
-    values = np.asarray(learner(dist.xs[multisets], dist.ys[multisets]), dtype=np.float64)
     place = q ** np.arange(s - 1, -1, -1)
-    keys = multisets @ place
-    return lambda ids: values[np.searchsorted(keys, np.sort(ids, axis=-1) @ place)]
+    table = np.empty(q**s)
+    table[multisets @ place] = learner(dist.xs[multisets], dist.ys[multisets])
+    return lambda ids: table[np.sort(ids, axis=-1) @ place]
 
 
 def _first_atom_means(dist: FiniteSupportDistribution, probs, values) -> np.ndarray:

@@ -130,6 +130,14 @@ class TestTrain:
         assert f"error: s_exponent must be finite and > 0, got {float(value)}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_column_name_refused(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,a,y\n" + "".join(f"{i / 40},{1 - i / 40},{i % 3}\n" for i in range(40)))
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(data), "--threads", "1", "--b", "4", "--out", str(model)]) == 1
+        assert "header names column 'a' twice" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         data = _gen(tmp_path)
         cfg = tmp_path / "bad.json"
@@ -209,6 +217,15 @@ class TestPredict:
         fm, _ = load_model(model)
         want = forest.predict_batch(fm, [[np.nan, 0.5], [0.25, np.inf]])
         assert np.all(np.isfinite(want)) and np.array_equal(np.array(got), want)
+
+    def test_repeated_query_column_refused(self, tmp_path, capsys):
+        _, model = self._model(tmp_path)
+        query = tmp_path / "q.csv"
+        query.write_text("x1,x2,x1\n0.1,0.9,0.5\n0.9,0.1,0.5\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(query), "--out", str(out)]) == 1
+        assert "header names column 'x1' twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_feature_column(self, tmp_path):
         data, model = self._model(tmp_path)

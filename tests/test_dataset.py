@@ -144,6 +144,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 6, column 'y': not numeric: 'oops'"):
             dataset.load_csv(p)
 
+    @pytest.mark.parametrize("header", ["a,a,y", "a, b,y,b "])
+    def test_repeated_column_name_refused(self, tmp_path, header):
+        # names are stripped before they are compared
+        p = tmp_path / "t.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        name = header.split(",")[1].strip()
+        with pytest.raises(ValueError, match=f"header names column '{name}' twice"):
+            dataset.read_csv(p)
+
     def test_header_only_is_empty_dataset(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,y\n")
