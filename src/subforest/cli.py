@@ -1,13 +1,13 @@
 """Command-line surface.
 
 Commands: gen, train, predict, simulate {metrics, normality, coverage,
-bias-grid, bootstrap, table1}, oracle-check. Every option can also come from
-a JSON config file (--config); explicit flags override file values, and the
-fully resolved configuration is echoed into every output file next to the
-tool version. Each command is a table of defaults, its required keys and a
-handler that runs on the one config resolved from them. Exit codes: 0
-success, 1 usage or configuration error, 2 oracle or acceptance assertion
-failure.
+bias-grid, bootstrap, table1, incrementality}, oracle-check. Every option can
+also come from a JSON config file (--config); explicit flags override file
+values, and the fully resolved configuration is echoed into every output file
+next to the tool version. Each command is a table of defaults, its required
+keys and a handler that runs on the one config resolved from them. Exit
+codes: 0 success, 1 usage or configuration error, 2 oracle or acceptance
+assertion failure.
 
 ``train``, ``predict`` and ``simulate table1`` also write one stage line to
 stderr (``_Stages``): each stage's wall seconds, peak RSS and minor page faults.
@@ -431,6 +431,38 @@ def _cmd_sim_table1(cfg: dict) -> int:
     return 0
 
 
+# the curve runs serially on TreeConfig()'s honest trees, queried at x in every coordinate
+_SIM_INCREMENTALITY = {
+    "s_values": "8,16,32", "x": 0.5, "outer": 1000, "inner": 1000, "seed": 0,
+    "kind": "linear", "d": None, "noise_sd": SyntheticSpec.noise_sd, "out": None,
+}
+
+
+def _cmd_sim_incrementality(cfg: dict) -> int:
+    try:
+        s_values = [int(v) for v in cfg["s_values"].split(",")]
+    except ValueError:
+        raise ValueError(f"s_values must be comma-separated integers, got {cfg['s_values']!r}") from None
+    if min(s_values) < 2:  # before any tree is fitted
+        raise ValueError(f"every s in s_values must be >= 2, got {min(s_values)}")
+    from .experiments import SyntheticSource
+    from .oracle import HonestTreeLearner, incrementality_curve
+
+    spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
+    cfg["d"] = spec.d
+    learner = HonestTreeLearner(TreeConfig(), [cfg["x"]] * spec.d)
+    points = incrementality_curve(learner, SyntheticSource(spec), s_values,
+                                  seed=cfg["seed"], outer=cfg["outer"], inner=cfg["inner"])
+    write_csv(cfg["out"], _preamble("simulate-incrementality", cfg), [
+        ["s", "ratio", "ratio_se", "reference", "method"],
+        *([p.s, p.ratio, p.ratio_se, p.reference, p.method] for p in points),
+    ])
+    for p in points:
+        print(f"s={p.s:<4} ratio={p.ratio:.4f} +/- {p.ratio_se:.4f} reference={p.reference:.4f}")
+    print(f"wrote {len(points)} rows to {cfg['out']}")
+    return 0
+
+
 # ---------------------------------------------------------------- oracle-check
 
 _ORACLE_DEFAULTS = {
@@ -521,6 +553,7 @@ def build_parser() -> _Parser:
     _command(simsub, "bias-grid", _SIM_GRID, ("out",), _cmd_sim_bias_grid)
     _command(simsub, "bootstrap", _SIM_BOOTSTRAP, ("data", "out"), _cmd_sim_bootstrap)
     _command(simsub, "table1", _SIM_TABLE1, ("out",), _cmd_sim_table1)
+    _command(simsub, "incrementality", _SIM_INCREMENTALITY, ("out",), _cmd_sim_incrementality)
     _command(sub, "oracle-check", _ORACLE_DEFAULTS, (), _cmd_oracle_check,
              help="exact enumeration checks; exit 2 on violation")
     return parser

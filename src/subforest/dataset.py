@@ -5,6 +5,7 @@ Synthetic label rules (features uniform on [0,1]^d, standard Gaussian noise):
     cosine: y = 3 * cos(pi * (x1 + x2))
     xor:    y = 5 * (XOR(x1 > 0.6, x2 > 0.6) + XOR(x3 > 0.6, x4 > 0.6))
     and:    y = 10 * AND(x1 > 0.3, x2 > 0.3, x3 > 0.3, x4 > 0.3)
+    linear: y = x1
 
 XOR and AND are 0/1-valued with strict inequalities. Dimensions beyond a
 rule's arity are inactive noise features, still drawn uniformly.
@@ -20,12 +21,12 @@ import numpy as np
 
 from . import rng
 
-ARITY = {"cosine": 2, "xor": 4, "and": 4}
+ARITY = {"cosine": 2, "xor": 4, "and": 4, "linear": 1}
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """One of the three synthetic data-generating distributions; d defaults to the kind's arity."""
+    """One of the synthetic data-generating distributions; d defaults to the kind's arity."""
 
     kind: str
     d: int | None = None
@@ -88,6 +89,8 @@ def true_mean_batch(spec: SyntheticSpec, x: np.ndarray) -> np.ndarray:
         a = (x[:, 0] > 0.6) ^ (x[:, 1] > 0.6)
         b = (x[:, 2] > 0.6) ^ (x[:, 3] > 0.6)
         return 5.0 * (a.astype(np.float64) + b.astype(np.float64))
+    if spec.kind == "linear":
+        return x[:, 0].copy()
     a = (x[:, 0] > 0.3) & (x[:, 1] > 0.3) & (x[:, 2] > 0.3) & (x[:, 3] > 0.3)
     return 10.0 * a.astype(np.float64)
 

@@ -59,7 +59,7 @@ which return the same copied leaf values bit for bit:
   a multi-word prototype ran 10-20x slower than the walk.
 
 The bitmask is taken when every tree has at most 64 leaves, K is at least
-the mean number of nodes per tree (K*B >= N) and d is at most 16. Below that
+the mean number of nodes per tree (K*B >= N) and d is at most 13. Below that
 K, setting up the masks and tables costs more than the walk saves. Measured
 on 2 vCPUs (Python 3.11.7, numpy 2.4.6), the honest cosine forest at n=1000,
 B=2000 (125 nodes per tree) takes 7.4 ms to walk and 17 ms by bitmask at
@@ -69,10 +69,13 @@ K=85-100. The rule stays K*B >= N although honest trees break even above
 it: no benchmark workload has a K in that band, the bitmask costs at most
 about 4 ms (25%, at K=125) more there, and honest and CART trees break
 even at different multiples of their node count (about 1.2-1.4 and
-1.0-1.2), so no one multiple fits both. Above d of about 12-16 the d
-gathers per (tree, query) cost more than the walk's depth levels: at
-K=1000 and B=500 (honest cosine, n=1000) the bitmask takes 31 against 34 ms
-at d=12, 39 against 33 ms at d=16 and 78 against 32 ms at d=30.
+1.0-1.2), so no one multiple fits both. From d of about 14 the d gathers
+per (tree, query) cost more than the walk's depth levels. At K=1000 and
+B=500 (honest cosine, n=1000; min of 5, three runs) the bitmask against
+the walk takes 22-23 against 34-40 ms at d=8, 24-25 against 33-34 ms at
+d=10, 28-31 against 33-37 ms at d=12, 30-34 against 33-36 ms at d=13,
+34-40 against 33-36 ms at d=14 and 39-40 against 34-35 ms at d=16 (78
+against 32 ms at d=30).
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ _PAIR_BLOCK = 1 << 14
 # takes (see the module docstring); queries ranked together and the words of
 # one bitmask table, which bound its working set like _PAIR_BLOCK
 _MASK_LEAVES = 64
-_MASK_MAX_D = 16
+_MASK_MAX_D = 13
 _QUERY_CHUNK = 1024
 _TABLE_WORDS = 1 << 17
 _ONE = np.uint64(1)

@@ -13,7 +13,8 @@ Everything here enumerates instead of sampling:
   * ``anova_bound_check`` verifies, exactly, that a subsampled ensemble stays
     within (s/n)^2 Var(T) of its own projection.
   * ``incrementality_curve`` reports Var(projection)/Var(T) against the
-    uniform-density reference curve 2^(d+1)/(d-1)! / log(s)^d.
+    uniform-density reference curve (d-1)!/2^(d+1) / log(s)^d, the
+    constant C_{f,d} that Wager & Athey (2018) give for a uniform f.
 
 Both exact checks call their learner once, on the sorted atom multisets of
 size s, and read every i.i.d. tuple's output from that table.
@@ -76,9 +77,9 @@ class FiniteSupportDistribution:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    def sample(self, gen: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_training(self, gen: np.random.Generator, m: int) -> TrainingSet:
         ids = gen.choice(self.size, size=m, p=self.probs)
-        return self.xs[ids], self.ys[ids]
+        return TrainingSet(self.xs[ids], self.ys[ids])
 
 
 class SubsampleMean:
@@ -294,15 +295,15 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
 class IncrementalityPoint:
     s: int
     ratio: float
-    reference: float | None  # C_f / log(s)^d, uniform-density case only
+    reference: float  # uniform_density_reference(s, d)
     ratio_se: float  # 0 for exact enumeration
     degenerate: bool
     method: str  # "exact" or "mc"
 
 
 def uniform_density_reference(s: int, d: int) -> float:
-    """Reference lower-bound curve 2^(d+1)/(d-1)! / log(s)^d (uniform density)."""
-    c_f = 2.0 ** (d + 1) / math.factorial(d - 1)
+    """Reference lower-bound curve C_{f,d} / log(s)^d for a uniform density, where C_{f,d} = (d-1)!/2^(d+1)."""
+    c_f = math.factorial(d - 1) / 2.0 ** (d + 1)
     return c_f / math.log(s) ** d
 
 
@@ -313,19 +314,21 @@ def incrementality_curve(
     seed: int = 0,
     outer: int = 1000,
     inner: int = 1000,
-    uniform_density: bool = True,
 ) -> list[IncrementalityPoint]:
     """Projection-variance ratio of ``learner``, such as a ``HonestTreeLearner``, across subsample sizes.
 
     Exact enumeration when the source is finite with q^s within ENUM_CAP,
     otherwise nested Monte Carlo with ``outer`` conditioning draws and
     ``inner`` completions each (both at least 1000, per the estimator's
-    accuracy floor). Diagnostic only: the reference bound is asymptotic.
+    accuracy floor) through ``source.sample_training``. Every s must be at
+    least 2. Diagnostic only: the reference bound is asymptotic.
     """
     d = source.d
     points = []
     for s in s_values:
-        ref = uniform_density_reference(s, d) if uniform_density else None
+        if s < 2:  # the reference divides by log(s), and the Monte Carlo path completes s - 1 rows
+            raise ValueError(f"the incrementality curve needs s >= 2, got s={s}")
+        ref = uniform_density_reference(s, d)
         if isinstance(source, FiniteSupportDistribution) and source.size**s <= ENUM_CAP:
             stats = hajek_projection_stats(source, learner, s)
             points.append(
@@ -338,10 +341,10 @@ def incrementality_curve(
         cond_means = np.empty(outer)
         cond_vars = np.empty(outer)
         for j in range(outer):
-            xz, yz = source.sample(gen, 1)
-            xr, yr = source.sample(gen, inner * (s - 1))
-            xs_rows = np.concatenate([np.broadcast_to(xz, (inner, 1, d)), xr.reshape(inner, s - 1, d)], axis=1)
-            ys_rows = np.column_stack([np.full(inner, yz[0]), yr.reshape(inner, s - 1)])
+            z = source.sample_training(gen, 1)
+            rest = source.sample_training(gen, inner * (s - 1))
+            xs_rows = np.concatenate([np.broadcast_to(z.x, (inner, 1, d)), rest.x.reshape(inner, s - 1, d)], axis=1)
+            ys_rows = np.column_stack([np.full(inner, z.y[0]), rest.y.reshape(inner, s - 1)])
             vals = np.asarray(learner(xs_rows, ys_rows), dtype=np.float64)
             cond_means[j] = vals.mean()
             cond_vars[j] = vals.var(ddof=1)

@@ -648,7 +648,7 @@ class TestSimulate:
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"kind": "bogus"}))
         assert main(["simulate", "metrics", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 1
-        assert "error: unknown synthetic kind 'bogus'; expected one of ['and', 'cosine', 'xor']" in capsys.readouterr().err
+        assert "error: unknown synthetic kind 'bogus'; expected one of ['and', 'cosine', 'linear', 'xor']" in capsys.readouterr().err
 
     def test_coverage_json(self, tmp_path):
         out = tmp_path / "cov.json"
@@ -699,6 +699,70 @@ class TestSimulate:
                      "--r", "4", "--b", "20", "--threads", "1", "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("Distr")
+
+
+class TestSimulateIncrementality:
+    """``simulate incrementality``: the projection-variance ratio of honest trees, one CSV row per s."""
+
+    @staticmethod
+    def _stub(monkeypatch):
+        """Replace the curve with a recorder returning one fixed point per s."""
+        from subforest import oracle
+
+        calls = []
+
+        def curve(learner, source, s_values, **kw):
+            calls.append((learner, source, s_values, kw))
+            return [oracle.IncrementalityPoint(s, 0.25, oracle.uniform_density_reference(s, source.d), 0.03, False, "mc")
+                    for s in s_values]
+
+        monkeypatch.setattr(oracle, "incrementality_curve", curve)
+        return calls
+
+    def test_csv_layout_and_preamble(self, tmp_path, monkeypatch, capsys):
+        from subforest import oracle
+
+        calls = self._stub(monkeypatch)
+        out = tmp_path / "inc.csv"
+        assert main(["simulate", "incrementality", "--kind", "cosine", "--s-values", "8,16", "--x", "0.3",
+                     "--seed", "4", "--out", str(out)]) == 0
+        (learner, source, s_values, kw), = calls
+        assert s_values == [8, 16] and kw == {"seed": 4, "outer": 1000, "inner": 1000}
+        assert source.d == 2 and source.spec == dataset.SyntheticSpec("cosine", 2)
+        assert learner.cfg == tree.TreeConfig() and learner.x.tolist() == [0.3, 0.3]
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# tool=" + subforest.cli.TOOL, "# command=simulate-incrementality"]
+        preamble = dict(l[2:].split("=", 1) for l in lines if l.startswith("#"))
+        assert preamble == {"tool": subforest.cli.TOOL, "command": "simulate-incrementality", "d": "2",
+                            "inner": "1000", "kind": "cosine", "noise_sd": "1.0", "outer": "1000",
+                            "s_values": "8,16", "seed": "4", "x": "0.3"}
+        ref = [oracle.uniform_density_reference(s, 2) for s in (8, 16)]
+        assert [l for l in lines if not l.startswith("#")] == [
+            "s,ratio,ratio_se,reference,method", f"8,0.25,0.03,{ref[0]!r},mc", f"16,0.25,0.03,{ref[1]!r},mc",
+        ]
+        assert "wrote 2 rows to" in capsys.readouterr().out
+
+    def test_default_design_is_the_one_dimensional_linear_source(self, tmp_path, monkeypatch):
+        calls = self._stub(monkeypatch)
+        out = tmp_path / "inc.csv"
+        assert main(["simulate", "incrementality", "--out", str(out)]) == 0
+        (learner, source, s_values, _), = calls
+        assert s_values == [8, 16, 32] and learner.x.tolist() == [0.5]
+        assert source.spec == dataset.SyntheticSpec("linear", 1)
+        assert "# d=1" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("s_values, message", [
+        ("1", "every s in s_values must be >= 2, got 1"),
+        ("8,1", "every s in s_values must be >= 2, got 1"),
+        ("8,x", "s_values must be comma-separated integers, got '8,x'"),
+        ("", "s_values must be comma-separated integers, got ''"),
+    ])
+    def test_bad_s_values_are_refused_before_any_fit(self, tmp_path, monkeypatch, capsys, s_values, message):
+        calls = self._stub(monkeypatch)
+        out = tmp_path / "inc.csv"
+        assert main(["simulate", "incrementality", "--s-values", s_values, "--out", str(out)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 class TestOracleCheck:
@@ -821,7 +885,7 @@ class TestParser:
         assert main(["--help"]) == 0
         assert "{gen,train,predict,simulate,oracle-check}" in capsys.readouterr().out
         assert main(["simulate", "--help"]) == 0
-        assert "{metrics,normality,coverage,bias-grid,bootstrap,table1}" in capsys.readouterr().out
+        assert "{metrics,normality,coverage,bias-grid,bootstrap,table1,incrementality}" in capsys.readouterr().out
 
     def test_help_description_is_plain_text(self, capsys):
         # users read the description, not the module docstring's markup and private names
@@ -1045,14 +1109,17 @@ class TestRequiredKeys:
         ("simulate bias-grid", [], ["--out"]),
         ("simulate table1", [], ["--out"]),
         ("simulate bootstrap", ["--out", "boot.csv"], ["--data"]),
-    ], ids=["gen", "train", "predict", "metrics", "normality", "coverage", "bias-grid", "table1", "bootstrap"])
+        ("simulate incrementality", [], ["--out"]),
+    ], ids=["gen", "train", "predict", "metrics", "normality", "coverage", "bias-grid", "table1", "bootstrap",
+            "incrementality"])
     def test_missing_required_key_names_every_flag(self, tmp_path, monkeypatch, capsys, command, given, missing):
-        from subforest import cli, experiments
+        from subforest import cli, experiments, oracle
 
         def trained(*_, **__):
             raise AssertionError("trained before the required keys were checked")
 
-        for module, name in [(cli, "train"), (experiments, "train"), (experiments, "simulate_predictions")]:
+        for module, name in [(cli, "train"), (experiments, "train"), (experiments, "simulate_predictions"),
+                             (oracle, "incrementality_curve")]:
             monkeypatch.setattr(module, name, trained)
         monkeypatch.chdir(tmp_path)
         assert main(command.split() + given) == 1

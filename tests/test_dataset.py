@@ -37,6 +37,17 @@ class TestSyntheticFormulas:
         with pytest.raises(ValueError, match="features"):
             dataset.true_mean_batch(SyntheticSpec("cosine", 2), [[0.1, 0.2, 0.3]])
 
+    def test_linear_is_x1_plus_the_drawn_noise(self):
+        spec = SyntheticSpec("linear", noise_sd=0.5)
+        assert spec.d == dataset.ARITY["linear"] == 1
+        ts = dataset.sample_synthetic(spec, 50, np.random.default_rng(7))
+        gen = np.random.default_rng(7)
+        x = gen.random((50, 1))
+        assert np.array_equal(ts.x, x)
+        assert np.array_equal(ts.y, x[:, 0] + 0.5 * gen.standard_normal(50))
+        # extra dimensions are inactive
+        assert dataset.true_mean_batch(SyntheticSpec("linear", 3), [[0.25, 0.9, 0.1]])[0] == 0.25
+
 
 class TestSpecValidation:
     def test_arity_enforced(self):
@@ -52,7 +63,7 @@ class TestSpecValidation:
             SyntheticSpec("sine")
 
     def test_unset_d_is_the_arity(self):
-        assert [SyntheticSpec(kind).d for kind in ("cosine", "xor", "and")] == [2, 4, 4]
+        assert [SyntheticSpec(kind).d for kind in ("cosine", "xor", "and", "linear")] == [2, 4, 4, 1]
         assert SyntheticSpec("xor") == SyntheticSpec("xor", 4)
 
     def test_extra_noise_dimensions_allowed(self):

@@ -277,7 +277,7 @@ class TestIncrementality:
     def test_exact_path_ratio_in_unit_interval(self):
         dist = _uniform_dist([0.0, 1.0, 2.0])
         pts = oracle.incrementality_curve(
-            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2, 3], uniform_density=False
+            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2, 3]
         )
         for p in pts:
             assert p.method == "exact"
@@ -290,23 +290,28 @@ class TestIncrementality:
             np.array([[0.1], [0.9]]), np.array([3.0, 3.0]), np.array([0.5, 0.5])
         )
         pts = oracle.incrementality_curve(
-            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2], uniform_density=False
+            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2]
         )
         assert pts[0].degenerate
 
     def test_reference_curve_values(self):
-        # d=1: C_f = 2^2/0! = 4
-        assert oracle.uniform_density_reference(8, 1) == pytest.approx(4.0 / math.log(8.0))
-        # d=2: C_f = 2^3/1! = 8
-        assert oracle.uniform_density_reference(10, 2) == pytest.approx(8.0 / math.log(10.0) ** 2)
+        # d=1: C_f = 0!/2^2 = 1/4
+        assert oracle.uniform_density_reference(8, 1) == pytest.approx(0.25 / math.log(8.0))
+        # d=2: C_f = 1!/2^3 = 1/8
+        assert oracle.uniform_density_reference(10, 2) == pytest.approx(0.125 / math.log(10.0) ** 2)
+
+    @pytest.mark.parametrize("s", [8, 16, 32])
+    def test_reference_is_below_the_ratios_ceiling(self, s):
+        # the projection ratio is at most 1 for any learner, so a lower bound on it must be too
+        assert oracle.uniform_density_reference(s, 1) < 1.0
 
     def test_mc_budget_floor_enforced(self):
         class TinySource:
             d = 1
 
-            def sample(self, gen, m):
+            def sample_training(self, gen, m):
                 x = gen.random((m, 1))
-                return x, x[:, 0]
+                return TrainingSet(x, x[:, 0])
 
         with pytest.raises(ValueError, match="1000"):
             oracle.incrementality_curve(
@@ -319,15 +324,25 @@ class TestIncrementality:
         class GaussianSource:
             d = 1
 
-            def sample(self, gen, m):
+            def sample_training(self, gen, m):
                 x = gen.random((m, 1))
-                return x, gen.standard_normal(m)
+                return TrainingSet(x, gen.standard_normal(m))
 
-        pts = oracle.incrementality_curve(
-            SubsampleMean(), GaussianSource(), [8], seed=3, uniform_density=True,
-        )
+        pts = oracle.incrementality_curve(SubsampleMean(), GaussianSource(), [8], seed=3)
         p = pts[0]
         assert p.method == "mc" and not p.degenerate
         assert abs(p.ratio - 1.0) <= max(3 * p.ratio_se, 0.05)
         assert p.ratio <= 1.0 + 3 * p.ratio_se + 1e-9
-        assert p.reference == pytest.approx(4.0 / np.log(8.0))
+        assert p.reference == pytest.approx(0.25 / np.log(8.0))
+
+    def test_finite_source_beyond_the_cap_draws_monte_carlo(self):
+        # 10^7 tuples exceed ENUM_CAP, so the atoms are drawn through sample_training
+        p, = oracle.incrementality_curve(SubsampleMean(), _uniform_dist(list(range(10))), [7], seed=4)
+        assert p.method == "mc" and not p.degenerate
+        assert abs(p.ratio - 1.0) <= max(3 * p.ratio_se, 0.05)
+
+    @pytest.mark.parametrize("atoms", [2, 10**6 + 1], ids=["exact", "mc"])
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_s_below_two_is_refused(self, s, atoms):
+        with pytest.raises(ValueError, match=f"needs s >= 2, got s={s}"):
+            oracle.incrementality_curve(SubsampleMean(), _uniform_dist(list(range(atoms))), [s])

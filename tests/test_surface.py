@@ -1,9 +1,8 @@
 """The library's public surface: every public top-level function and class has a use.
 
-A name counts as used when some line of the library, the scripts, the
-benchmark or the packaging names it, outside the name's own definition. A
-name that only tests use is deleted, or moved into the tests, rather than
-kept here.
+A name counts as used when some line of the library, the benchmark or the
+packaging names it, outside the name's own definition. A name that only
+tests use is deleted, or moved into the tests, rather than kept here.
 """
 
 import ast
@@ -15,7 +14,7 @@ LIBRARY = ROOT / "src" / "subforest"
 
 
 def _reference_files() -> list:
-    files = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    files = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     return files + [ROOT / "pyproject.toml"]
 
 
