@@ -9,8 +9,9 @@ keys and a handler that runs on the one config resolved from them. Exit
 codes: 0 success, 1 usage or configuration error, 2 oracle or acceptance
 assertion failure.
 
-``train``, ``predict`` and ``simulate table1`` also write one stage line to
-stderr (``_Stages``): each stage's wall seconds, peak RSS and minor page faults.
+``train``, ``predict``, ``simulate table1`` and ``simulate incrementality``
+also write one stage line to stderr (``_Stages``): each stage's wall seconds,
+peak RSS and minor page faults.
 
 Start-up loads only what a command runs: the simulation harness and the
 enumeration oracle load inside simulate and oracle-check, and the process
@@ -446,20 +447,21 @@ def _cmd_sim_incrementality(cfg: dict) -> int:
     if min(s_values) < 2:  # before any tree is fitted
         raise ValueError(f"every s in s_values must be >= 2, got {min(s_values)}")
     from .experiments import SyntheticSource
-    from .oracle import HonestTreeLearner, incrementality_curve
+    from .oracle import HonestTreeLearner, incrementality_point
 
     spec = SyntheticSpec(cfg["kind"], cfg["d"], cfg["noise_sd"])
     cfg["d"] = spec.d
-    learner = HonestTreeLearner(TreeConfig(), [cfg["x"]] * spec.d)
-    points = incrementality_curve(learner, SyntheticSource(spec), s_values,
-                                  seed=cfg["seed"], outer=cfg["outer"], inner=cfg["inner"])
-    write_csv(cfg["out"], _preamble("simulate-incrementality", cfg), [
-        ["s", "ratio", "ratio_se", "reference", "method"],
-        *([p.s, p.ratio, p.ratio_se, p.reference, p.method] for p in points),
-    ])
-    for p in points:
-        print(f"s={p.s:<4} ratio={p.ratio:.4f} +/- {p.ratio_se:.4f} reference={p.reference:.4f}")
-    print(f"wrote {len(points)} rows to {cfg['out']}")
+    learner, source = HonestTreeLearner(TreeConfig(), [cfg["x"]] * spec.d), SyntheticSource(spec)
+    stages, rows = _Stages("simulate incrementality"), [["s", "ratio", "ratio_se", "reference", "method"]]
+    for s in s_values:
+        p = incrementality_point(learner, source, s, seed=cfg["seed"], outer=cfg["outer"], inner=cfg["inner"])
+        rows.append([p.s, p.ratio, p.ratio_se, p.reference, p.method])
+        # rewritten after each s, so finished rows survive an interrupt or a later failure
+        write_csv(cfg["out"], _preamble("simulate-incrementality", cfg), rows)
+        stages.done(f"s={s}")
+        print(f"s={p.s:<4} ratio={p.ratio:.4f} +/- {p.ratio_se:.4f} reference={p.reference:.4f}", flush=True)
+    stages.write()
+    print(f"wrote {len(rows) - 1} rows to {cfg['out']}")
     return 0
 
 

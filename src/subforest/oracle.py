@@ -12,9 +12,10 @@ Everything here enumerates instead of sampling:
     base learner exactly.
   * ``anova_bound_check`` verifies, exactly, that a subsampled ensemble stays
     within (s/n)^2 Var(T) of its own projection.
-  * ``incrementality_curve`` reports Var(projection)/Var(T) against the
-    uniform-density reference curve (d-1)!/2^(d+1) / log(s)^d, the
-    constant C_{f,d} that Wager & Athey (2018) give for a uniform f.
+  * ``incrementality_point`` reports Var(projection)/Var(T) at one
+    subsample size s against the uniform-density reference curve
+    (d-1)!/2^(d+1) / log(s)^d, the constant C_{f,d} that Wager & Athey
+    (2018) give for a uniform f.
 
 Both exact checks call their learner once, on the sorted atom multisets of
 size s, and read every i.i.d. tuple's output from that table.
@@ -107,10 +108,9 @@ class HonestTreeLearner:
     deterministic and exchangeable.
     """
 
-    def __init__(self, cfg: TreeConfig, x, base_seed: int = 0):
+    def __init__(self, cfg: TreeConfig, x):
         self.cfg = cfg
         self.x = np.asarray(x, dtype=np.float64).reshape(-1)
-        self.base_seed = base_seed
 
     def __call__(self, xs_rows: np.ndarray, ys_rows: np.ndarray) -> np.ndarray:
         """Outputs on R subsamples: blocks of rows grow and predict as one forest each."""
@@ -127,7 +127,7 @@ class HonestTreeLearner:
         cfg = ForestConfig(tree=self.cfg)
         for lo in range(0, r, _LEARNER_BLOCK):
             xs, ys = xs_rows[lo:lo + _LEARNER_BLOCK], ys_rows[lo:lo + _LEARNER_BLOCK]
-            seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) ^ self.base_seed for x, y in zip(xs, ys))
+            seeds = (rng.stable_hash64(x.tobytes() + y.tobytes()) for x, y in zip(xs, ys))
             paths = [(seed, rng.PARTITION) for seed in seeds]
             ts = TrainingSet(xs.reshape(-1, d), ys.reshape(-1))
             fm = forest.fit_subsamples(ts, cfg, np.arange(ts.n).reshape(-1, m), paths)
@@ -294,10 +294,9 @@ def anova_bound_check(dist: FiniteSupportDistribution, learner, n: int, s: int) 
 @dataclass(frozen=True)
 class IncrementalityPoint:
     s: int
-    ratio: float
+    ratio: float  # nan when Var(T) is 0
     reference: float  # uniform_density_reference(s, d)
     ratio_se: float  # 0 for exact enumeration
-    degenerate: bool
     method: str  # "exact" or "mc"
 
 
@@ -307,61 +306,52 @@ def uniform_density_reference(s: int, d: int) -> float:
     return c_f / math.log(s) ** d
 
 
-def incrementality_curve(
-    learner,
-    source,
-    s_values,
-    seed: int = 0,
-    outer: int = 1000,
-    inner: int = 1000,
-) -> list[IncrementalityPoint]:
-    """Projection-variance ratio of ``learner``, such as a ``HonestTreeLearner``, across subsample sizes.
+def incrementality_point(learner, source, s: int, seed: int = 0, outer: int = 1000,
+                         inner: int = 1000) -> IncrementalityPoint:
+    """Projection-variance ratio of ``learner``, such as a ``HonestTreeLearner``, at subsample size s.
 
     Exact enumeration when the source is finite with q^s within ENUM_CAP,
     otherwise nested Monte Carlo with ``outer`` conditioning draws and
     ``inner`` completions each (both at least 1000, per the estimator's
-    accuracy floor) through ``source.sample_training``. Every s must be at
-    least 2. Diagnostic only: the reference bound is asymptotic.
+    accuracy floor) through ``source.sample_training``, on the stream
+    ``(seed, SPLIT, s)``. s must be at least 2. Diagnostic only: the
+    reference bound is asymptotic.
     """
+    if s < 2:  # the reference divides by log(s), and the Monte Carlo path completes s - 1 rows
+        raise ValueError(f"the incrementality curve needs s >= 2, got s={s}")
     d = source.d
-    points = []
-    for s in s_values:
-        if s < 2:  # the reference divides by log(s), and the Monte Carlo path completes s - 1 rows
-            raise ValueError(f"the incrementality curve needs s >= 2, got s={s}")
-        ref = uniform_density_reference(s, d)
-        if isinstance(source, FiniteSupportDistribution) and source.size**s <= ENUM_CAP:
-            stats = hajek_projection_stats(source, learner, s)
-            points.append(
-                IncrementalityPoint(s, stats.ratio, ref, 0.0, stats.degenerate, "exact")
-            )
-            continue
-        if outer < 1000 or inner < 1000:
-            raise ValueError("nested Monte Carlo needs outer >= 1000 and inner >= 1000")
-        gen = rng.stream(seed, rng.SPLIT, s)
-        cond_means = np.empty(outer)
-        cond_vars = np.empty(outer)
-        for j in range(outer):
-            z = source.sample_training(gen, 1)
-            rest = source.sample_training(gen, inner * (s - 1))
-            xs_rows = np.concatenate([np.broadcast_to(z.x, (inner, 1, d)), rest.x.reshape(inner, s - 1, d)], axis=1)
-            ys_rows = np.column_stack([np.full(inner, z.y[0]), rest.y.reshape(inner, s - 1)])
-            vals = np.asarray(learner(xs_rows, ys_rows), dtype=np.float64)
-            cond_means[j] = vals.mean()
-            cond_vars[j] = vals.var(ddof=1)
-        var_t = float(cond_means.var(ddof=1)) + float(cond_vars.mean()) * (1.0 - 1.0 / inner)
-        var_cond = float(cond_means.var(ddof=1)) - float(cond_vars.mean()) / inner
-        if var_t <= 0.0:
-            points.append(IncrementalityPoint(s, math.nan, ref, 0.0, True, "mc"))
-            continue
-        ratio = s * var_cond / var_t
-        # block-wise spread of the ratio over 10 outer-loop blocks
-        blocks = 10
-        size = outer // blocks
-        block_ratios = []
-        for k in range(blocks):
-            sl = slice(k * size, (k + 1) * size)
-            bv = float(cond_means[sl].var(ddof=1)) - float(cond_vars[sl].mean()) / inner
-            block_ratios.append(s * bv / var_t)
-        se = float(np.std(block_ratios, ddof=1)) / math.sqrt(blocks)
-        points.append(IncrementalityPoint(s, ratio, ref, se, False, "mc"))
-    return points
+    ref = uniform_density_reference(s, d)
+    if isinstance(source, FiniteSupportDistribution) and source.size**s <= ENUM_CAP:
+        return IncrementalityPoint(s, hajek_projection_stats(source, learner, s).ratio, ref, 0.0, "exact")
+    if outer < 1000 or inner < 1000:
+        raise ValueError("nested Monte Carlo needs outer >= 1000 and inner >= 1000")
+    gen = rng.stream(seed, rng.SPLIT, s)
+    cond_means = np.empty(outer)
+    cond_vars = np.empty(outer)
+    for j in range(outer):
+        z = source.sample_training(gen, 1)
+        rest = source.sample_training(gen, inner * (s - 1))
+        xs_rows = np.concatenate([np.broadcast_to(z.x, (inner, 1, d)), rest.x.reshape(inner, s - 1, d)], axis=1)
+        ys_rows = np.column_stack([np.full(inner, z.y[0]), rest.y.reshape(inner, s - 1)])
+        vals = np.asarray(learner(xs_rows, ys_rows), dtype=np.float64)
+        cond_means[j] = vals.mean()
+        cond_vars[j] = vals.var(ddof=1)
+    ratio = float(_nested_ratio(s, cond_means, cond_vars, inner))
+    if math.isnan(ratio):
+        return IncrementalityPoint(s, ratio, ref, 0.0, "mc")
+    # spread of the ratio over 10 blocks of the outer draws, each block its own estimate
+    blocks = 10
+    means, variances = (a[:outer - outer % blocks].reshape(blocks, -1) for a in (cond_means, cond_vars))
+    se = float(np.std(_nested_ratio(s, means, variances, inner), ddof=1)) / math.sqrt(blocks)
+    return IncrementalityPoint(s, ratio, ref, se, "mc")
+
+
+def _nested_ratio(s: int, cond_means: np.ndarray, cond_vars: np.ndarray, inner: int) -> np.ndarray:
+    """s Var(E[T | Z_1]) / Var(T) from the outer draws along the last axis, each the
+    mean and variance of ``inner`` completions; nan where the estimated Var(T) is 0."""
+    between = cond_means.var(axis=-1, ddof=1)
+    within = cond_vars.mean(axis=-1)
+    var_t = between + within * (1.0 - 1.0 / inner)
+    var_cond = between - within / inner
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(var_t > 0.0, s * var_cond / var_t, math.nan)

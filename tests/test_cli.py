@@ -236,7 +236,8 @@ class TestPredict:
 
 
 class TestStages:
-    """train, predict and simulate table1 write one stage line to stderr; stdout keeps its lines."""
+    """train, predict, simulate table1 and simulate incrementality write one stage line to stderr;
+    stdout keeps its lines."""
 
     @staticmethod
     def _stages(err, command):
@@ -292,6 +293,13 @@ class TestStages:
         for stage, (kind, d, n) in zip(stages, designs):
             assert re.match(r"\w+ \d+\.\d{3} s peak \d+ MiB \+\d+ minflt", stage), stage
             assert stage.endswith(f" ({kind} d={d} n={n})")
+
+    def test_incrementality_stage_per_s(self, tmp_path, capsys, monkeypatch):
+        TestSimulateIncrementality._stub(monkeypatch)
+        assert main(["simulate", "incrementality", "--s-values", "8,16", "--out", str(tmp_path / "inc.csv")]) == 0
+        stages = self._stages(capsys.readouterr().err, "simulate incrementality")
+        assert [stage.split()[0] for stage in stages] == ["s=8", "s=16"]
+        assert all(re.fullmatch(r"s=\d+ \d+\.\d{3} s peak \d+ MiB \+\d+ minflt", stage) for stage in stages), stages
 
     def test_times_only_without_resource(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(sys.modules, "resource", None)  # import resource then raises ImportError
@@ -705,18 +713,19 @@ class TestSimulateIncrementality:
     """``simulate incrementality``: the projection-variance ratio of honest trees, one CSV row per s."""
 
     @staticmethod
-    def _stub(monkeypatch):
-        """Replace the curve with a recorder returning one fixed point per s."""
+    def _stub(monkeypatch, fail_at=None):
+        """Replace the estimate with a recorder returning one fixed point per s, raising at ``fail_at``."""
         from subforest import oracle
 
         calls = []
 
-        def curve(learner, source, s_values, **kw):
-            calls.append((learner, source, s_values, kw))
-            return [oracle.IncrementalityPoint(s, 0.25, oracle.uniform_density_reference(s, source.d), 0.03, False, "mc")
-                    for s in s_values]
+        def point(learner, source, s, **kw):
+            calls.append((learner, source, s, kw))
+            if s == fail_at:
+                raise ValueError(f"no estimate at s={s}")
+            return oracle.IncrementalityPoint(s, 0.25, oracle.uniform_density_reference(s, source.d), 0.03, "mc")
 
-        monkeypatch.setattr(oracle, "incrementality_curve", curve)
+        monkeypatch.setattr(oracle, "incrementality_point", point)
         return calls
 
     def test_csv_layout_and_preamble(self, tmp_path, monkeypatch, capsys):
@@ -726,8 +735,7 @@ class TestSimulateIncrementality:
         out = tmp_path / "inc.csv"
         assert main(["simulate", "incrementality", "--kind", "cosine", "--s-values", "8,16", "--x", "0.3",
                      "--seed", "4", "--out", str(out)]) == 0
-        (learner, source, s_values, kw), = calls
-        assert s_values == [8, 16] and kw == {"seed": 4, "outer": 1000, "inner": 1000}
+        (learner, source, _, _), _ = calls
         assert source.d == 2 and source.spec == dataset.SyntheticSpec("cosine", 2)
         assert learner.cfg == tree.TreeConfig() and learner.x.tolist() == [0.3, 0.3]
         lines = out.read_text().splitlines()
@@ -742,14 +750,36 @@ class TestSimulateIncrementality:
         ]
         assert "wrote 2 rows to" in capsys.readouterr().out
 
+    def test_one_estimate_per_s_in_order(self, tmp_path, monkeypatch):
+        calls = self._stub(monkeypatch)
+        assert main(["simulate", "incrementality", "--s-values", "32,8,16", "--seed", "7", "--outer", "2000",
+                     "--inner", "1500", "--out", str(tmp_path / "inc.csv")]) == 0
+        assert [(s, kw) for _, _, s, kw in calls] == [(s, {"seed": 7, "outer": 2000, "inner": 1500}) for s in (32, 8, 16)]
+        # one learner and one source serve every s
+        assert len({id(learner) for learner, *_ in calls}) == len({id(source) for _, source, *_ in calls}) == 1
+
     def test_default_design_is_the_one_dimensional_linear_source(self, tmp_path, monkeypatch):
         calls = self._stub(monkeypatch)
         out = tmp_path / "inc.csv"
         assert main(["simulate", "incrementality", "--out", str(out)]) == 0
-        (learner, source, s_values, _), = calls
-        assert s_values == [8, 16, 32] and learner.x.tolist() == [0.5]
+        assert [s for _, _, s, _ in calls] == [8, 16, 32]
+        learner, source, _, _ = calls[0]
+        assert learner.x.tolist() == [0.5]
         assert source.spec == dataset.SyntheticSpec("linear", 1)
         assert "# d=1" in out.read_text().splitlines()
+
+    def test_keeps_finished_rows_when_a_later_s_fails(self, tmp_path, monkeypatch, capsys):
+        calls = self._stub(monkeypatch, fail_at=16)
+        out = tmp_path / "inc.csv"
+        assert main(["simulate", "incrementality", "--s-values", "8,16", "--out", str(out)]) == 1
+        assert [s for _, _, s, _ in calls] == [8, 16]
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# tool=" + subforest.cli.TOOL, "# command=simulate-incrementality"]
+        assert [l.split(",")[:3] for l in lines if not l.startswith("#")] == [
+            ["s", "ratio", "ratio_se"], ["8", "0.25", "0.03"]]
+        stdout, err = capsys.readouterr()
+        assert stdout.startswith("s=8    ratio=0.2500 +/- 0.0300") and "wrote" not in stdout
+        assert "error: no estimate at s=16\n" in err
 
     @pytest.mark.parametrize("s_values, message", [
         ("1", "every s in s_values must be >= 2, got 1"),
@@ -1119,7 +1149,7 @@ class TestRequiredKeys:
             raise AssertionError("trained before the required keys were checked")
 
         for module, name in [(cli, "train"), (experiments, "train"), (experiments, "simulate_predictions"),
-                             (oracle, "incrementality_curve")]:
+                             (oracle, "incrementality_point")]:
             monkeypatch.setattr(module, name, trained)
         monkeypatch.chdir(tmp_path)
         assert main(command.split() + given) == 1

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
@@ -134,7 +135,7 @@ class TestHajek:
 
     @pytest.mark.parametrize("fn", [
         oracle.enumerate_subsamples, oracle.exact_vij, oracle.hajek_projection_stats,
-        oracle.anova_bound_check, oracle.incrementality_curve, oracle._check_cap,
+        oracle.anova_bound_check, oracle.incrementality_point, oracle._check_cap,
     ], ids=lambda fn: fn.__name__)
     def test_enumerations_take_no_cap_argument(self, fn):
         # a cap argument used to be accepted and then ignored; ENUM_CAP is the one cap
@@ -269,16 +270,14 @@ class TestHonestTreeLearner:
         xs = np.round(gen.random((11, m, 2)), 1)
         ys = gen.standard_normal((11, m))
         xs[3], ys[3] = xs[2], ys[2]
-        learner = HonestTreeLearner(tree.TreeConfig(), x=[0.4, 0.6], base_seed=9)
+        learner = HonestTreeLearner(tree.TreeConfig(), x=[0.4, 0.6])
         assert np.array_equal(learner(xs, ys), [_one(learner, x, y) for x, y in zip(xs, ys)])
 
 
 class TestIncrementality:
     def test_exact_path_ratio_in_unit_interval(self):
         dist = _uniform_dist([0.0, 1.0, 2.0])
-        pts = oracle.incrementality_curve(
-            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2, 3]
-        )
+        pts = [oracle.incrementality_point(HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, s) for s in (2, 3)]
         for p in pts:
             assert p.method == "exact"
             assert 0.0 <= p.ratio <= 1.0 + 1e-12
@@ -289,10 +288,8 @@ class TestIncrementality:
         dist = FiniteSupportDistribution(
             np.array([[0.1], [0.9]]), np.array([3.0, 3.0]), np.array([0.5, 0.5])
         )
-        pts = oracle.incrementality_curve(
-            HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, [2]
-        )
-        assert pts[0].degenerate
+        p = oracle.incrementality_point(HonestTreeLearner(tree.TreeConfig(), [0.5]), dist, 2)
+        assert math.isnan(p.ratio)
 
     def test_reference_curve_values(self):
         # d=1: C_f = 0!/2^2 = 1/4
@@ -314,8 +311,8 @@ class TestIncrementality:
                 return TrainingSet(x, x[:, 0])
 
         with pytest.raises(ValueError, match="1000"):
-            oracle.incrementality_curve(
-                HonestTreeLearner(tree.TreeConfig(), [0.5]), TinySource(), [50], outer=10, inner=10
+            oracle.incrementality_point(
+                HonestTreeLearner(tree.TreeConfig(), [0.5]), TinySource(), 50, outer=10, inner=10
             )
 
     def test_mc_path_linear_learner_near_one(self):
@@ -328,21 +325,54 @@ class TestIncrementality:
                 x = gen.random((m, 1))
                 return TrainingSet(x, gen.standard_normal(m))
 
-        pts = oracle.incrementality_curve(SubsampleMean(), GaussianSource(), [8], seed=3)
-        p = pts[0]
-        assert p.method == "mc" and not p.degenerate
+        p = oracle.incrementality_point(SubsampleMean(), GaussianSource(), 8, seed=3)
+        assert p.method == "mc"
         assert abs(p.ratio - 1.0) <= max(3 * p.ratio_se, 0.05)
         assert p.ratio <= 1.0 + 3 * p.ratio_se + 1e-9
         assert p.reference == pytest.approx(0.25 / np.log(8.0))
 
     def test_finite_source_beyond_the_cap_draws_monte_carlo(self):
         # 10^7 tuples exceed ENUM_CAP, so the atoms are drawn through sample_training
-        p, = oracle.incrementality_curve(SubsampleMean(), _uniform_dist(list(range(10))), [7], seed=4)
-        assert p.method == "mc" and not p.degenerate
+        p = oracle.incrementality_point(SubsampleMean(), _uniform_dist(list(range(10))), 7, seed=4)
+        assert p.method == "mc"
         assert abs(p.ratio - 1.0) <= max(3 * p.ratio_se, 0.05)
+
+    def test_mc_se_is_calibrated_against_the_exact_ratio(self):
+        # The max of s fair coins: a first draw of 1 fixes T, so Var(T | Z_1)
+        # depends on Z_1 and the noise of Var(T) dominates the error. Hiding
+        # the atoms behind a bare source forces the Monte Carlo path; the exact
+        # path gives the true ratio 5/31. With 10 blocks the SE follows a t_9
+        # law, so about 1.5% of calibrated estimates land beyond 3 SE.
+        dist = _uniform_dist([0.0, 1.0])
+
+        class Atoms:
+            d = dist.d
+            sample_training = dist.sample_training
+
+        exact = oracle.hajek_projection_stats(dist, SubsampleMax(), 5).ratio
+        assert exact == pytest.approx(5 / 31, rel=1e-12)
+        pts = [oracle.incrementality_point(SubsampleMax(), Atoms(), 5, seed=seed) for seed in range(20)]
+        assert all(p.method == "mc" for p in pts)
+        beyond = [seed for seed, p in enumerate(pts) if abs(p.ratio - exact) > 3 * p.ratio_se]
+        assert len(beyond) <= 2, beyond
+
+    def test_a_block_with_constant_outputs_leaves_the_se_undefined(self):
+        # T is 0 on the first block's 100 outer draws: that block's Var(T) is
+        # 0, so its ratio, and with it the spread, is nan and nothing warns
+        calls = []
+
+        def learner(xs_rows, ys_rows):
+            calls.append(None)
+            return ys_rows.mean(axis=1) * (len(calls) > 100)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = oracle.incrementality_point(learner, _uniform_dist(list(range(10))), 7)
+        assert len(calls) == 1000 and p.method == "mc"
+        assert math.isfinite(p.ratio) and math.isnan(p.ratio_se)
 
     @pytest.mark.parametrize("atoms", [2, 10**6 + 1], ids=["exact", "mc"])
     @pytest.mark.parametrize("s", [0, 1])
     def test_s_below_two_is_refused(self, s, atoms):
         with pytest.raises(ValueError, match=f"needs s >= 2, got s={s}"):
-            oracle.incrementality_curve(SubsampleMean(), _uniform_dist(list(range(atoms))), [s])
+            oracle.incrementality_point(SubsampleMean(), _uniform_dist(list(range(atoms))), s)

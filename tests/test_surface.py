@@ -8,6 +8,7 @@ tests use is deleted, or moved into the tests, rather than kept here.
 import ast
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "subforest"
@@ -60,3 +61,20 @@ def test_no_module_reads_a_siblings_private_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and _private(node.attr)]
     assert not reads, f"private names read across modules: {reads}"
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency; scipy and hypothesis are test extras,
+    # so an import of them in the library would break a plain install. Modules
+    # import lazily inside functions, so every import node counts, at any depth.
+    imported = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert ("normal.py", "statistics") in imported  # imported inside norm_ppf
+    outside = [f"{name}: import {module}" for name, module in imported
+               if module.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not outside, f"imports outside numpy and the standard library: {outside}"
