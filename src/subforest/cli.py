@@ -219,6 +219,8 @@ _TRAIN_DEFAULTS = {"data": None, "target": None, **_FOREST_DEFAULTS, "threads": 
 def _cmd_train(cfg: dict) -> int:
     stages = _Stages("train")
     fcfg = _forest_config(cfg)  # refuses a bad forest key before the data loads
+    if cfg["b"] is not None and cfg["b"] < 2:
+        raise ValueError(f"b must be >= 2: predict's variance estimate needs two trees, got {cfg['b']}")
     ts = load_csv(cfg["data"], target_column=cfg["target"])
     stages.done("data")
     fm = train(ts, fcfg, n_jobs=cfg["threads"])

@@ -21,17 +21,20 @@ inside the call and only with more than one worker, so a serial ``train``,
 a prediction and an import of the CLI never load it.
 
 The packed arrays are the forest: ``train`` concatenates the grown blocks'
-node arrays once, and traversal, the variance estimate, the regularity
-audit and the model file all read those arrays, in the dtypes
-``PACKED_DTYPES`` declares for memory and file alike. A node is 13 bytes:
+node arrays once, and traversal, the variance estimate and the model file
+all read those arrays, in the dtypes ``PACKED_DTYPES`` declares for memory
+and file alike. Honest and CART forests share them. A node is 13 bytes:
 its split axis (-1 at a leaf), one float64 ``value`` that is a split's
-threshold or a leaf's prediction, and one byte of split provenance. Which
-prediction point an honest leaf holds is not stored: routing the tree's
-subsample recovers it (``tree.validate_regularity``). Tree b owns the
-nodes ``roots[b]`` up to the next root, numbered breadth-first, so child
-ids are not stored: the construction check derives them
-(``tree.left_children``) into ``ForestModel.left``, which traversal and the
-audit read. The derivation checks what makes it safe for any input: each
+threshold or a leaf's prediction, and one byte of split provenance. A
+tree's index row is its whole subsample, which is all the variance
+estimate reads. An honest tree's partition into structure and prediction
+points is not stored: its stream draws the partition right after the
+subsample (``_fit_block``), so replaying the stream recovers it, and
+routing the prediction points recovers which one each leaf holds. Tree b
+owns the nodes ``roots[b]`` up to the next root, numbered breadth-first,
+so child ids are not stored: the construction check derives them
+(``tree.left_children``) into ``ForestModel.left``, which traversal
+reads. The derivation checks what makes it safe for any input: each
 tree has 2 * splits + 1 nodes, and each split's left child lies after it,
 so every node but a root is the child of exactly one split and a walk from
 any root ends at a leaf. Beyond ``left`` itself it builds one bool split
@@ -88,7 +91,7 @@ import numpy as np
 
 from . import rng, tree as tree_mod
 from .dataset import TrainingSet
-from .sampling import default_subsample_size, draw_block, partition_block, prediction_size, row_members, sorted_rows
+from .sampling import default_subsample_size, draw_block, partition_block, prediction_size, sorted_rows
 from .tree import HONEST, SPLIT_KINDS, TreeConfig
 
 # (tree, point) pairs walked together: bounds the traversal's working set
@@ -139,7 +142,6 @@ PACKED_DTYPES = {
     "split_kind": "|u1",
     "roots": "<i4",
     "subsample_indices": "<i4",
-    "prediction_indices": "<i4",
 }
 
 
@@ -160,7 +162,6 @@ class ForestModel:
     split_kind: np.ndarray  # (N,) uint8 split provenance, index into tree.SPLIT_KINDS
     roots: np.ndarray  # (B,) int32 root id of each tree, increasing from 0
     subsample_indices: np.ndarray  # (B, s) int32, row b = sorted subsample of tree b
-    prediction_indices: np.ndarray | None  # (B, prediction_size(s)) int32 honest prediction sets; None for CART
     n: int
     d: int
     s: int
@@ -171,10 +172,7 @@ class ForestModel:
 
     def __post_init__(self):
         for name, dtype in PACKED_DTYPES.items():
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
+            arr = np.asarray(getattr(self, name))
             if arr.size and arr.dtype.kind in "iu" and not np.can_cast(arr.dtype, dtype):
                 info = np.iinfo(dtype)
                 if arr.min() < info.min or arr.max() > info.max:
@@ -207,19 +205,11 @@ class ForestModel:
             raise ValueError(f"subsample indices must be {self.b} sorted rows of {self.s} distinct indices in [0, {self.n})")
         if (self.config.s, self.config.b) != (self.s, self.b):
             raise ValueError(f"config s={self.config.s}, b={self.config.b} does not match the forest's s={self.s}, b={self.b}")
-        pred = self.prediction_indices
-        if (pred is None) != (self.config.tree.mode != HONEST):
-            raise ValueError("honest forests, and only they, carry prediction indices")
-        if pred is not None:
-            if pred.shape != (self.b, prediction_size(self.s)) or not sorted_rows(pred, self.n):
-                raise ValueError("prediction indices must be sorted rows of ceil(s/2) distinct indices")
-            if not row_members(self.subsample_indices, pred, self.n).all():
-                raise ValueError("prediction indices must lie inside their tree's subsample")
 
 
 def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestModel:
-    """One forest from grown blocks of (GrownBlock, subsample rows, prediction rows)."""
-    grown, subs, preds = zip(*blocks)
+    """One forest from grown blocks of (GrownBlock, subsample rows)."""
+    grown, subs = zip(*blocks)
     offsets = np.cumsum([0] + [g.feature.size for g in grown[:-1]])
 
     def cat(name):
@@ -231,7 +221,6 @@ def _pack(blocks: list, n: int, s: int, d: int, cfg: ForestConfig) -> ForestMode
         split_kind=cat("split_kind"),
         roots=np.concatenate([g.roots + off for g, off in zip(grown, offsets)]),
         subsample_indices=np.vstack(subs),
-        prediction_indices=np.vstack(preds) if cfg.tree.mode == HONEST else None,
         n=n,
         d=d,
         s=s,
@@ -295,15 +284,17 @@ def fan_out(fn, jobs: list, n_jobs: int, name=str) -> list:
 def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, paths: list,
                sub: np.ndarray | None = None):
     """One block of trees, tree t grown on the stream ``rng.stream(*paths[t])``:
-    (GrownBlock, subsample rows, prediction rows or None), the rows in their
-    ``PACKED_DTYPES`` dtypes.
+    (GrownBlock, subsample rows), the rows in their ``PACKED_DTYPES`` dtype.
 
     Tree t's stream draws, in order: its subsample's ``cfg.s`` swap targets
     (``sampling.draw_block``), skipped when ``sub[t]`` gives its sorted
     subsample row; then, for an honest tree, its partition's
     ``prediction_size(s)`` swap targets (``sampling.partition_block``) and its
-    ``tree.split_uniforms`` table. One ``integers`` call over both target
-    ranges draws the values of two separate calls. One Philox generator is
+    ``tree.split_uniforms`` table. One ``integers(lows, highs)`` call draws
+    both sets of targets, the values of two separate calls: ``lows`` is
+    ``arange(s)`` then ``arange(prediction_size(s))``, and ``highs`` is n
+    for the subsample's targets and s for the partition's. So the partition
+    is not kept: replaying the stream recovers it. One Philox generator is
     restarted on each stream (``rng.rekey``) rather than built per stream.
     """
     s = cfg.s
@@ -321,12 +312,11 @@ def _fit_block(ts: TrainingSet, axes: tree_mod.SortedAxes, cfg: ForestConfig, pa
             tree_mod.split_uniforms(gen, k, out=uniforms[t])
     if sub is None:
         sub = draw_block(ts.n, s, js[:, :s])
-    packed_sub = sub.astype(PACKED_DTYPES["subsample_indices"])
-    if cfg.tree.mode != HONEST:
-        return tree_mod.grow_block(ts, axes, cfg.tree, sub), packed_sub, None
-    struct, pred = partition_block(sub, js[:, m:])
-    grown = tree_mod.grow_block(ts, axes, cfg.tree, struct, pred, uniforms)
-    return grown, packed_sub, pred.astype(PACKED_DTYPES["prediction_indices"])
+    if k:
+        grown = tree_mod.grow_block(ts, axes, cfg.tree, *partition_block(sub, js[:, m:]), uniforms)
+    else:
+        grown = tree_mod.grow_block(ts, axes, cfg.tree, sub)
+    return grown, sub.astype(PACKED_DTYPES["subsample_indices"])
 
 
 def _fit_range(args) -> list:

@@ -14,7 +14,10 @@ Child ids are not stored: nodes are numbered breadth-first within each
 tree, so the forest derives them from the split pattern (see ``forest``).
 A node is 13 bytes: its split axis (int32), one float64 that is a split's
 threshold or a leaf's prediction, and its split provenance, one byte, a
-``tree.SPLIT_KINDS`` code.
+``tree.SPLIT_KINDS`` code. Each tree's index row is its sorted subsample;
+an honest tree's honesty partition is not stored, since the tree's stream
+replays it (see ``forest._fit_block``). So honest and CART models share
+one layout, and the header's ``mode`` tells them apart.
 
 Loading reads no pickle and trusts nothing: the header must list exactly the
 expected arrays with the expected dtypes and shapes, laid out back to back
@@ -40,10 +43,9 @@ import numpy as np
 from . import __version__
 from .dataset import TrainingSet
 from .forest import PACKED_DTYPES, ForestConfig, ForestModel
-from .sampling import prediction_size
-from .tree import HONEST, TreeConfig
+from .tree import TreeConfig
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def dataset_fingerprint(ts: TrainingSet) -> str:
@@ -66,14 +68,12 @@ def _config_from_record(c: dict) -> ForestConfig:
     return ForestConfig(**{**c, "tree": TreeConfig(**c["tree"])})
 
 
-def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
+def _layout(n_nodes: int, b: int, s: int) -> list[dict]:
     """Header entries of the arrays, in file order and back to back."""
     # every other array holds one entry per node
-    shapes = {"roots": [b], "subsample_indices": [b, s], "prediction_indices": [b, prediction_size(s)]}
+    shapes = {"roots": [b], "subsample_indices": [b, s]}
     entries, offset = [], 0
     for name, dtype in PACKED_DTYPES.items():
-        if name == "prediction_indices" and not honest:
-            continue
         shape = shapes.get(name, [n_nodes])
         entries.append({"name": name, "dtype": dtype, "shape": shape, "offset": offset})
         offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -82,7 +82,7 @@ def _layout(n_nodes: int, b: int, s: int, honest: bool) -> list[dict]:
 
 def save_model(path, forest: ForestModel, ts: TrainingSet) -> None:
     """Write the header line, then each array's own buffer (already in its file dtype)."""
-    entries = _layout(forest.feature.size, forest.b, forest.s, forest.prediction_indices is not None)
+    entries = _layout(forest.feature.size, forest.b, forest.s)
     header = {
         "format_version": FORMAT_VERSION,
         "tool": f"subforest {__version__}",
@@ -109,7 +109,7 @@ def _count(header: dict, key: str) -> int:
     return v
 
 
-def _read_arrays(header: dict, fh, body_size: int, honest: bool) -> dict:
+def _read_arrays(header: dict, fh, body_size: int) -> dict:
     """Arrays named in the header, which must list exactly the writer's layout.
 
     ``fh`` stands at the first array byte and ``body_size`` bytes follow it.
@@ -119,7 +119,7 @@ def _read_arrays(header: dict, fh, body_size: int, honest: bool) -> dict:
     n_nodes = header["arrays"][0]["shape"][0]
     if type(n_nodes) is not int or n_nodes < 1:
         raise ValueError(f"node count must be a positive integer, got {n_nodes!r}")
-    layout = _layout(n_nodes, _count(header, "b"), _count(header, "s"), honest)
+    layout = _layout(n_nodes, _count(header, "b"), _count(header, "s"))
     if header["arrays"] != layout:
         raise ValueError("the array table does not match the format's layout")
     last = layout[-1]
@@ -152,12 +152,11 @@ def load_model(path) -> tuple[ForestModel, dict]:
             )
         try:
             cfg = _config_from_record(header["config"])
-            honest = cfg.tree.mode == HONEST
-            arrays = _read_arrays(header, fh, os.fstat(fh.fileno()).st_size - fh.tell(), honest)
+            arrays = _read_arrays(header, fh, os.fstat(fh.fileno()).st_size - fh.tell())
             n, d, s, b = (_count(header, k) for k in ("n", "d", "s", "b"))
             if cfg.tree.mode != header["mode"]:  # the forest checks the config's s and b
                 raise ValueError("config does not match the header's mode")
-            forest = ForestModel(**{name: arrays.get(name) for name in PACKED_DTYPES}, n=n, d=d, s=s, b=b, config=cfg)
+            forest = ForestModel(**arrays, n=n, d=d, s=s, b=b, config=cfg)
             meta = {k: header[k] for k in ("tool", "dataset_sha256", "mode", "feature_names")}
         except (KeyError, TypeError, IndexError) as e:
             raise ValueError(f"{path}: malformed model header ({type(e).__name__}: {e})") from None

@@ -177,8 +177,7 @@ def exact_vij(subsets: np.ndarray, values: np.ndarray, n: int) -> float:
 class HajekStats:
     hajek_variance: float
     base_variance: float
-    ratio: float  # nan when degenerate
-    degenerate: bool  # Var(T) == 0
+    ratio: float  # nan when Var(T) == 0
 
 
 def _tuple_ids(q: int, m: int, lo: int, hi: int) -> np.ndarray:
@@ -232,9 +231,7 @@ def _hajek_stats(dist: FiniteSupportDistribution, lookup, s: int) -> HajekStats:
     e_t = float(probs @ values)
     base_var = float(probs @ (values - e_t) ** 2)
     hajek_var = s * float(dist.probs @ (_first_atom_means(dist, probs, values) - e_t) ** 2)
-    if base_var == 0.0:
-        return HajekStats(hajek_var, base_var, math.nan, True)
-    return HajekStats(hajek_var, base_var, hajek_var / base_var, False)
+    return HajekStats(hajek_var, base_var, hajek_var / base_var if base_var != 0.0 else math.nan)
 
 
 @dataclass(frozen=True)

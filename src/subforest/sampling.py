@@ -11,8 +11,9 @@ uniform on [i, m) for i = 0, ..., k-1, which one
 ``partition_block`` take one row of swap targets per tree and run each swap
 loop once over all the block's rows: a tree's subsample takes s targets on
 [0, n), its honesty partition ``prediction_size(s)`` targets on its s
-subsample points. The forest that stores their index rows checks them, once
-per forest rather than once per tree.
+subsample points. The forest stores only the subsample rows and checks
+them once per forest rather than once per tree; a tree's partition is
+replayed from its stream, not stored.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 
 # entries of the (rows, n) index pool one ``draw_block`` chunk may hold
 _POOL_ENTRIES = 1 << 20
-
-# rows of the (rows, n) bool table one ``row_members`` block builds: few, so
-# the model check's table and index arrays stay small beside the model
-_MEMBER_ROWS = 256
 
 
 def _fisher_yates(pool: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -68,22 +65,6 @@ def partition_block(subsamples: np.ndarray, js: np.ndarray) -> tuple[np.ndarray,
     k = js.shape[1]
     split = _fisher_yates(subsamples, js)
     return np.sort(split[:, k:], axis=1), np.sort(split[:, :k], axis=1)
-
-
-def row_members(rows: np.ndarray, of: np.ndarray, n: int) -> np.ndarray:
-    """(B, k) bool: whether ``of[b, j]`` lies in row ``rows[b]``, for entries in [0, n).
-
-    Each block of at most ``_MEMBER_ROWS`` rows marks its entries in a
-    (rows, n) bool table and reads ``of`` from it.
-    """
-    out = np.empty(of.shape, dtype=bool)
-    for lo in range(0, rows.shape[0], _MEMBER_ROWS):
-        hi = min(lo + _MEMBER_ROWS, rows.shape[0])
-        at = np.arange(hi - lo)[:, None]
-        table = np.zeros((hi - lo, n), dtype=bool)
-        table[at, rows[lo:hi]] = True
-        out[lo:hi] = table[at, of[lo:hi]]
-    return out
 
 
 def sorted_rows(rows: np.ndarray, n: int) -> bool:

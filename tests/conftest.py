@@ -10,19 +10,18 @@ from subforest import dataset, forest, tree
 def same_forest(a, b) -> bool:
     """Every packed array of two forests has the same dtype, shape and bytes (so -0.0 differs from 0.0)."""
     def same(x, y):
-        if x is None or y is None:
-            return x is None and y is None
         return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
     return all(same(getattr(a, k), getattr(b, k)) for k in forest.PACKED_DTYPES)
 
 
-def one_tree_forest(ts, tree_cfg, subsample, prediction=None, *, feature, value, threshold=None, split_kind=None):
+def one_tree_forest(ts, tree_cfg, subsample, *, feature, value, threshold=None, split_kind=None):
     """A one-tree ``ForestModel`` over ``ts`` from breadth-first node arrays.
 
     Given ``threshold``, a split's value is its threshold and a leaf's its
     entry of ``value``; otherwise ``value`` is already the forest's one
-    float per node.
+    float per node. An honest tree's prediction rows are not part of it:
+    the caller keeps them for the audit and ``format4_arrays``.
     """
     feature = np.asarray(feature)
     if threshold is not None:
@@ -34,14 +33,13 @@ def one_tree_forest(ts, tree_cfg, subsample, prediction=None, *, feature, value,
         split_kind=np.zeros(feature.size) if split_kind is None else split_kind,
         roots=[0],
         subsample_indices=[subsample],
-        prediction_indices=None if prediction is None else [prediction],
         n=ts.n, d=ts.d, s=s, b=1,
         config=forest.ForestConfig(s=s, b=1, tree=tree_cfg),
     )
 
 
 def grow_one(ts, tree_cfg, structure, prediction=None, uniforms=None):
-    """One tree grown alone on given index sets, as a one-tree forest."""
+    """One tree grown alone on given index sets, as a one-tree forest; its prediction row is ``[prediction]``."""
     structure = np.asarray(structure)
     honest = prediction is not None
     rows = (structure[None], np.asarray(prediction)[None], uniforms[None]) if honest else (structure[None],)
@@ -49,7 +47,7 @@ def grow_one(ts, tree_cfg, structure, prediction=None, uniforms=None):
     subsample = np.union1d(structure, prediction) if honest else structure
     nodes = grown._asdict()
     del nodes["roots"]
-    return one_tree_forest(ts, tree_cfg, subsample, prediction, **nodes)
+    return one_tree_forest(ts, tree_cfg, subsample, **nodes)
 
 
 def reference_children(fm, b: int) -> dict:
@@ -88,37 +86,39 @@ def reference_predict(fm, b: int, xq) -> float:
     return float(fm.value[reference_leaf(fm, b, xq)])
 
 
-def leaf_training_index(fm, ts) -> np.ndarray:
-    """(N,) training index behind each honest leaf: the lowest prediction point that
-    a scalar walk routes to it; -1 at splits, at leaves no prediction point
-    reaches, and everywhere in a CART forest."""
+def leaf_training_index(fm, ts, prediction) -> np.ndarray:
+    """(N,) training index behind each honest leaf: the lowest of its tree's
+    ``prediction`` row that a scalar walk routes to it; -1 at splits, at
+    leaves no prediction point reaches, and everywhere when ``prediction``
+    is None, as for a CART forest."""
     index = np.full(fm.feature.size, -1, dtype=np.int32)
-    if fm.prediction_indices is None:
+    if prediction is None:
         return index
     for b in range(fm.b):
         left = reference_children(fm, b)
         # in decreasing order, so the lowest point routed to a leaf is written last
-        for p in fm.prediction_indices[b][::-1]:
+        for p in prediction[b][::-1]:
             index[reference_leaf(fm, b, ts.x[p], left)] = p
     return index
 
 
-def format4_arrays(fm, ts) -> dict:
+def format4_arrays(fm, ts, prediction) -> dict:
     """The model-format-4 packed arrays of a forest, in that format's order and dtypes.
 
     Format 4 stored a split's threshold and a leaf's value in separate
-    arrays, each +0.0 where unused, and each honest leaf's training index.
+    arrays, each +0.0 where unused, each honest leaf's training index and
+    the (B, ceil(s/2)) int32 ``prediction`` rows, None for a CART forest.
     """
     split = fm.feature >= 0
     return {
         "feature": fm.feature,
         "threshold": np.where(split, fm.value, 0.0),
         "value": np.where(split, 0.0, fm.value),
-        "pred_index": leaf_training_index(fm, ts),
+        "pred_index": leaf_training_index(fm, ts, prediction),
         "split_kind": fm.split_kind,
         "roots": fm.roots,
         "subsample_indices": fm.subsample_indices,
-        "prediction_indices": fm.prediction_indices,
+        "prediction_indices": None if prediction is None else np.asarray(prediction, dtype=np.int32),
     }
 
 

@@ -19,6 +19,8 @@ from subforest.forest import ForestConfig
 from subforest.oracle import FiniteSupportDistribution, LabelSum, SubsampleMax, SubsampleMean
 from subforest.tree import TreeConfig
 
+from regularity import replayed_prediction, validate_regularity
+
 _JOBS = max(1, min(4, os.cpu_count() or 1))
 
 
@@ -192,7 +194,7 @@ def test_criterion_8_regularity_audit(capsys):
     # tree b's subsample, partition and split draws come from stream (4242, TREE, b)
     fm = forest.train(ts, ForestConfig(b=500, seed=4242, tree=cfg))
     assert fm.s == sampling.default_subsample_size(1000)
-    rep = tree.validate_regularity(fm, ts)
+    rep = validate_regularity(fm, ts, replayed_prediction(fm))
     all_pass = rep.passed
     axes = rep.split_axes
     rand_flags = rep.split_kinds != 0

@@ -130,6 +130,20 @@ class TestTrain:
         assert f"error: s_exponent must be finite and > 0, got {float(value)}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("b", ["1", "0"])
+    def test_fewer_than_two_trees_refused_before_the_data_loads(self, tmp_path, monkeypatch, capsys, b):
+        # predict refuses a one-tree model, so train must not write one
+        from subforest import cli
+
+        def loaded(*_, **__):
+            raise AssertionError("data loaded before b was checked")
+
+        monkeypatch.setattr(cli, "load_csv", loaded)
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(tmp_path / "d.csv"), "--b", b, "--threads", "1", "--out", str(model)]) == 1
+        assert f"error: b must be >= 2: predict's variance estimate needs two trees, got {b}\n" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_repeated_column_name_refused(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"
         data.write_text("a,a,y\n" + "".join(f"{i / 40},{1 - i / 40},{i % 3}\n" for i in range(40)))
@@ -146,10 +160,10 @@ class TestTrain:
 
 
 class TestPredict:
-    def _model(self, tmp_path, b=20):
+    def _model(self, tmp_path):
         data = _gen(tmp_path)
         model = tmp_path / "m.json"
-        assert main(["train", "--data", str(data), "--threads", "1", "--b", str(b),
+        assert main(["train", "--data", str(data), "--threads", "1", "--b", "20",
                      "--seed", "4", "--out", str(model)]) == 0
         return data, model
 
@@ -176,7 +190,11 @@ class TestPredict:
         assert np.array_equal(np.array(got), direct)
 
     def test_single_tree_model_rejected(self, tmp_path, capsys):
-        data, model = self._model(tmp_path, b=1)
+        # train refuses b = 1, but the library still saves a one-tree forest
+        data = _gen(tmp_path)
+        ts = dataset.load_csv(data, target_column="y")
+        model = tmp_path / "m.bin"
+        save_model(model, forest.train(ts, ForestConfig(b=1, seed=4)), ts)
         assert main(["predict", "--model", str(model), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 1
         assert "error: variance estimation needs B >= 2 tree outputs, got 1" in capsys.readouterr().err
@@ -361,9 +379,9 @@ class TestModelFile:
         assert (loaded.n, loaded.d, loaded.s, loaded.b, loaded.config) == (fm.n, fm.d, fm.s, fm.b, fm.config)
         for name in forest.PACKED_DTYPES:
             a, b = getattr(fm, name), getattr(loaded, name)
-            assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
-        for name in ("roots", "subsample_indices", "prediction_indices"):
-            assert getattr(loaded, name) is None or getattr(loaded, name).dtype == np.int32, name
+            assert np.array_equal(a, b) and a.dtype == b.dtype, name
+        for name in ("roots", "subsample_indices"):
+            assert getattr(loaded, name).dtype == np.int32, name
         xs = np.random.default_rng(3).random((40, 2))
         assert np.array_equal(forest.predict_per_tree(loaded, xs), forest.predict_per_tree(fm, xs))
 
@@ -421,20 +439,6 @@ class TestModelFile:
         self._rewrite(path, "feature", edit)
         self._refused(path, tmp_path, capsys, r"2 \* splits \+ 1 nodes")
 
-    @pytest.mark.parametrize("saved", ["honest"], indirect=True)
-    def test_prediction_outside_subsample_refused(self, saved, tmp_path, capsys):
-        # tree 0's last prediction index moved to a point outside its
-        # subsample; the row stays sorted and distinct
-        fm, path = saved
-        sub, pred = fm.subsample_indices[0], fm.prediction_indices[0]
-        outside = np.setdiff1d(np.arange(pred[-2] + 1, fm.n), sub)[0]
-
-        def edit(prediction_indices):
-            prediction_indices[0, -1] = outside
-
-        self._rewrite(path, "prediction_indices", edit)
-        self._refused(path, tmp_path, capsys, "prediction indices must lie inside their tree's subsample")
-
     def test_version_1_json_model_refused(self, tmp_path, capsys):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"format_version": 1, "n": 40, "d": 2, "trees": []},
@@ -478,19 +482,25 @@ class TestModelFile:
         # older grower: the header's version alone refuses it
         _, path = saved
         self._set_version(path, 2)
-        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 5")
+        self._refused(path, tmp_path, capsys, "format version 2 does not match supported version 6")
 
     def test_version_3_model_refused(self, saved, tmp_path, capsys):
         # version 3 stored a child table and a 0/1 provenance flag
         _, path = saved
         self._set_version(path, 3)
-        self._refused(path, tmp_path, capsys, "format version 3 does not match supported version 5")
+        self._refused(path, tmp_path, capsys, "format version 3 does not match supported version 6")
 
     def test_version_4_model_refused(self, saved, tmp_path, capsys):
         # version 4 stored separate threshold and value arrays and each leaf's training index
         _, path = saved
         self._set_version(path, 4)
-        self._refused(path, tmp_path, capsys, "format version 4 does not match supported version 5")
+        self._refused(path, tmp_path, capsys, "format version 4 does not match supported version 6")
+
+    def test_version_5_model_refused(self, saved, tmp_path, capsys):
+        # version 5 stored each honest tree's prediction rows after its subsample rows
+        _, path = saved
+        self._set_version(path, 5)
+        self._refused(path, tmp_path, capsys, "format version 5 does not match supported version 6")
 
     def test_split_kind_out_of_range_refused(self, saved, tmp_path, capsys):
         _, path = saved

@@ -12,6 +12,7 @@ from subforest.forest import ForestConfig
 
 from conftest import (format4_arrays, reference_children, reference_leaf, reference_partition, reference_predict,
                       reference_subsample, same_forest, time_limit)
+from regularity import replayed_prediction, validate_regularity
 
 
 class TestConfig:
@@ -91,12 +92,13 @@ class TestTrain:
         big = forest.train(cosine_1k, ForestConfig(b=12, seed=4))
         small = forest.train(cosine_1k, ForestConfig(b=5, seed=4))
         end = big.roots[5]
-        old_small, old_big = format4_arrays(small, cosine_1k), format4_arrays(big, cosine_1k)
+        small_pred, big_pred = replayed_prediction(small), replayed_prediction(big)
+        old_small, old_big = format4_arrays(small, cosine_1k, small_pred), format4_arrays(big, cosine_1k, big_pred)
         for name in ("feature", "threshold", "value", "pred_index", "split_kind"):
             assert np.array_equal(old_small[name], old_big[name][:end]), name
         assert np.array_equal(small.roots, big.roots[:5])
         assert np.array_equal(small.subsample_indices, big.subsample_indices[:5])
-        assert np.array_equal(small.prediction_indices, big.prediction_indices[:5])
+        assert np.array_equal(small_pred, big_pred[:5])
 
     def test_parallel_training_is_deterministic(self, cosine_1k):
         serial = forest.train(cosine_1k, ForestConfig(b=16, seed=5), n_jobs=1)
@@ -131,6 +133,7 @@ class TestBlockGrowth:
         for mode in ("honest", "cart"):
             cfg = ForestConfig(b=6, seed=15, tree=tree.TreeConfig(mode=mode))
             fm = forest.train(cosine_1k, cfg)
+            replayed = replayed_prediction(fm) if mode == "honest" else None
             ends = np.append(fm.roots[1:], fm.feature.size)
             for b in range(6):
                 g = rng.stream(15, rng.TREE, b)
@@ -140,7 +143,7 @@ class TestBlockGrowth:
                     uniforms = tree.split_uniforms(g, prediction.size)
                     alone = tree.grow_block(cosine_1k, axes, cfg.tree, structure[None],
                                             prediction[None], uniforms[None])
-                    assert np.array_equal(fm.prediction_indices[b], prediction)
+                    assert np.array_equal(replayed[b], prediction)
                 else:
                     alone = tree.grow_block(cosine_1k, axes, cfg.tree, sub[None])
                 assert np.array_equal(fm.subsample_indices[b], sub)
@@ -150,12 +153,13 @@ class TestBlockGrowth:
 
     def test_draws_match_per_tree_sampling(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=30, s=40, seed=16))
+        replayed = replayed_prediction(fm)
         for b in range(30):
             g = rng.stream(16, rng.TREE, b)
             sub = reference_subsample(g, cosine_1k.n, 40)
             _, prediction = reference_partition(g, sub)
             assert np.array_equal(fm.subsample_indices[b], sub)
-            assert np.array_equal(fm.prediction_indices[b], prediction)
+            assert np.array_equal(replayed[b], prediction)
 
     def test_breadth_first_node_order(self, cosine_1k):
         for mode in ("honest", "cart"):
@@ -187,14 +191,15 @@ class TestBlockGrowth:
     def test_honest_forest_passes_regularity_audit(self, cosine_1k):
         fm = forest.train(cosine_1k, ForestConfig(b=200, seed=0), n_jobs=2)
         assert fm.s == 125
-        assert tree.validate_regularity(fm, cosine_1k).passed
+        assert validate_regularity(fm, cosine_1k, replayed_prediction(fm)).passed
 
     def test_fresh_streams_pass_regularity_audit(self, cosine_1k):
         # multi-point leaves occur about once per 10^4 trees: 20000 trees on
         # forest seeds 1-10 must all pass, those leaves included
         unsplittable = 0
         for seed in range(1, 11):
-            rep = tree.validate_regularity(forest.train(cosine_1k, ForestConfig(b=2000, seed=seed), n_jobs=2), cosine_1k)
+            fm = forest.train(cosine_1k, ForestConfig(b=2000, seed=seed), n_jobs=2)
+            rep = validate_regularity(fm, cosine_1k, replayed_prediction(fm))
             failed = np.unique(np.r_[rep.split_tree[~rep.splits_ok], np.flatnonzero(~rep.leaves_ok)])
             assert rep.passed, (seed, failed)
             unsplittable += rep.unsplittable_leaves
@@ -203,15 +208,16 @@ class TestBlockGrowth:
     def test_prediction_labels_do_not_move_splits(self, cosine_1k):
         cfg = ForestConfig(b=23, seed=18)
         fm = forest.train(cosine_1k, cfg)
+        pred = replayed_prediction(fm)
         # labels of points that are no tree's structure point are read by leaves only
-        structure = np.concatenate([np.setdiff1d(sub, pred) for sub, pred in zip(fm.subsample_indices, fm.prediction_indices)])
+        structure = np.concatenate([np.setdiff1d(sub, p) for sub, p in zip(fm.subsample_indices, pred)])
         free = np.setdiff1d(np.arange(cosine_1k.n), structure)
         y2 = cosine_1k.y.copy()
         y2[free] = cosine_1k.y[np.random.default_rng(1).permutation(free)]
         assert not np.array_equal(y2, cosine_1k.y)
         ts2 = TrainingSet(cosine_1k.x, y2)
         fm2 = forest.train(ts2, cfg)
-        old, old2 = format4_arrays(fm, cosine_1k), format4_arrays(fm2, ts2)
+        old, old2 = format4_arrays(fm, cosine_1k, pred), format4_arrays(fm2, ts2, replayed_prediction(fm2))
         for name in ("feature", "threshold", "split_kind", "pred_index"):
             assert np.array_equal(old[name], old2[name]), name
         leaves = fm2.feature < 0
@@ -219,9 +225,11 @@ class TestBlockGrowth:
 
 
 def _digest(fm, ts) -> str:
-    """sha256 of the forest's arrays rebuilt in model format 4, the format the digests were pinned in."""
+    """sha256 of the forest's arrays rebuilt in model format 4, the format the digests were pinned in,
+    an honest forest's prediction rows replayed from its trees' streams."""
+    prediction = replayed_prediction(fm) if fm.config.tree.mode == "honest" else None
     digest = hashlib.sha256()
-    for arr in format4_arrays(fm, ts).values():
+    for arr in format4_arrays(fm, ts, prediction).values():
         if arr is not None:
             digest.update(arr.tobytes())
     return digest.hexdigest()
@@ -324,7 +332,6 @@ class TestPredict:
             split_kind=[0] * 6,
             roots=[0, 3],
             subsample_indices=[[0, 1], [1, 2]],
-            prediction_indices=None,
             n=3, d=1, s=2, b=2,
             config=ForestConfig(s=2, b=2, tree=tree.TreeConfig(mode="cart")),
         )
@@ -387,7 +394,6 @@ class TestPredict:
             split_kind=[0] * 4,
             roots=[0, 1],
             subsample_indices=[[0, 1], [1, 2]],
-            prediction_indices=None,
             n=3, d=2, s=2, b=2,
             config=ForestConfig(s=2, b=2, tree=tree.TreeConfig(mode="cart")),
         )
@@ -463,7 +469,6 @@ class TestDerivedStructure:
                 split_kind=np.zeros(flags.size),
                 roots=np.cumsum([0] + sizes[:-1]),
                 subsample_indices=[[0, 1]] * b,
-                prediction_indices=None,
                 n=2, d=2, s=2, b=b,
                 config=ForestConfig(s=2, b=b, tree=tree.TreeConfig(mode="cart")),
             )

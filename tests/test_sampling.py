@@ -7,6 +7,7 @@ import pytest
 from subforest import rng, sampling
 from subforest.forest import ForestConfig
 
+import regularity
 from conftest import reference_partition, reference_subsample
 
 
@@ -134,13 +135,13 @@ class TestDrawBlock:
 class TestRowMembers:
     def test_blocks_match_per_row_membership(self, monkeypatch):
         # blocks of 3 rows: 10 rows take four tables
-        monkeypatch.setattr(sampling, "_MEMBER_ROWS", 3)
+        monkeypatch.setattr(regularity, "_MEMBER_ROWS", 3)
         gen = np.random.default_rng(4)
         rows = np.sort(np.stack([gen.choice(30, 8, replace=False) for _ in range(10)]), axis=1)
         of = gen.integers(0, 30, (10, 5))
         want = np.array([np.isin(o, r) for r, o in zip(rows, of)])
         assert want.any() and not want.all()
-        assert np.array_equal(sampling.row_members(rows, of, 30), want)
+        assert np.array_equal(regularity.row_members(rows, of, 30), want)
 
 
 class TestDefaultSubsampleSize:

@@ -1,8 +1,11 @@
 """The library's public surface: every public top-level function and class has a use.
 
-A name counts as used when some line of the library, the benchmark or the
-packaging names it, outside the name's own definition. A name that only
-tests use is deleted, or moved into the tests, rather than kept here.
+A name counts as used when some code of the library or the benchmark names
+it outside the name's own definition, or the packaging names it as an entry
+point. Only code counts: an identifier, or a string literal whose whole
+value is the name (a lookup by name); a mention in a docstring or a comment
+does not. A name that only tests use is deleted, or moved into the tests,
+rather than kept here.
 """
 
 import ast
@@ -14,9 +17,24 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "subforest"
 
 
-def _reference_files() -> list:
-    files = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    return files + [ROOT / "pyproject.toml"]
+def _code_names(path: pathlib.Path) -> list:
+    """(name, line) of every identifier and whole-string literal in a Python file's code."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rpartition(".")[2], node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def _entry_points() -> set:
+    """The objects the packaging's ``module:object`` entry points name."""
+    return set(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
 
 
 def _public_definitions():
@@ -31,16 +49,17 @@ def _public_definitions():
 def test_every_public_name_is_used_outside_the_tests():
     definitions = list(_public_definitions())
     assert {"train", "ForestModel", "load_csv", "draw_block"} <= {name for _, name, _, _ in definitions}
-    lines = {path: path.read_text().splitlines() for path in _reference_files()}
-    unused = []
+    uses = {}
+    for path in (p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))):
+        for name, line in _code_names(path):
+            uses.setdefault(name, []).append((path, line))
+    entry_points, unused = _entry_points(), []
     for module, name, first, last in definitions:
-        word = re.compile(rf"\b{name}\b")
-        # every reference file, with the definition's own lines left out of its module
-        texts = (text[:first - 1] + text[last:] if path == module else text for path, text in lines.items())
-        if not any(word.search("\n".join(text)) for text in texts):
+        # a use outside the definition's own lines, or an entry point
+        if not any(path != module or not first <= line <= last for path, line in uses.get(name, ())) \
+                and name not in entry_points:
             unused.append(f"{module.relative_to(ROOT)}: {name}")
     assert not unused, f"public names only the tests use: {unused}"
-
 
 
 def _private(name: str) -> bool:

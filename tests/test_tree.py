@@ -8,6 +8,7 @@ from subforest.tree import TreeConfig
 
 from conftest import (format4_arrays, grow_one, is_pnn, leaf_training_index, one_tree_forest, reference_children,
                       reference_leaf, reference_subsample, same_forest)
+from regularity import replayed_prediction, validate_regularity
 
 
 def _stream(i=0):
@@ -54,14 +55,14 @@ class TestFitHonest:
         model = _fit_honest(ts, [0], [1], gen=_stream())
         assert model.feature.size == 1
         assert _predict(model, [0.5]) == 9.0
-        assert leaf_training_index(model, ts)[0] == 1
+        assert leaf_training_index(model, ts, [[1]])[0] == 1
 
     def test_d1_threshold_between_prediction_points(self):
         # structure at 0.2, 0.8; prediction at 0.1, 0.9: the only candidate
         # midpoint 0.5 keeps one prediction point per side
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
-        threshold = format4_arrays(model, ts)["threshold"]
+        threshold = format4_arrays(model, ts, [[2, 3]])["threshold"]
         assert model.feature[0] == 0
         assert threshold[0] == pytest.approx(0.5)
         assert 0.1 < threshold[0] < 0.9
@@ -72,12 +73,13 @@ class TestFitHonest:
         ts = cosine_1k
         model = _fit_cosine_honest(ts, seed=5)
         # permute labels on the prediction set only; refit with the same streams
-        prediction = model.prediction_indices[0]
+        rows = replayed_prediction(model)
+        prediction = rows[0]
         y2 = ts.y.copy()
         y2[prediction] = ts.y[np.random.default_rng(0).permutation(prediction)]
         ts2 = TrainingSet(ts.x, y2)
         model2 = _fit_cosine_honest(ts2, seed=5)
-        old, old2 = format4_arrays(model, ts), format4_arrays(model2, ts2)
+        old, old2 = format4_arrays(model, ts, rows), format4_arrays(model2, ts2, rows)
         assert np.array_equal(model.feature, model2.feature)
         assert np.array_equal(old["threshold"], old2["threshold"])
         assert np.array_equal(model.split_kind, model2.split_kind)
@@ -87,27 +89,30 @@ class TestFitHonest:
 
     def test_fully_grown_leaf_count(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=6)
-        assert np.count_nonzero(model.feature < 0) == model.prediction_indices.shape[1]
+        assert np.count_nonzero(model.feature < 0) == replayed_prediction(model).shape[1]
 
     def test_leaf_values_are_prediction_labels(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=7)
-        old = format4_arrays(model, cosine_1k)
+        rows = replayed_prediction(model)
+        old = format4_arrays(model, cosine_1k, rows)
         leaves = model.feature < 0
-        assert np.all(np.isin(old["pred_index"][leaves], model.prediction_indices[0]))
+        assert np.all(np.isin(old["pred_index"][leaves], rows[0]))
         assert np.array_equal(old["value"][leaves], cosine_1k.y[old["pred_index"][leaves]])
 
     def test_empty_prediction_set_rejected(self):
-        # an honest tree of two subsample points carries one prediction point, never none
+        # an honest tree of two subsample points carries one prediction point,
+        # never none: the audit refuses an empty prediction row
         ts = TrainingSet(np.array([[0.1], [0.9]]), np.array([1.0, 2.0]))
+        model = one_tree_forest(ts, TreeConfig(), [0, 1], feature=[-1], value=[1.0])
         with pytest.raises(ValueError, match="prediction indices"):
-            one_tree_forest(ts, TreeConfig(), [0, 1], np.empty(0, dtype=np.int64), feature=[-1], value=[1.0])
+            validate_regularity(model, ts, np.empty((1, 0), dtype=np.int64))
 
     def test_duplicate_points_collapse_to_lowest_index(self):
         x = np.full((4, 2), 0.5)
         ts = TrainingSet(x, np.array([1.0, 2.0, 3.0, 4.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(2))
         assert model.feature.size == 1
-        assert leaf_training_index(model, ts)[0] == 2
+        assert leaf_training_index(model, ts, [[2, 3]])[0] == 2
 
 
 def _routed_counts(fm, ts):
@@ -150,12 +155,12 @@ class TestGrowBlock:
             for name in ("feature", "value", "split_kind"):
                 assert np.array_equal(getattr(block, name)[lo:hi], getattr(alone, name)), (t, name)
         tree0 = grow_one(ts, cfg, structure[0], prediction[0], uniforms[0])
-        assert block.feature[0] == -1 and leaf_training_index(tree0, ts)[0] == 3
+        assert block.feature[0] == -1 and leaf_training_index(tree0, ts, prediction[:1])[0] == 3
         root1 = block.roots[1]
         assert block.feature[root1] >= 0 and tree.SPLIT_KINDS[block.split_kind[root1]] == "fallback"
         px = np.sort(x[prediction[1], block.feature[root1]])
         tree1 = grow_one(ts, cfg, structure[1], prediction[1], uniforms[1])
-        assert format4_arrays(tree1, ts)["threshold"][0] in 0.5 * (px[:-1] + px[1:])
+        assert format4_arrays(tree1, ts, prediction[1:2])["threshold"][0] in 0.5 * (px[:-1] + px[1:])
 
     def test_redrawn_axis_is_recorded(self):
         # the uniform branch draws axis 0, where every structure point sits at
@@ -188,13 +193,13 @@ class TestGrowBlock:
         # points right, below gamma, so 0|a wins. Its right child then splits
         # at a|b, which is admissible only with point 7 on the left; the
         # structure point at b goes right with point 8.
-        old = format4_arrays(fm, ts)
+        old = format4_arrays(fm, ts, [[0, 5, 6, 7, 8]])
         assert fm.feature.tolist() == [0, 0, 0, 0, -1, -1, -1, -1, -1]
         assert old["threshold"][:4].tolist() == [0.5 * a, -0.5, a, -1.5]
         assert [tree.SPLIT_KINDS[k] for k in fm.split_kind[:4]] == ["greedy", "fallback", "greedy", "fallback"]
         assert old["pred_index"][4:].tolist() == [0, 7, 8, 5, 6]
         assert np.array_equal(old["value"][4:], ts.y[[0, 7, 8, 5, 6]])
-        assert tree.validate_regularity(fm, ts).passed
+        assert validate_regularity(fm, ts, [[0, 5, 6, 7, 8]]).passed
 
     @pytest.mark.parametrize("mode", ["honest", "cart"])
     def test_midpoints_of_adjacent_doubles_separate_them(self, mode):
@@ -213,10 +218,10 @@ class TestGrowBlock:
                 fm = forest.train(ts, ForestConfig(b=20, seed=seed, tree=TreeConfig(mode=mode)))
             leaves = fm.feature < 0
             if mode == "honest":
-                assert tree.validate_regularity(fm, ts).passed, seed
+                assert validate_regularity(fm, ts, replayed_prediction(fm)).passed, seed
             else:
                 assert np.all(_routed_counts(fm, ts)[leaves] >= 1), seed
-                assert np.all(np.isfinite(format4_arrays(fm, ts)["value"][leaves])), seed
+                assert np.all(np.isfinite(format4_arrays(fm, ts, None)["value"][leaves])), seed
 
     def test_cart_block_matches_trees_grown_alone(self, cosine_1k):
         rows = np.array([reference_subsample(rng.stream(9, rng.TREE, b), 1000, 60) for b in range(5)])
@@ -236,7 +241,7 @@ class TestFitGreedyCart:
     def test_constant_labels_single_leaf(self):
         ts = TrainingSet(np.random.default_rng(0).random((20, 2)), np.full(20, 4.5))
         model = _fit_cart(ts, np.arange(20))
-        assert np.all(format4_arrays(model, ts)["value"][model.feature < 0] == 4.5)
+        assert np.all(format4_arrays(model, ts, None)["value"][model.feature < 0] == 4.5)
 
     def test_single_point(self):
         ts = TrainingSet(np.array([[0.3]]), np.array([2.5]))
@@ -247,7 +252,7 @@ class TestFitGreedyCart:
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
         model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
         assert model.feature[0] == 0
-        assert format4_arrays(model, ts)["threshold"][0] == pytest.approx(0.5)
+        assert format4_arrays(model, ts, None)["threshold"][0] == pytest.approx(0.5)
         assert _predict(model, [0.15]) == 0.0
         assert _predict(model, [0.85]) == 10.0
 
@@ -257,7 +262,7 @@ class TestFitGreedyCart:
         model = _fit_cart(cosine_1k, idx)
         # verify each leaf's value is the mean of the training labels routed to it
         leaf_ids = np.array([reference_leaf(model, 0, cosine_1k.x[i]) for i in idx])
-        value = format4_arrays(model, cosine_1k)["value"]
+        value = format4_arrays(model, cosine_1k, None)["value"]
         for leaf in np.unique(leaf_ids):
             members = idx[leaf_ids == leaf]
             assert value[leaf] == pytest.approx(cosine_1k.y[members].mean(), rel=1e-12)
@@ -274,7 +279,7 @@ class TestPredict:
     def test_tie_at_threshold_routes_left(self):
         ts = TrainingSet(np.array([[0.1], [0.2], [0.8], [0.9]]), np.array([0.0, 0.0, 10.0, 10.0]))
         model = _fit_cart(ts, np.arange(4), TreeConfig(mode="cart", max_leaf_size=2))
-        thr = format4_arrays(model, ts)["threshold"][0]
+        thr = format4_arrays(model, ts, None)["threshold"][0]
         assert _predict(model, [thr]) == 0.0  # exactly at the threshold: left
 
     def test_dimension_mismatch(self, cosine_1k):
@@ -287,12 +292,12 @@ class TestPredict:
         ts = dataset.gen_synthetic(spec, 400, seed=3)
         model = forest.train(ts, ForestConfig(b=1, seed=3))
         assert model.s == 66
-        for p in model.prediction_indices[0, :10]:
+        for p in replayed_prediction(model)[0, :10]:
             assert _predict(model, ts.x[p]) == ts.y[p]
 
     def test_monotone_routing_constant_on_leaf_cell(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=9)
-        old = format4_arrays(model, cosine_1k)
+        old = format4_arrays(model, cosine_1k, replayed_prediction(model))
         left = reference_children(model, 0)
         gen = np.random.default_rng(0)
         for _ in range(20):
@@ -320,18 +325,19 @@ class TestSelectedIndex:
     # i*(x), the training index behind a leaf prediction, read at the reference walk's leaf
     def test_piecewise_constant_and_matches_leaf(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=10)
-        pred_index = leaf_training_index(model, cosine_1k)
+        rows = replayed_prediction(model)
+        pred_index = leaf_training_index(model, cosine_1k, rows)
         gen = np.random.default_rng(1)
         for _ in range(10):
             xq = gen.random(2)
             i_star = pred_index[reference_leaf(model, 0, xq)]
-            assert i_star in model.prediction_indices[0]
+            assert i_star in rows[0]
             assert _predict(model, xq) == cosine_1k.y[i_star]
 
     def test_at_prediction_point(self):
         ts = TrainingSet(np.array([[0.2], [0.8], [0.1], [0.9]]), np.array([0.0, 1.0, 5.0, 7.0]))
         model = _fit_honest(ts, [0, 1], [2, 3], gen=_stream(1))
-        pred_index = leaf_training_index(model, ts)
+        pred_index = leaf_training_index(model, ts, [[2, 3]])
         assert pred_index[reference_leaf(model, 0, [0.1])] == 2
         assert pred_index[reference_leaf(model, 0, [0.9])] == 3
 
@@ -363,7 +369,7 @@ class TestIsPnn:
 
     def test_prediction_is_pnn_of_leaf(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=11)
-        pred_index = leaf_training_index(model, cosine_1k)
+        pred_index = leaf_training_index(model, cosine_1k, replayed_prediction(model))
         gen = np.random.default_rng(2)
         for _ in range(10):
             xq = gen.random(2)
@@ -374,7 +380,7 @@ class TestIsPnn:
 class TestValidateRegularity:
     def test_fit_output_passes(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=12)
-        rep = tree.validate_regularity(model, cosine_1k)
+        rep = validate_regularity(model, cosine_1k, replayed_prediction(model))
         assert rep.passed
         assert np.all(rep.split_min_fraction >= rep.gamma)
         assert np.all(rep.leaf_pred_counts == 1)
@@ -383,16 +389,17 @@ class TestValidateRegularity:
 
     def test_handbuilt_zero_prediction_leaf_fails(self, cosine_1k):
         model = _fit_cosine_honest(cosine_1k, seed=13)
+        rows = replayed_prediction(model)
         # a leaf's value swapped for a structure point's label: leaf check must fail
         bad = model.value.copy()
         leaves = np.nonzero(model.feature < 0)[0]
-        bad[leaves[0]] = cosine_1k.y[np.setdiff1d(model.subsample_indices[0], model.prediction_indices[0])[0]]
+        bad[leaves[0]] = cosine_1k.y[np.setdiff1d(model.subsample_indices[0], rows[0])[0]]
         assert bad[leaves[0]] != model.value[leaves[0]]
         broken = one_tree_forest(
-            cosine_1k, model.config.tree, model.subsample_indices[0], model.prediction_indices[0],
+            cosine_1k, model.config.tree, model.subsample_indices[0],
             feature=model.feature, value=bad, split_kind=model.split_kind,
         )
-        rep = tree.validate_regularity(broken, cosine_1k)
+        rep = validate_regularity(broken, cosine_1k, rows)
         assert not rep.passed
         assert not rep.leaves_ok.all()
 
@@ -403,11 +410,11 @@ class TestValidateRegularity:
         ts = TrainingSet(x, gen.random(100))
         thr = float((x[0, 0] + x[1, 0]) / 2)
         model = one_tree_forest(
-            ts, TreeConfig(), np.arange(100), np.arange(50, 100),
+            ts, TreeConfig(), np.arange(100),
             feature=[0, -1, -1], threshold=[thr, 0.0, 0.0],
             value=[0.0, ts.y[50], ts.y[51]],
         )
-        rep = tree.validate_regularity(model, ts)
+        rep = validate_regularity(model, ts, [np.arange(50, 100)])
         assert not rep.passed
         assert rep.split_min_fraction[0] == pytest.approx(0.01)
 
@@ -417,11 +424,11 @@ class TestValidateRegularity:
         x = np.linspace(0.0, 1.0, m).reshape(-1, 1)
         ts = TrainingSet(x, np.arange(m, dtype=float))
         model = one_tree_forest(
-            ts, TreeConfig(gamma=0.1), np.arange(m), np.r_[0, np.arange(m // 2 + 1, m)],
+            ts, TreeConfig(gamma=0.1), np.arange(m),
             feature=[0, -1, -1], threshold=[0.5 * (x[-2, 0] + x[-1, 0]), 0.0, 0.0],
             value=np.zeros(3),
         )
-        rep = tree.validate_regularity(model, ts)
+        rep = validate_regularity(model, ts, [np.r_[0, np.arange(m // 2 + 1, m)]])
         assert rep.split_min_fraction[0] == 1 / m
         assert bool(rep.splits_ok[0]) is ok
 
@@ -431,10 +438,11 @@ class TestValidateRegularity:
         # 17.5, leaving 2 of 20 points on the right: exactly gamma = 0.1
         x = np.arange(20, dtype=float).reshape(-1, 1)
         ts = TrainingSet(x, (x[:, 0] == 18).astype(float))
-        model = _fit_honest(ts, np.arange(9, 19), np.r_[0:9, 19], TreeConfig(gamma=0.1), _stream(3))
+        prediction = np.r_[0:9, 19]
+        model = _fit_honest(ts, np.arange(9, 19), prediction, TreeConfig(gamma=0.1), _stream(3))
         assert model.feature[0] == 0
-        assert format4_arrays(model, ts)["threshold"][0] == 17.5
-        rep = tree.validate_regularity(model, ts)
+        assert format4_arrays(model, ts, [prediction])["threshold"][0] == 17.5
+        rep = validate_regularity(model, ts, [prediction])
         assert rep.split_min_fraction[0] == 0.1
         assert rep.splits_ok[0]
 
@@ -450,29 +458,28 @@ class TestValidateRegularity:
     def test_unsplittable_leaf_is_accepted(self):
         ts, structure, prediction = self._one_separating_midpoint()
         model = _fit_honest(ts, structure, prediction, TreeConfig(gamma=0.1), _stream(4))
-        assert model.feature.size == 1 and leaf_training_index(model, ts)[0] == 10
-        rep = tree.validate_regularity(model, ts)
+        assert model.feature.size == 1 and leaf_training_index(model, ts, [prediction])[0] == 10
+        rep = validate_regularity(model, ts, [prediction])
         assert rep.passed and rep.unsplittable_leaves == 1
         assert rep.leaf_pred_counts.tolist() == [10]
         # at gamma = 0.05 the midpoint is admissible, so the same leaf fails
-        loose = one_tree_forest(ts, TreeConfig(gamma=0.05), np.arange(20), prediction, feature=model.feature,
-                                value=model.value)
-        rep = tree.validate_regularity(loose, ts)
+        loose = one_tree_forest(ts, TreeConfig(gamma=0.05), np.arange(20), feature=model.feature, value=model.value)
+        rep = validate_regularity(loose, ts, [prediction])
         assert not rep.passed and rep.unsplittable_leaves == 0
         # and the grower splits there
         assert _fit_honest(ts, structure, prediction, TreeConfig(gamma=0.05), _stream(4)).feature[0] == 0
 
     def test_unsplittable_leaf_keeps_its_lowest_prediction_index(self):
         ts, _, prediction = self._one_separating_midpoint()
-        model = one_tree_forest(ts, TreeConfig(gamma=0.1), np.arange(20), prediction, feature=[-1],
-                                threshold=[0.0], value=[ts.y[11]])
-        assert not tree.validate_regularity(model, ts).passed
+        model = one_tree_forest(ts, TreeConfig(gamma=0.1), np.arange(20), feature=[-1], threshold=[0.0],
+                                value=[ts.y[11]])
+        assert not validate_regularity(model, ts, [prediction]).passed
 
     def test_cart_rejected(self):
         ts = TrainingSet(np.array([[0.3], [0.6]]), np.array([2.5, 1.0]))
         model = _fit_cart(ts, np.arange(2))
         with pytest.raises(ValueError, match="honest"):
-            tree.validate_regularity(model, ts)
+            validate_regularity(model, ts, None)
 
 
 class TestSplitAxisFrequency:
