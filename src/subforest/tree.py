@@ -63,8 +63,7 @@ handles every frontier node of every tree at once: per axis, the points are
 sorted by the int64 key ``(node << shift) + rank`` (ranks computed once per
 training set by ``sorted_axes``), so every axis lays them out in the same
 node runs. What depends only on the runs is computed once per level and
-shared by the axes: each sorted slot's node and position in its run, the run
-starts that the doubling steps of the label prefix sums reset at, and the
+shared by the axes: each sorted slot's node and position in its run, and the
 left and right counts of a cut after each slot. The sorted keys, coordinates
 and sums go into buffers the block allocates once, for its root level, the
 largest. The split choice is made over index arrays of candidates, then over
@@ -79,9 +78,24 @@ splits settles every child whose stop rule already holds (one prediction
 point in an honest tree, at most ``max_leaf_size`` points in a CART tree):
 it becomes a leaf at once and its points leave the frontier, so no later
 level sorts, sums or searches them. A node's decision reads only its own
-points, in an order the node fixes, and the prefix sums pad with -0.0, the
-exact additive identity, so the block a tree is grown in never changes it,
-down to the sign of a zero.
+points, so the block a tree is grown in never changes it.
+
+Split sums are exact. Tree t reads its structure labels y as the integers
+q = rint(y * 2**(31 - e_t)), where 2**e_t exceeds its largest |structure
+label|, so |q| <= 2**31 and any sum of fewer than 2**32 of them is exact in
+int64, in any order. Per axis, one ``cumsum`` of the level's q in key order,
+minus each run's starting offset, gives every cut's left and right sums, and
+the score lsum²/n_left + rsum²/n_right is formed from them in float64. So
+cuts that make the same partition, on one axis or several, score bit for bit
+the same, and the documented rules decide between them: lowest axis, then
+lowest threshold. The grid is the tree's own, taken from its structure
+labels only, so neither a prediction label nor a label outside the
+subsample reaches a split. Rounding to it moves a label by at most 2**-31 of
+the tree's largest |label|. That moves a score by about 1e-9 relative, far
+more than float64 summation would, so cuts whose scores agree to about that
+precision may order differently than on the unrounded labels. A CART leaf's
+mean sums its labels in float64 in training-index order, which the node
+fixes.
 
 Routing is axis-aligned with ties at the threshold going left
 (x[axis] <= threshold).
@@ -224,27 +238,6 @@ def _runs(count: np.ndarray):
     return run, np.arange(run.size) - start[run], start
 
 
-def _resets(pos: np.ndarray, width: int) -> list:
-    """Per doubling step 2**k < ``width`` (the longest run), the entries of ``pos[2**k:]`` below 2**k."""
-    return [np.flatnonzero(pos[1 << k:] < 1 << k) for k in range((width - 1).bit_length())]
-
-
-def _prefix_sums(values: np.ndarray, resets: list, buf: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sums within each run, in place, by doubling steps inside the run.
-
-    Step 2**k adds the partial sum 2**k entries back, or -0.0, the exact
-    additive identity, where that lies in an earlier run (``resets[k]``). An
-    entry's sum reads its own run only, in an order fixed by its position, so
-    it never depends on the runs around it. ``buf`` is scratch as long as ``values``.
-    """
-    for k, reset in enumerate(resets):
-        shifted = buf[:values.size - (1 << k)]
-        np.copyto(shifted, values[:-(1 << k)])
-        shifted[reset] = -0.0
-        values[1 << k:] += shifted
-    return values
-
-
 def _sort_axes(axes: SortedAxes, node: np.ndarray, pt: np.ndarray, shift: int, work, rank: np.ndarray) -> tuple:
     """Per axis, the sorted keys ``(node << shift) + rank`` of points ``pt`` and their coordinates,
     written into the (d, >= m) buffers ``work``; ``rank`` is (>= m,) int64 scratch."""
@@ -298,13 +291,14 @@ def _at_or_below(keys, x, end, at, g, t):
     return i
 
 
-def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
+def _level(ts, axes, cfg, n_nodes, points, u, grid, work, sums, rank):
     """Split decisions for one level's frontier of ``n_nodes`` nodes.
 
     ``points`` holds (node, training index) arrays: structure points first,
-    then, for honest trees, prediction points. Returns per node whether it
-    splits, the axis and split kind of a split, and its value: a split's
-    threshold or a leaf's prediction.
+    then, for honest trees, prediction points. A node's split scores read its
+    structure labels as the integers rint(y * 2**grid[node]). Returns per
+    node whether it splits, the axis and split kind of a split, and its
+    value: a split's threshold or a leaf's prediction.
     """
     n, d = ts.x.shape
     shift = n.bit_length()
@@ -316,13 +310,13 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
     # runs: what depends only on the runs is computed once per level
     run, pos, s_start = _runs(s_count)
     s_end = s_start + s_count
-    resets = _resets(pos, max(int(s_count.max()), 1))
     same = run[:-1] == run[1:]
     n_left = pos + 1.0
     # a run's last entry is no candidate; 1 keeps its score finite
     n_right = np.maximum(s_count[run] - n_left, 1.0)
     # an empty node reads some other entry, but it has no candidates
     last = np.maximum(s_end - 1, 0)
+    scale = grid[run]
     if honest:
         p_node, p_pt = points[1]
         p_count = np.bincount(p_node, minlength=n_nodes)
@@ -333,21 +327,27 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
     best = np.full((n_nodes, d), -np.inf)
     best_thr = np.zeros((n_nodes, d))
     s_keys, s_x = _sort_axes(axes, s_node, s_pt, shift, work[0], rank)
-    csum, buf, sq = sums[:, :s_pt.size]
+    part, score = sums[1:, :s_pt.size]
+    # the first two rows, read as int64, hold label sums exact in any order
+    isum, ipart = sums[:2, :s_pt.size].view(np.int64)
     r = rank[:s_pt.size]
     for a in range(d if s_pt.size else 0):
         xs = s_x[a]
         np.bitwise_and(s_keys[a], (1 << shift) - 1, out=r)
-        _prefix_sums(axes.y[a].take(r, out=csum, mode="clip"), resets, buf)
-        total = csum[last]
+        np.ldexp(axes.y[a].take(r, out=score, mode="clip"), scale, out=score)
+        # each |q| <= 2**31, so one running sum over the level is exact
+        np.cumsum(np.rint(score, out=isum, casting="unsafe"), out=isum)
+        end_sum = isum[last]
+        # the running sum before each run
+        base = np.where(s_start > 0, isum[s_start - 1], 0)
         # every entry's score as the last point left of a cut: lsum²/n_left + rsum²/n_right
-        rsum = np.take(total, run, out=buf)
-        rsum -= csum
-        rsum *= rsum
-        rsum /= n_right
-        score = np.multiply(csum, csum, out=sq)
-        score /= n_left
-        score += rsum
+        rsum = np.take(end_sum, run, out=ipart)
+        rsum -= isum
+        np.square(rsum, out=score, dtype=np.float64)
+        score /= n_right
+        lsum = isum
+        lsum -= np.take(base, run, out=ipart)
+        score += np.divide(np.square(lsum, out=part, dtype=np.float64), n_left, out=part)
         c = np.flatnonzero((xs[:-1] < xs[1:]) & same)
         g = run[c]
         if honest:
@@ -357,11 +357,11 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
             ok = np.flatnonzero(ok)
             c, g = c[ok], g[ok]
         elif a == 0:
-            node_total = total
-        score = score[c]
-        w = _first_max(g, score, n_nodes)
+            node_score = np.square(end_sum - base, dtype=np.float64) / s_count
+        cut = score[c]
+        w = _first_max(g, cut, n_nodes)
         c = c[w]
-        best[g[w], a] = score[w]
+        best[g[w], a] = cut[w]
         best_thr[g[w], a] = _midpoint(xs[c], xs[c + 1])
     axis = best.argmax(axis=1)
 
@@ -371,8 +371,8 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
         hi = np.full(n_nodes, -np.inf)
         np.minimum.at(lo, s_node, labels)
         np.maximum.at(hi, s_node, labels)
-        split = (s_count > cfg.max_leaf_size) & (lo < hi) & (best[every, axis] > node_total ** 2 / s_count)
-        value = np.where(split, best_thr[every, axis], node_total / s_count)
+        split = (s_count > cfg.max_leaf_size) & (lo < hi) & (best[every, axis] > node_score)
+        value = np.where(split, best_thr[every, axis], np.bincount(s_node, labels, minlength=n_nodes) / s_count)
         return split, axis, np.zeros(n_nodes, dtype=np.uint8), value
 
     has = best > -np.inf
@@ -423,14 +423,14 @@ def _level(ts, axes, cfg, n_nodes, points, u, work, sums, rank):
     return split, axis, kind, thr
 
 
-def _decided(ts, axes, cfg, points, n_nodes):
+def _decided(ts, cfg, points, n_nodes):
     """Routed children whose stop rule already holds, with their leaf values.
 
     An honest child with exactly one prediction point holds that point's
     label. A CART child with at most ``max_leaf_size`` points holds their
-    label mean, its sum taken like ``_level``'s node totals: prefix sums
-    within the node in axis-0 key order. ``points`` are the
-    children's (node, training index) arrays, as ``_level`` takes them.
+    label mean, summed in training-index order like ``_level``'s leaf means.
+    ``points`` are the children's (node, training index) arrays, as
+    ``_level`` takes them.
     """
     node, pt = points[-1]
     count = np.bincount(node, minlength=n_nodes)
@@ -440,15 +440,7 @@ def _decided(ts, axes, cfg, points, n_nodes):
         leaf_pred[node] = pt  # read only where the node has one point
         return done, ts.y[leaf_pred[done]]
     done = count <= cfg.max_leaf_size
-    here = np.flatnonzero(done[node])
-    node = (np.cumsum(done) - 1)[node[here]]
-    count = count[done]
-    _, pos, start = _runs(count)
-    shift = ts.n.bit_length()
-    keys = np.sort((node << shift) + axes.rank[0, pt[here]])
-    csum = axes.y[0].take(keys & ((1 << shift) - 1))
-    total = _prefix_sums(csum, _resets(pos, int(count.max(initial=1))), np.empty_like(csum))[start + count - 1]
-    return done, total / count
+    return done, (np.bincount(node, ts.y[pt], minlength=n_nodes) / count)[done]
 
 
 def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np.ndarray,
@@ -476,10 +468,13 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
     work = [(np.empty((ts.d, rows.size), dtype=np.int64), np.empty((ts.d, rows.size))) for rows in sets]
     sums = np.empty((3, structure.size))
     rank = np.empty(max(rows.size for rows in sets), dtype=np.int64)
+    # split scores read tree t's structure labels on the grid 2**(e_t - 31),
+    # with 2**e_t above its largest |label|
+    grid = 31 - np.frexp(np.abs(ts.y[structure]).max(axis=1, initial=0.0))[1]
     while tree_of.size:
         slot = tree_of * cap + node_id
         u = uniforms[tree_of, node_id] if honest else None
-        split, axis, kind, node_value = _level(ts, axes, cfg, tree_of.size, points, u, work, sums, rank)
+        split, axis, kind, node_value = _level(ts, axes, cfg, tree_of.size, points, u, grid[tree_of], work, sums, rank)
         value[slot] = node_value
         inner = slot[split]
         feature[inner] = axis[split]
@@ -500,7 +495,7 @@ def grow_block(ts: TrainingSet, axes: SortedAxes, cfg: TreeConfig, structure: np
             go_right = ~(ts.x[pt, axis[node]] <= node_value[node])
             moved.append((2 * new_node[node] + go_right, pt))
         # a child whose stop rule already holds is a leaf now, and leaves the frontier
-        done, leaf_value = _decided(ts, axes, cfg, moved, tree_of.size)
+        done, leaf_value = _decided(ts, cfg, moved, tree_of.size)
         value[(tree_of * cap + node_id)[done]] = leaf_value
         stay = ~done
         renumber = np.cumsum(stay) - 1

@@ -224,6 +224,37 @@ class TestBlockGrowth:
         assert np.array_equal(old2["value"][leaves], y2[old2["pred_index"][leaves]])
 
 
+class TestExtremeLabels:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("labels", ["tiny-and-huge", "zeros", "negative-zeros"])
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_forest_is_its_trees_grown_alone_at_any_worker_count(self, cosine_1k, mode, labels):
+        n = 300
+        y = {
+            "tiny-and-huge": np.random.default_rng(8).choice([1e-300, -1e-300, 1e300, -1e300], n),
+            "zeros": np.zeros(n),
+            "negative-zeros": np.full(n, -0.0),
+        }[labels]
+        ts = TrainingSet(cosine_1k.x[:n], y)
+        cfg = ForestConfig(b=8, seed=21, tree=tree.TreeConfig(mode=mode))
+        fm = forest.train(ts, cfg, n_jobs=1)
+        assert same_forest(fm, forest.train(ts, cfg, n_jobs=2))
+        axes = tree.sorted_axes(ts)
+        ends = np.append(fm.roots[1:], fm.feature.size)
+        for b in range(cfg.b):
+            g = rng.stream(21, rng.TREE, b)
+            sub = reference_subsample(g, n, fm.s)
+            if mode == "honest":
+                structure, prediction = reference_partition(g, sub)
+                rows = (structure[None], prediction[None], tree.split_uniforms(g, prediction.size)[None])
+            else:
+                rows = (sub[None],)
+            alone = tree.grow_block(ts, axes, cfg.tree, *rows)
+            for name in ("feature", "value", "split_kind"):
+                got = getattr(fm, name)[fm.roots[b]:ends[b]]
+                assert got.tobytes() == getattr(alone, name).tobytes(), (b, name)
+
+
 def _digest(fm, ts) -> str:
     """sha256 of the forest's arrays rebuilt in model format 4, the format the digests were pinned in,
     an honest forest's prediction rows replayed from its trees' streams."""
@@ -243,14 +274,14 @@ class TestGoldenTrees:
     """
 
     DIGESTS = {
-        "honest": "c8bb2d2baf76e5803d1d73dfd8d88754adef1af2de5c7c995297ac6f05c45898",
-        "cart": "b6505eec963c4066d3f16337ced12209b2a1c1431c7c1a0bb4b2af912a88d9bd",
+        "honest": "1dfc7e4114b5239e3fdeafd430038c0495cbb06a97ebae14b303774196a36d22",
+        "cart": "3f1d5621222e82232bc1437f131b47c4f29e1e4a4acf88a1b1fad42335781568",
     }
     # d=5 and 300 trees: five axes share each level's scan, and one range of
     # the 300 trees grows as two blocks
     DIGESTS_D5 = {
-        "honest": "1af2353f56521e5f12bbef94aa4492ecdbd18522c629f44ee9e21c40420d0289",
-        "cart": "7e889f2731dd96cad26a6a64c9375874a7a08e899a6dc526c0286d5cb514f750",
+        "honest": "9a347690f5daa26023d915199a3ac93127c5c7b54e892c0b168b70aed6727aca",
+        "cart": "7e6c8e966199f73470321e150b72615d22c96affc4bf28a90f38dd40852a0be7",
     }
 
     @pytest.mark.parametrize("mode", ["honest", "cart"])

@@ -237,6 +237,36 @@ class TestGrowBlock:
             assert np.array_equal(block.feature[lo:hi], alone.feature)
 
 
+class TestExactSplitSums:
+    def test_tied_axes_split_on_the_lowest(self):
+        # the last point is the largest on both axes and its label dwarfs the
+        # rest, so cutting it off is the best partition on either axis: the
+        # two axes tie exactly, and the lowest one must win
+        gen = np.random.default_rng(77)
+        x = gen.random((9, 2)) * 0.9
+        x[8] = 1.0
+        cfg = TreeConfig(mode="cart", max_leaf_size=1)
+        for _ in range(200):
+            y = np.append(gen.uniform(0.3, 0.4, 8), 50.0)
+            fm = _fit_cart(TrainingSet(x, y), np.arange(9), cfg)
+            assert fm.feature[0] == 0
+            assert fm.value[0] == 0.5 * (x[:8, 0].max() + 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["honest", "cart"])
+    def test_split_structure_ignores_the_label_scale(self, cosine_1k, mode):
+        # scaling by a power of two moves every tree's grid with it: the same
+        # integer label sums, so the same splits, where squares of the scaled
+        # floats would overflow
+        cfg = ForestConfig(b=30, seed=3, tree=TreeConfig(mode=mode))
+        plain = forest.train(cosine_1k, cfg)
+        scaled = forest.train(TrainingSet(cosine_1k.x, cosine_1k.y * 2.0 ** 600), cfg)
+        split = plain.feature >= 0
+        assert np.array_equal(plain.feature, scaled.feature)
+        assert np.array_equal(plain.split_kind, scaled.split_kind)
+        assert np.array_equal(plain.value[split], scaled.value[split])
+
+
 class TestFitGreedyCart:
     def test_constant_labels_single_leaf(self):
         ts = TrainingSet(np.random.default_rng(0).random((20, 2)), np.full(20, 4.5))
